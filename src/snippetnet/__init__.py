@@ -19,7 +19,7 @@ from .backends import (
     fixture_search,
 )
 from .budget import BudgetLedger, utc_day_key
-from .cache import CacheEntry, QueryCache
+from .cache import QueryCache
 from .corpus import FixtureCorpus, FixtureDocument, load_corpus
 from .errors import (
     BackendError,
@@ -88,7 +88,6 @@ __all__ = [
     "BackendError",
     "BudgetExhausted",
     "BudgetLedger",
-    "CacheEntry",
     "ConfigError",
     "CorpusError",
     "DEFAULT_PAGE_SIZE",

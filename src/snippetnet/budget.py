@@ -20,6 +20,34 @@ def utc_day_key() -> str:
     return datetime.now(timezone.utc).date().isoformat()
 
 
+def read_ledger_state(path) -> dict | None:
+    """Parse the sidecar at path into day_key, used_today and total_issued.
+
+    Returns None when the file does not exist. Raises ValueError when it is
+    not a JSON object whose fields have the types the ledger writes, and
+    OSError when it cannot be read at all.
+    """
+    target = Path(path)
+    try:
+        state = json.loads(target.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{target}: ledger file is not valid JSON: {exc}") from exc
+    if not isinstance(state, dict):
+        raise ValueError(f"{target}: ledger file must hold a JSON object")
+    day_key = state.get("day_key")
+    if day_key is not None and not isinstance(day_key, str):
+        raise ValueError(f"{target}: ledger day_key must be a string, got {day_key!r}")
+    counts = {}
+    for name in ("used_today", "total_issued"):
+        value = state.get(name, 0)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"{target}: ledger {name} must be a non-negative integer, got {value!r}")
+        counts[name] = value
+    return {"day_key": day_key, **counts}
+
+
 class BudgetLedger:
     def __init__(self, daily_limit: int, path=None, today_fn=utc_day_key,
                  day_key: str | None = None, used_today: int = 0, total_issued: int = 0):
@@ -34,22 +62,12 @@ class BudgetLedger:
 
     @classmethod
     def open(cls, daily_limit: int, path, today_fn=utc_day_key) -> "BudgetLedger":
-        """Load persisted usage from the sidecar at path, or start fresh."""
-        target = Path(path)
-        state: dict = {}
-        if target.exists():
-            try:
-                state = json.loads(target.read_text(encoding="utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ValueError(f"{target}: ledger file is not valid JSON: {exc}") from exc
-        ledger = cls(
-            daily_limit,
-            path=target,
-            today_fn=today_fn,
-            day_key=state.get("day_key"),
-            used_today=int(state.get("used_today", 0)),
-            total_issued=int(state.get("total_issued", 0)),
-        )
+        """Load persisted usage from the sidecar at path, or start fresh.
+
+        Raises ValueError when the sidecar exists but is malformed.
+        """
+        state = read_ledger_state(path) or {}
+        ledger = cls(daily_limit, path=path, today_fn=today_fn, **state)
         ledger._roll_day()
         return ledger
 

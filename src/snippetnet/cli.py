@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .backends import FixtureBackend, LiveBackend
-from .budget import BudgetLedger
+from .budget import BudgetLedger, read_ledger_state
 from .cache import QueryCache
 from .corpus import load_corpus
 from .errors import (
@@ -297,19 +297,13 @@ def cmd_cache(action: str, cache_path) -> int:
     if action == "stats":
         try:
             cache = QueryCache.open(cache_path)
+            ledger_state = read_ledger_state(_ledger_path(cache_path))
         except (OSError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        ledger_state = None
-        sidecar = _ledger_path(cache_path)
-        if sidecar.exists():
-            try:
-                ledger_state = json.loads(sidecar.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"{sidecar}: {exc}") from exc
         print(json.dumps({"entries": len(cache), "ledger": ledger_state}, indent=2, sort_keys=True))
         return 0
     if action == "clear":
-        QueryCache(cache_path).save()
+        QueryCache(cache_path).clear()
         print(f"cleared {cache_path}")
         return 0
     raise ConfigError(f"unknown cache action {action!r}")

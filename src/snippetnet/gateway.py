@@ -2,9 +2,12 @@
 
 Order of business for every query: cache first, then the budget gate, then the
 backend. Cache hits never touch the ledger. All cache and ledger mutations go
-through one lock; the backend call itself runs outside it, so independent
-queries may execute concurrently. Two threads racing on the *same* uncached
-query can each spend budget; pipeline callers only fan out distinct queries.
+through one lock, so QueryCache and BudgetLedger need none of their own: a
+cache store appends one record to the cache journal and a charge rewrites
+the small ledger sidecar, both O(1) bytes per query. The backend call itself
+runs outside the lock, so independent queries may execute concurrently. Two
+threads racing on the *same* uncached query can each spend budget; pipeline
+callers only fan out distinct queries.
 """
 
 from __future__ import annotations

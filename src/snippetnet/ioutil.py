@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 
@@ -14,9 +14,12 @@ def atomic_write_text(path, text: str) -> None:
 def atomic_write_bytes(path, data: bytes) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+    tmp_name = target.with_name(f"{target.name}.{secrets.token_hex(8)}.tmp")
+    # Exclusive create with the default mode 0o666, so the process umask sets
+    # the permissions as for any other new file; mkstemp always gives 0600.
+    handle = open(tmp_name, "xb")
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with handle:
             handle.write(data)
         os.replace(tmp_name, target)
     except BaseException:

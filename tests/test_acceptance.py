@@ -10,6 +10,7 @@ import time
 
 from conftest import make_gateway, mask_timestamps, read_json, scan_count
 from corpusdata import ACTORS, no_cooccurrence_actors, no_cooccurrence_corpus, write_jsonl
+from snippetnet.cache import QueryCache
 from snippetnet.cli import main
 from snippetnet.corpus import load_corpus
 from snippetnet.errors import BudgetExhausted
@@ -197,7 +198,7 @@ def test_criterion_07_budget_enforcement(tmp_path):
         detect_all(actors, gateway)  # needs 15 doubleton queries
     except BudgetExhausted:
         raised = True
-    persisted = read_json(cache_path)
+    persisted = QueryCache.open(cache_path)
     ok = raised and gateway.stats.backend_calls == 10 and len(persisted) == 10
     _report(
         7, ok,

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from conftest import make_gateway, read_json
+from conftest import make_gateway
 from snippetnet.backends import RawSnippet, SearchResult
 from snippetnet.budget import BudgetLedger
+from snippetnet import cache as cache_module
 from snippetnet.cache import QueryCache
 from snippetnet.errors import BudgetExhausted
 from snippetnet.queries import build_query
@@ -36,8 +37,10 @@ class TestQueryCache:
     def test_file_schema(self, tmp_path):
         path = tmp_path / "cache.json"
         QueryCache(path).store('"alice" "bob"', _result(2), fetched_at="2026-08-18T00:00:00+00:00")
-        payload = read_json(path)
-        entry = payload['"alice" "bob"']
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[0]) == {"snippetnet_cache": 2}
+        records = {record["query"]: record for record in map(json.loads, lines[1:])}
+        entry = records['"alice" "bob"']
         assert entry["hit_count"] == 2
         assert entry["snippets"] == [{"url": "http://a.com/x", "title": "T", "abstract": "A"}]
         assert entry["fetched_at"] == "2026-08-18T00:00:00+00:00"
@@ -66,7 +69,102 @@ class TestQueryCache:
             cache.store(f'"q{i}"', _result(i))
         leftovers = [p for p in tmp_path.iterdir() if p.name != "cache.json"]
         assert leftovers == []
-        assert len(read_json(path)) == 5
+        assert len(QueryCache.open(path)) == 5
+
+    def test_each_store_appends_exactly_its_record(self, tmp_path, monkeypatch):
+        def rewrite(path, data):
+            raise AssertionError("a store must append, not rewrite the journal")
+
+        monkeypatch.setattr(cache_module, "atomic_write_bytes", rewrite)
+        path = tmp_path / "cache.json"
+        cache = QueryCache(path)
+        for i in range(300):
+            before = path.read_bytes() if path.exists() else b'{"snippetnet_cache": 2}\n'
+            cache.store(f'"q{i:03d}"', _result(i), fetched_at="2026-08-18T00:00:00+00:00")
+            after = path.read_bytes()
+            record = json.dumps(
+                {
+                    "fetched_at": "2026-08-18T00:00:00+00:00",
+                    "hit_count": i,
+                    "query": f'"q{i:03d}"',
+                    "snippets": [{"abstract": "A", "title": "T", "url": "http://a.com/x"}],
+                }
+            ).encode("utf-8") + b"\n"
+            assert after == before + record
+
+    def test_last_record_for_a_query_wins(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = QueryCache(path)
+        cache.store('"a"', _result(1))
+        cache.store('"a"', _result(2))
+        reloaded = QueryCache.open(path)
+        assert len(reloaded) == 1
+        assert reloaded.lookup('"a"') == _result(2)
+
+    def test_torn_last_record_is_dropped_and_overwritten(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = QueryCache(path)
+        for name in ("a", "b", "c"):
+            cache.store(f'"{name}"', _result())
+        path.write_bytes(path.read_bytes()[:-20])
+
+        torn = QueryCache.open(path)
+        assert len(torn) == 2
+        assert torn.lookup('"c"') is None
+        torn.store('"d"', _result(4))
+
+        replayed = QueryCache.open(path)
+        assert len(replayed) == 3
+        assert replayed.lookup('"d"') == _result(4)
+        assert path.read_bytes().endswith(b"\n")
+
+    def test_torn_header_is_an_empty_journal(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_bytes(b'{"snippetnet_ca')
+        cache = QueryCache.open(path)
+        assert len(cache) == 0
+        cache.store('"a"', _result())
+        assert path.read_bytes().startswith(b'{"snippetnet_cache": 2}\n{')
+        assert len(QueryCache.open(path)) == 1
+
+    def test_malformed_complete_line_raises(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = QueryCache(path)
+        for name in ("a", "b", "c"):
+            cache.store(f'"{name}"', _result())
+        lines = path.read_bytes().split(b"\n")
+        for bad in (b"{nope", b'{"query": "\\"b\\""}', b"[1]"):
+            lines[2] = bad
+            path.write_bytes(b"\n".join(lines))
+            with pytest.raises(ValueError, match="line 3: malformed cache record"):
+                QueryCache.open(path)
+
+    def test_whole_object_cache_is_converted_to_journal(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text(
+            '{\n'
+            '  "\\"alice\\"": {\n'
+            '    "fetched_at": "2026-08-18T00:00:00+00:00",\n'
+            '    "hit_count": 7,\n'
+            '    "snippets": [{"abstract": "A", "title": "T", "url": "http://a.com/x"}]\n'
+            '  },\n'
+            '  "\\"alice\\" \\"bob\\"": {\n'
+            '    "fetched_at": "2026-08-18T00:00:01+00:00",\n'
+            '    "hit_count": 0,\n'
+            '    "snippets": []\n'
+            '  }\n'
+            '}\n',
+            encoding="utf-8",
+        )
+        cache = QueryCache.open(path)
+        assert len(cache) == 2
+        assert cache.lookup('"alice"') == _result(7)
+        assert cache.lookup('"alice" "bob"') == SearchResult(hit_count=0, snippets=())
+
+        assert path.read_bytes().startswith(b'{"snippetnet_cache": 2}\n')
+        reopened = QueryCache.open(path)
+        assert len(reopened) == 2
+        assert reopened.lookup('"alice"') == _result(7)
 
 
 class TestBudgetLedger:
@@ -174,5 +272,8 @@ class TestGatewayExecute:
         gateway.execute(build_query(["two"]))
         with pytest.raises(BudgetExhausted):
             gateway.execute(build_query(["three"]))
-        persisted = read_json(cache_path)
-        assert sorted(persisted) == ['"one"', '"two"']
+        persisted = QueryCache.open(cache_path)
+        assert persisted.lookup('"one"') is not None
+        assert persisted.lookup('"two"') is not None
+        assert persisted.lookup('"three"') is None
+        assert len(persisted) == 2

@@ -1,13 +1,19 @@
 import json
+import os
+import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import mask_timestamps, read_json
 from corpusdata import no_cooccurrence_actors, no_cooccurrence_corpus, write_jsonl
+from snippetnet.cache import QueryCache
 from snippetnet.cli import main
 from snippetnet.network import network_from_json
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def run_extract(tmp_path, actors, corpus, out_name="network.json", **flags):
@@ -191,7 +197,98 @@ class TestExitCodes:
         code, _ = run_extract(tmp_path, actors6_file, corpus20_file, daily_limit="5")
         assert code == 3
         assert "resume" in capsys.readouterr().err
-        assert len(read_json(tmp_path / "cache.json")) == 5
+        assert len(QueryCache.open(tmp_path / "cache.json")) == 5
+
+    @pytest.mark.parametrize("sidecar", ['{"used_today": null}', "[1]", '{"day_key": 5}'])
+    def test_malformed_ledger_sidecar_is_exit_2(
+        self, tmp_path, actors6_file, corpus20_file, capsys, sidecar
+    ):
+        (tmp_path / "cache.json.ledger").write_text(sidecar, encoding="utf-8")
+        code, _ = run_extract(tmp_path, actors6_file, corpus20_file)
+        assert code == 2
+        assert "ledger" in capsys.readouterr().err
+        assert main(["cache", "stats", "--cache", str(tmp_path / "cache.json")]) == 2
+        assert "ledger" in capsys.readouterr().err
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+    def test_written_files_respect_the_umask(
+        self, tmp_path, actors6_file, corpus20_file, umask, mode
+    ):
+        previous = os.umask(umask)
+        try:
+            code, out = run_extract(tmp_path, actors6_file, corpus20_file, dump_evidence=True)
+        finally:
+            os.umask(previous)
+        assert code == 0
+        written = [
+            out,
+            Path(str(out) + ".report.json"),
+            Path(str(out) + ".evidence.jsonl"),
+            tmp_path / "cache.json",
+            tmp_path / "cache.json.ledger",
+        ]
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in written} == {
+            p.name: mode for p in written
+        }
+
+
+class TestCacheJournal:
+    def _extract_demo(self, tmp_path):
+        code, out = run_extract(tmp_path, DEMO / "actors.txt", DEMO / "corpus.jsonl")
+        assert code == 0
+        return out, read_json(str(out) + ".report.json")["backend_calls"]
+
+    def test_rerun_after_torn_append_pays_only_the_lost_query(self, tmp_path):
+        cache_path = tmp_path / "cache.json"
+        _, calls = self._extract_demo(tmp_path)
+        data = cache_path.read_bytes()
+        assert data.count(b"\n") == calls + 1
+        cache_path.write_bytes(data[:-40])
+
+        _, rerun_calls = self._extract_demo(tmp_path)
+        assert rerun_calls == 1
+        assert len(QueryCache.open(cache_path)) == calls
+        _, warm_calls = self._extract_demo(tmp_path)
+        assert warm_calls == 0
+
+    def test_whole_object_cache_resumes_at_zero_calls(self, tmp_path):
+        cache_path = tmp_path / "cache.json"
+        out, calls = self._extract_demo(tmp_path)
+        assert calls > 0
+        first = mask_timestamps(out.read_text(encoding="utf-8"))
+        records = [json.loads(line) for line in cache_path.read_text(encoding="utf-8").splitlines()[1:]]
+        legacy = {
+            record["query"]: {key: record[key] for key in ("fetched_at", "hit_count", "snippets")}
+            for record in records
+        }
+        cache_path.write_text(json.dumps(legacy, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+        out, rerun_calls = self._extract_demo(tmp_path)
+        assert rerun_calls == 0
+        assert mask_timestamps(out.read_text(encoding="utf-8")) == first
+        assert cache_path.read_bytes().startswith(b'{"snippetnet_cache": 2}\n')
+
+    def test_malformed_line_mid_journal_is_exit_2(self, tmp_path):
+        cache_path = tmp_path / "cache.json"
+        self._extract_demo(tmp_path)
+        lines = cache_path.read_bytes().split(b"\n")
+        lines[5] = b'{"query": "\\"x\\"", "hit_count": 1'
+        cache_path.write_bytes(b"\n".join(lines))
+
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "snippetnet.cli", "extract",
+                "--actors", str(DEMO / "actors.txt"), "--corpus", str(DEMO / "corpus.jsonl"),
+                "--cache", str(cache_path), "--threshold", "0.0",
+                "--out", str(tmp_path / "network.json"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert "line 6: malformed cache record" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestResume:
