@@ -42,29 +42,6 @@ class SearchBackendPort(Protocol):
         """Run one query, returning a hit count and at most page_size snippets."""
 
 
-def fixture_search(corpus: FixtureCorpus, query: Query, page_size: int) -> SearchResult:
-    """Exact conjunctive search over the fixture corpus.
-
-    A document matches when every phrase of the query occurs, case
-    insensitively, as a contiguous substring of its title, body, or url.
-    hit_count is the exact number of matches; snippets cover the first
-    result page only, in ascending document id order.
-    """
-    if page_size < 1:
-        raise ValueError("page_size must be >= 1")
-    phrases = [term.lower() for term in query.terms]
-    matches = []
-    for doc in corpus.documents:
-        haystack = f"{doc.title}\n{doc.body}\n{doc.url}".lower()
-        if all(phrase in haystack for phrase in phrases):
-            matches.append(doc)
-    snippets = tuple(
-        RawSnippet(url=doc.url, title=doc.title, abstract=doc.body[:ABSTRACT_LENGTH])
-        for doc in matches[:page_size]
-    )
-    return SearchResult(hit_count=len(matches), snippets=snippets)
-
-
 class FixtureBackend:
     """Deterministic, reentrant search over an in-memory corpus."""
 
@@ -72,7 +49,26 @@ class FixtureBackend:
         self.corpus = corpus
 
     def search(self, query: Query, page_size: int) -> SearchResult:
-        return fixture_search(self.corpus, query, page_size)
+        """Exact conjunctive search over the fixture corpus.
+
+        A document matches when every phrase of the query occurs, case
+        insensitively, as a contiguous substring of its title, body, or url.
+        hit_count is the exact number of matches; snippets cover the first
+        result page only, in ascending document id order.
+        """
+        if page_size < 1:
+            raise ValueError("page_size must be >= 1")
+        phrases = [term.lower() for term in query.terms]
+        matches = []
+        for doc in self.corpus.documents:
+            haystack = f"{doc.title}\n{doc.body}\n{doc.url}".lower()
+            if all(phrase in haystack for phrase in phrases):
+                matches.append(doc)
+        snippets = tuple(
+            RawSnippet(url=doc.url, title=doc.title, abstract=doc.body[:ABSTRACT_LENGTH])
+            for doc in matches[:page_size]
+        )
+        return SearchResult(hit_count=len(matches), snippets=snippets)
 
 
 class LiveBackend:

@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import BudgetExhausted
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_bytes
 
 
 def utc_day_key() -> str:
@@ -109,4 +109,4 @@ class BudgetLedger:
             "used_today": self.used_today,
             "total_issued": self.total_issued,
         }
-        atomic_write_text(self.path, json.dumps(state, indent=2, sort_keys=True) + "\n")
+        atomic_write_bytes(self.path, (json.dumps(state, indent=2, sort_keys=True) + "\n").encode("utf-8"))

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,7 +35,7 @@ from .keywords import (
     fetch_actor_context,
     load_keyword_overrides,
 )
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_bytes
 from .labeling import label_edge, usr
 from .network import EXPORT_FORMATS, build_network, export
 from .relations import Actor, detect_all
@@ -44,29 +43,6 @@ from .strength import MEASURES, sr, sr_with_keywords
 
 API_KEY_ENV = "SNIPPETNET_API_KEY"
 API_ENDPOINT_ENV = "SNIPPETNET_API_ENDPOINT"
-
-# How many candidate keywords to rank per actor when none are supplied;
-# only the top one feeds the keyword-augmented queries.
-AUTO_KEYWORD_CANDIDATES = 5
-
-
-@dataclass
-class RunConfig:
-    actors_file: str
-    backend: str = "fixture"
-    corpus_file: str | None = None
-    measure: str = "jaccard"
-    variant: str = "sr"
-    threshold: float = 0.0
-    daily_limit: int = 1000
-    page_size: int = DEFAULT_PAGE_SIZE
-    cache_path: str = "snippetnet-cache.json"
-    output: str = "network.json"
-    output_format: str = "json"
-    keywords_file: str | None = None
-    max_labels: int = 5
-    parallelism: int = 1
-    dump_evidence: bool = False
 
 
 def _utc_now() -> str:
@@ -95,41 +71,47 @@ def load_actors(path) -> list:
     return actors
 
 
-def _open_state(config: RunConfig):
+def _open_state(args):
     """Build the gateway plus the fixture corpus behind it (None for live)."""
-    if config.daily_limit < 1:
+    if args.daily_limit < 1:
         raise ConfigError("daily limit must be >= 1")
-    if config.page_size < 1:
+    if args.page_size < 1:
         raise ConfigError("page size must be >= 1")
-    if config.parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
     corpus = None
-    if config.backend == "fixture":
-        if not config.corpus_file:
+    if args.backend == "fixture":
+        if not args.corpus:
             raise ConfigError("fixture backend needs --corpus")
-        corpus = load_corpus(config.corpus_file)
+        corpus = load_corpus(args.corpus)
         backend = FixtureBackend(corpus)
-    elif config.backend == "live":
+    else:
         endpoint = os.environ.get(API_ENDPOINT_ENV)
         if not endpoint:
             raise ConfigError(f"live backend needs {API_ENDPOINT_ENV} set")
         backend = LiveBackend(endpoint, api_key=os.environ.get(API_KEY_ENV))
-    else:
-        raise ConfigError(f"unknown backend {config.backend!r}")
     try:
-        cache = QueryCache.open(config.cache_path)
-        ledger = BudgetLedger.open(config.daily_limit, _ledger_path(config.cache_path))
+        cache = QueryCache.open(args.cache)
+        ledger = BudgetLedger.open(args.daily_limit, _ledger_path(args.cache))
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    gateway = SearchGateway(backend, cache=cache, ledger=ledger, page_size=config.page_size)
+    gateway = SearchGateway(backend, cache=cache, ledger=ledger, page_size=args.page_size)
     return gateway, corpus
 
 
-def _pick_keywords(config: RunConfig, involved, contexts, corpus) -> dict:
+def _rank_keywords(contexts: dict, corpus, k: int) -> dict:
+    """Each actor's top-k (term, score) pairs, tf-idf against the corpus if there is one."""
+    doc_freq = document_frequencies(corpus) if corpus is not None else {}
+    universe = corpus.universe_size if corpus is not None else 0
+    return {
+        actor_id: extract_keywords(snippets, doc_freq, universe, k)
+        for actor_id, (snippets, _) in contexts.items()
+    }
+
+
+def _pick_keywords(args, contexts, corpus) -> dict:
     """One keyword per involved actor: from the override file, or extracted."""
-    if config.keywords_file:
+    if args.keywords:
         try:
-            overrides = load_keyword_overrides(config.keywords_file)
+            overrides = load_keyword_overrides(args.keywords)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read keywords file: {exc}") from exc
         return {
@@ -137,46 +119,37 @@ def _pick_keywords(config: RunConfig, involved, contexts, corpus) -> dict:
             for actor_id, terms in overrides.items()
             if terms and str(terms[0]).strip()
         }
-    doc_freq = document_frequencies(corpus) if corpus is not None else {}
-    universe = corpus.universe_size if corpus is not None else 0
-    chosen: dict = {}
-    for actor_id in involved:
-        snippets, hit_count = contexts[actor_id]
-        keyword_set = extract_keywords(
-            snippets, doc_freq, universe, AUTO_KEYWORD_CANDIDATES,
-            actor_id=actor_id, singleton_count=hit_count,
-        )
-        if keyword_set.keywords:
-            chosen[actor_id] = keyword_set.keywords[0][0]
-    return chosen
+    ranked = _rank_keywords(contexts, corpus, 1)
+    return {actor_id: terms[0][0] for actor_id, terms in ranked.items() if terms}
 
 
-def cmd_extract(config: RunConfig) -> int:
+def cmd_extract(args) -> int:
     started = _utc_now()
-    if not 0.0 <= config.threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1], got {config.threshold}")
-    if config.measure not in MEASURES:
-        raise ConfigError(f"unknown measure {config.measure!r}")
-    if config.variant not in ("sr", "srwk"):
-        raise ConfigError(f"unknown variant {config.variant!r}")
-    if config.output_format not in EXPORT_FORMATS:
-        raise ConfigError(f"unknown format {config.output_format!r}")
-    if config.max_labels < 1:
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ConfigError(f"threshold must be in [0, 1], got {args.threshold}")
+    if args.max_labels < 1:
         raise ConfigError("max labels must be >= 1")
-    actors = load_actors(config.actors_file)
+    if args.parallelism < 1:
+        raise ConfigError("parallelism must be >= 1")
+    actors = load_actors(args.actors)
     if len(actors) < 2:
         raise ConfigError("need at least two actors")
-    gateway, corpus = _open_state(config)
+    gateway, corpus = _open_state(args)
     by_id = {actor.id: actor for actor in actors}
 
-    evidence = detect_all(actors, gateway, parallelism=config.parallelism)
+    # Paid queries per stage: detection issues the pair queries, the context
+    # stage the plain singletons, scoring the keyword queries (none for sr,
+    # whose singletons the context stage already cached).
+    evidence = detect_all(actors, gateway, parallelism=args.parallelism)
+    doubleton_calls = gateway.stats.backend_calls
     detected = [item for item in evidence if item.detected]
     involved = sorted({actor_id for item in detected for actor_id in item.pair})
     contexts = {actor_id: fetch_actor_context(by_id[actor_id], gateway) for actor_id in involved}
+    singleton_calls = gateway.stats.backend_calls - doubleton_calls
 
     keywords_by_actor: dict = {}
-    if config.variant == "srwk":
-        keywords_by_actor = _pick_keywords(config, involved, contexts, corpus)
+    if args.variant == "srwk":
+        keywords_by_actor = _pick_keywords(args, contexts, corpus)
 
     scores: dict = {}
     usr_scores: dict = {}
@@ -185,31 +158,31 @@ def cmd_extract(config: RunConfig) -> int:
         a, b = by_id[item.pair[0]], by_id[item.pair[1]]
         kw_a = keywords_by_actor.get(a.id)
         kw_b = keywords_by_actor.get(b.id)
-        if config.variant == "srwk" and kw_a and kw_b:
-            score = sr_with_keywords(a, kw_a, b, kw_b, gateway, config.measure)
+        if args.variant == "srwk" and kw_a and kw_b:
+            score = sr_with_keywords(a, kw_a, b, kw_b, gateway, args.measure)
         else:
             # srwk falls back to the plain score when an actor yielded no
             # keyword; the variant field on the score says which one ran.
-            score = sr(a, b, item, gateway, config.measure)
+            score = sr(a, b, item, gateway, args.measure)
         scores[item.pair] = score
         usr_scores[item.pair] = usr(contexts[a.id][0], contexts[b.id][0])
-        edge_labels[item.pair] = label_edge(item.l_ab, config.max_labels)
+        edge_labels[item.pair] = label_edge(item.l_ab, args.max_labels)
 
     provenance = {
-        "backend": config.backend,
-        "corpus": Path(config.corpus_file).name if config.corpus_file else None,
-        "measure": config.measure,
-        "variant": config.variant,
-        "threshold": config.threshold,
+        "backend": args.backend,
+        "corpus": Path(args.corpus).name if args.corpus else None,
+        "measure": args.measure,
+        "variant": args.variant,
+        "threshold": args.threshold,
         "generated_at": _utc_now(),
     }
     network = build_network(
         actors, evidence, scores, usr_scores, edge_labels,
-        threshold=config.threshold, provenance=provenance,
+        threshold=args.threshold, provenance=provenance,
     )
-    atomic_write_bytes(config.output, export(network, config.output_format))
+    atomic_write_bytes(args.out, export(network, args.format))
 
-    if config.dump_evidence:
+    if args.dump_evidence:
         lines = []
         for item in evidence:
             lines.append(
@@ -226,7 +199,7 @@ def cmd_extract(config: RunConfig) -> int:
                     sort_keys=True,
                 )
             )
-        atomic_write_text(_evidence_path(config.output), "\n".join(lines) + "\n")
+        atomic_write_bytes(_evidence_path(args.out), ("\n".join(lines) + "\n").encode("utf-8"))
 
     total_calls = gateway.stats.backend_calls
     bound = 3 * len(actors) * len(actors)
@@ -235,8 +208,9 @@ def cmd_extract(config: RunConfig) -> int:
         "pairs": len(evidence),
         "detected": len(detected),
         "edges": len(network.edges),
-        "singleton_queries": gateway.stats.singleton_queries,
-        "doubleton_queries": gateway.stats.doubleton_queries,
+        "doubleton_queries": doubleton_calls,
+        "singleton_queries": singleton_calls,
+        "keyword_queries": total_calls - doubleton_calls - singleton_calls,
         "backend_calls": total_calls,
         "cache_hits": gateway.stats.cache_hits,
         "ledger": gateway.ledger.snapshot(),
@@ -248,9 +222,9 @@ def cmd_extract(config: RunConfig) -> int:
         "started_at": started,
         "finished_at": _utc_now(),
     }
-    atomic_write_text(_report_path(config.output), json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write_json(_report_path(args.out), report)
     print(
-        f"wrote {config.output}: {len(network.edges)} edges over {len(actors)} actors "
+        f"wrote {args.out}: {len(network.edges)} edges over {len(actors)} actors "
         f"({total_calls} backend calls, {gateway.stats.cache_hits} cache hits)"
     )
     return 0
@@ -264,32 +238,32 @@ def _evidence_path(output) -> str:
     return str(output) + ".evidence.jsonl"
 
 
-def cmd_keywords(config: RunConfig, top_k: int, out_path) -> int:
-    if top_k < 1:
+def _write_json(path, payload) -> None:
+    atomic_write_bytes(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def cmd_keywords(args) -> int:
+    if args.top_k < 1:
         raise ConfigError("top-k must be >= 1")
-    actors = load_actors(config.actors_file)
+    actors = sorted(load_actors(args.actors), key=lambda a: a.id)
     if not actors:
         raise ConfigError("actors file lists nobody")
-    gateway, corpus = _open_state(config)
-    doc_freq = document_frequencies(corpus) if corpus is not None else {}
-    universe = corpus.universe_size if corpus is not None else 0
-    payload: dict = {}
-    for actor in sorted(actors, key=lambda a: a.id):
-        snippets, hit_count = fetch_actor_context(actor, gateway)
-        keyword_set = extract_keywords(
-            snippets, doc_freq, universe, top_k,
-            actor_id=actor.id, singleton_count=hit_count,
-        )
-        payload[actor.id] = {
+    gateway, corpus = _open_state(args)
+    contexts = {actor.id: fetch_actor_context(actor, gateway) for actor in actors}
+    ranked = _rank_keywords(contexts, corpus, args.top_k)
+    payload = {
+        actor.id: {
             "name": actor.name,
-            "singleton_count": keyword_set.singleton_count,
+            "singleton_count": contexts[actor.id][1],
             "keywords": [
-                {"term": term, "score": score, "kind": classify_attribute(term).kind}
-                for term, score in keyword_set.keywords
+                {"term": term, "score": score, "kind": classify_attribute(term)}
+                for term, score in ranked[actor.id]
             ],
         }
-    atomic_write_text(out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out_path}: keyword sets for {len(actors)} actors")
+        for actor in actors
+    }
+    _write_json(args.out, payload)
+    print(f"wrote {args.out}: keyword sets for {len(actors)} actors")
     return 0
 
 
@@ -302,11 +276,9 @@ def cmd_cache(action: str, cache_path) -> int:
             raise ConfigError(str(exc)) from exc
         print(json.dumps({"entries": len(cache), "ledger": ledger_state}, indent=2, sort_keys=True))
         return 0
-    if action == "clear":
-        QueryCache(cache_path).clear()
-        print(f"cleared {cache_path}")
-        return 0
-    raise ConfigError(f"unknown cache action {action!r}")
+    QueryCache(cache_path).clear()
+    print(f"cleared {cache_path}")
+    return 0
 
 
 def _add_gateway_args(parser: argparse.ArgumentParser) -> None:
@@ -350,36 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        actors_file=args.actors,
-        backend=args.backend,
-        corpus_file=args.corpus,
-        measure=getattr(args, "measure", "jaccard"),
-        variant=getattr(args, "variant", "sr"),
-        threshold=getattr(args, "threshold", 0.0),
-        daily_limit=args.daily_limit,
-        page_size=args.page_size,
-        cache_path=args.cache,
-        output=getattr(args, "out", "network.json"),
-        output_format=getattr(args, "format", "json"),
-        keywords_file=getattr(args, "keywords", None),
-        max_labels=getattr(args, "max_labels", 5),
-        parallelism=getattr(args, "parallelism", 1),
-        dump_evidence=getattr(args, "dump_evidence", False),
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "extract":
-            return cmd_extract(_config_from_args(args))
+            return cmd_extract(args)
         if args.command == "keywords":
-            return cmd_keywords(_config_from_args(args), top_k=args.top_k, out_path=args.out)
-        if args.command == "cache":
-            return cmd_cache(args.action, Path(args.cache))
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_keywords(args)
+        return cmd_cache(args.action, Path(args.cache))
     except (ConfigError, CorpusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

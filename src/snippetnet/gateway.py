@@ -13,7 +13,7 @@ callers only fan out distinct queries.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .backends import SearchBackendPort, SearchResult
 from .budget import BudgetLedger
@@ -27,15 +27,6 @@ DEFAULT_PAGE_SIZE = 10
 class GatewayStats:
     backend_calls: int = 0
     cache_hits: int = 0
-    calls_by_term_count: dict = field(default_factory=dict)
-
-    @property
-    def singleton_queries(self) -> int:
-        return self.calls_by_term_count.get(1, 0)
-
-    @property
-    def doubleton_queries(self) -> int:
-        return self.calls_by_term_count.get(2, 0)
 
 
 class SearchGateway:
@@ -68,6 +59,4 @@ class SearchGateway:
         with self._lock:
             self.cache.store(rendered, result)
             self.stats.backend_calls += 1
-            n_terms = len(query.terms)
-            self.stats.calls_by_term_count[n_terms] = self.stats.calls_by_term_count.get(n_terms, 0) + 1
         return result

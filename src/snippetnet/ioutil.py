@@ -7,10 +7,6 @@ import secrets
 from pathlib import Path
 
 
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def atomic_write_bytes(path, data: bytes) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import FixtureCorpus
@@ -12,22 +11,8 @@ from .errors import MalformedUrl
 from .gateway import SearchGateway
 from .queries import build_query
 from .relations import Actor
-from .snippets import Snippet, parse_snippet
+from .snippets import parse_snippet
 from .text import STOPWORDS, tokenize
-
-
-@dataclass(frozen=True)
-class KeywordSet:
-    actor: str
-    keywords: tuple  # (term, score) pairs, best first, scores >= 0
-    source_snippets: tuple
-    singleton_count: int
-
-
-@dataclass(frozen=True)
-class AttributeTag:
-    term: str
-    kind: str  # "stable" | "flexible"
 
 
 def fetch_actor_context(actor: Actor, gateway: SearchGateway):
@@ -43,9 +28,10 @@ def fetch_actor_context(actor: Actor, gateway: SearchGateway):
 
 
 def extract_keywords(l_a, corpus_doc_freq: dict, universe_size: int, k: int, *,
-                     actor_id: str = "", singleton_count: int = 0,
-                     stopwords: frozenset = STOPWORDS) -> KeywordSet:
+                     stopwords: frozenset = STOPWORDS) -> tuple:
     """Rank the tokens of an actor's snippets by tf-idf against the corpus.
+
+    Returns the top k (term, score) pairs, best first, scores >= 0.
 
     tf counts occurrences across all snippet titles and abstracts; idf is
     ln(universe_size / (1 + document_frequency)). Scores floor at zero
@@ -56,9 +42,8 @@ def extract_keywords(l_a, corpus_doc_freq: dict, universe_size: int, k: int, *,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    snippets = tuple(l_a)
     tf: dict = {}
-    for snippet in snippets:
+    for snippet in l_a:
         for token in tokenize(f"{snippet.title} {snippet.abstract}", stopwords=stopwords):
             tf[token] = tf.get(token, 0) + 1
     scored = []
@@ -70,12 +55,7 @@ def extract_keywords(l_a, corpus_doc_freq: dict, universe_size: int, k: int, *,
             score = float(count)
         scored.append((term, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return KeywordSet(
-        actor=actor_id,
-        keywords=tuple(scored[:k]),
-        source_snippets=snippets,
-        singleton_count=singleton_count,
-    )
+    return tuple(scored[:k])
 
 
 def document_frequencies(corpus: FixtureCorpus, stopwords: frozenset = STOPWORDS) -> dict:
@@ -87,8 +67,8 @@ def document_frequencies(corpus: FixtureCorpus, stopwords: frozenset = STOPWORDS
     return frequencies
 
 
-def classify_attribute(term: str) -> AttributeTag:
-    """Email-shaped terms are stable identifiers; everything else is flexible.
+def classify_attribute(term: str) -> str:
+    """Return "stable" for email-shaped terms and "flexible" for everything else.
 
     Stable means exactly one '@' with non-empty local and domain parts and no
     whitespace. A bare '@' or a word like a place name or a topic is
@@ -96,12 +76,11 @@ def classify_attribute(term: str) -> AttributeTag:
     """
     if not term:
         raise ValueError("term must be non-empty")
-    kind = "flexible"
     if term.count("@") == 1 and not any(ch.isspace() for ch in term):
         local, _, domain = term.partition("@")
         if local and domain:
-            kind = "stable"
-    return AttributeTag(term=term, kind=kind)
+            return "stable"
+    return "flexible"
 
 
 def load_keyword_overrides(path) -> dict:

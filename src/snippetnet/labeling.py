@@ -16,8 +16,7 @@ from .text import MIN_TOKEN_LENGTH, STOPWORDS, tokenize
 
 # Multi-part public suffixes under which the registrable name needs a third
 # label: "uni.ac.id" identifies a site, "ac.id" identifies a country's whole
-# academic namespace. A short built-in list covers the common cases; callers
-# can extend it per run.
+# academic namespace. A short built-in list covers the common cases.
 DEFAULT_PUBLIC_SUFFIXES = frozenset(
     {
         "ac.id", "co.id", "go.id", "or.id",
@@ -59,48 +58,47 @@ class EdgeLabels:
     source: str | None = None  # provenance of the top label
 
 
-def registrable_domain(url: UrlTokens, extra_suffixes=frozenset()) -> str:
+def registrable_domain(url: UrlTokens) -> str:
     """The two rightmost host labels, or three when those two are a public suffix."""
     domains = url.domains
     if len(domains) == 1:
         return domains[0]
     two = f"{domains[1]}.{domains[0]}"
-    if len(domains) >= 3 and two in (DEFAULT_PUBLIC_SUFFIXES | frozenset(extra_suffixes)):
+    if len(domains) >= 3 and two in DEFAULT_PUBLIC_SUFFIXES:
         return f"{domains[2]}.{two}"
     return two
 
 
-def usr(l_a, l_b, extra_suffixes=frozenset()) -> UsrScore:
+def usr(l_a, l_b) -> UsrScore:
     """Jaccard overlap of the registrable-domain sets behind two snippet lists.
 
     Returns 0.0 (with no shared domains) when both lists are empty; the value
     is positive exactly when at least one domain is shared.
     """
-    domains_a = {registrable_domain(s.url, extra_suffixes) for s in l_a}
-    domains_b = {registrable_domain(s.url, extra_suffixes) for s in l_b}
+    domains_a = {registrable_domain(s.url) for s in l_a}
+    domains_b = {registrable_domain(s.url) for s in l_b}
     union = domains_a | domains_b
     shared = domains_a & domains_b
     value = len(shared) / len(union) if union else 0.0
     return UsrScore(value=value, shared_domains=frozenset(shared))
 
 
-def label_edge(l_ab, max_labels: int, generic_tokens=frozenset()) -> EdgeLabels:
+def label_edge(l_ab, max_labels: int) -> EdgeLabels:
     """Rank candidate tokens for an edge by raw occurrence count.
 
     Candidates per snippet: host labels other than the rightmost two, path
     segments split on non-alphanumerics, and title tokens. The generic filter
-    (built-ins plus any extras given) and the minimum token length apply to
-    all three streams. Ties break lexicographically. The source field records
-    where the top-ranked token was seen most often.
+    and the minimum token length apply to all three streams. Ties break
+    lexicographically. The source field records where the top-ranked token
+    was seen most often.
     """
     if max_labels < 1:
         raise ValueError("max_labels must be >= 1")
-    blocked = GENERIC_TOKENS | frozenset(token.lower() for token in generic_tokens)
     counts: dict = {}
     by_source: dict = {}
 
     def add(token: str, source: str) -> None:
-        if len(token) < MIN_TOKEN_LENGTH or token in blocked:
+        if len(token) < MIN_TOKEN_LENGTH or token in GENERIC_TOKENS:
             return
         counts[token] = counts.get(token, 0) + 1
         sources = by_source.setdefault(token, {})
@@ -110,9 +108,9 @@ def label_edge(l_ab, max_labels: int, generic_tokens=frozenset()) -> EdgeLabels:
         for label in snippet.url.domains[2:]:
             add(label, "url_domain")
         for segment in snippet.url.paths:
-            for token in tokenize(segment, stopwords=blocked):
+            for token in tokenize(segment, stopwords=GENERIC_TOKENS):
                 add(token, "url_path")
-        for token in tokenize(snippet.title, stopwords=blocked):
+        for token in tokenize(snippet.title, stopwords=GENERIC_TOKENS):
             add(token, "title")
 
     ranked = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))[:max_labels]

@@ -33,7 +33,6 @@ class Snippet:
     url: UrlTokens
     title: str
     abstract: str
-    source_doc: int | None = None
 
 
 def parse_url(raw: str) -> UrlTokens:
@@ -63,13 +62,12 @@ def parse_url(raw: str) -> UrlTokens:
     return UrlTokens(scheme=scheme, domains=tuple(reversed(labels)), paths=segments)
 
 
-def parse_snippet(raw: RawSnippet, source_doc: int | None = None) -> Snippet:
+def parse_snippet(raw: RawSnippet) -> Snippet:
     """Parse the URL and trim surrounding whitespace off title and abstract."""
     return Snippet(
         url=parse_url(raw.url),
         title=raw.title.strip(),
         abstract=raw.abstract.strip(),
-        source_doc=source_doc,
     )
 
 

@@ -8,7 +8,6 @@ keyword extraction and edge labeling so scores and labels stay comparable.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 
 MIN_TOKEN_LENGTH = 3
 
@@ -37,13 +36,3 @@ def tokenize(text: str, min_length: int = MIN_TOKEN_LENGTH, stopwords: frozenset
         if len(token) >= min_length and token not in stopwords:
             out.append(token)
     return out
-
-
-def load_wordlist(path) -> frozenset:
-    """Read one token per line; blank lines and '#' comments are skipped."""
-    words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        word = line.strip().lower()
-        if word and not word.startswith("#"):
-            words.add(word)
-    return frozenset(words)

@@ -15,7 +15,7 @@ from snippetnet.relations import Actor
 
 # ---------------------------------------------------------------- oracle ----
 # Independent exhaustive scan over raw corpus rows. This deliberately does not
-# go through FixtureCorpus or fixture_search; it re-states the matching rule
+# go through FixtureCorpus or FixtureBackend; it re-states the matching rule
 # from scratch so the implementation has something to be checked against.
 
 def scan_matches(rows, phrases):

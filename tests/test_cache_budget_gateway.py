@@ -245,15 +245,6 @@ class TestGatewayExecute:
             gateway.execute(build_query(["word10"]))
         assert len(gateway.cache) == 10
 
-    def test_queries_classified_by_term_count(self, corpus20):
-        gateway = make_gateway(corpus20)
-        gateway.execute(build_query(["Alice Nguyen"]))
-        gateway.execute(build_query(["Alice Nguyen", "Bob Santos"]))
-        gateway.execute(build_query(["Alice Nguyen", "graph", "Bob Santos", "graph"]))
-        assert gateway.stats.singleton_queries == 1
-        assert gateway.stats.doubleton_queries == 1
-        assert gateway.stats.calls_by_term_count == {1: 1, 2: 1, 4: 1}
-
     def test_warm_cache_survives_process_boundary(self, corpus20, tmp_path):
         cache_path = tmp_path / "cache.json"
         first = make_gateway(corpus20, cache_path=cache_path)

@@ -148,6 +148,28 @@ class TestExtract:
             assert edge.weight.keywords_used is not None
 
 
+class TestReportRoles:
+    @pytest.mark.parametrize("variant, counts", [("sr", (15, 4, 0)), ("srwk", (15, 4, 6))])
+    def test_paid_queries_are_counted_by_stage(self, tmp_path, variant, counts):
+        code, out = run_extract(
+            tmp_path, DEMO / "actors.txt", DEMO / "corpus.jsonl", threshold="0.2", variant=variant,
+        )
+        assert code == 0
+        report = read_json(str(out) + ".report.json")
+        by_stage = tuple(
+            report[key] for key in ("doubleton_queries", "singleton_queries", "keyword_queries")
+        )
+        assert by_stage == counts
+        assert sum(by_stage) == report["backend_calls"]
+
+        code, out = run_extract(
+            tmp_path, DEMO / "actors.txt", DEMO / "corpus.jsonl", threshold="0.2", variant=variant,
+        )
+        assert code == 0
+        report = read_json(str(out) + ".report.json")
+        assert [report[key] for key in ("doubleton_queries", "singleton_queries", "keyword_queries")] == [0, 0, 0]
+
+
 class TestExitCodes:
     def test_missing_corpus_is_config_error(self, tmp_path, actors6_file, capsys):
         code = main([
@@ -171,6 +193,31 @@ class TestExitCodes:
     def test_threshold_out_of_range(self, tmp_path, actors6_file, corpus20_file):
         code, _ = run_extract(tmp_path, actors6_file, corpus20_file, threshold="1.5")
         assert code == 2
+        assert not (tmp_path / "cache.json").exists()
+        assert not (tmp_path / "cache.json.ledger").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extract", "--threshold", "0.0", "--daily-limit", "0"],
+            ["extract", "--threshold", "0.0", "--page-size", "0"],
+            ["extract", "--threshold", "0.0", "--parallelism", "0"],
+            ["extract", "--threshold", "0.0", "--max-labels", "0"],
+            ["keywords", "--top-k", "0"],
+        ],
+        ids=["daily-limit", "page-size", "parallelism", "max-labels", "top-k"],
+    )
+    def test_bad_setting_is_rejected_before_paying(
+        self, tmp_path, actors6_file, corpus20_file, capsys, argv
+    ):
+        code = main(argv + [
+            "--actors", str(actors6_file), "--corpus", str(corpus20_file),
+            "--cache", str(tmp_path / "cache.json"), "--out", str(tmp_path / "out.json"),
+        ])
+        assert code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
+        assert not (tmp_path / "cache.json.ledger").exists()
 
     def test_live_backend_without_endpoint(self, tmp_path, actors6_file, monkeypatch, capsys):
         monkeypatch.delenv("SNIPPETNET_API_ENDPOINT", raising=False)

@@ -6,7 +6,7 @@ import pytest
 
 import corpusdata
 from conftest import scan_count
-from snippetnet.backends import ABSTRACT_LENGTH, FixtureBackend, LiveBackend, fixture_search
+from snippetnet.backends import ABSTRACT_LENGTH, FixtureBackend, LiveBackend
 from snippetnet.corpus import load_corpus
 from snippetnet.errors import BackendError, CorpusError
 from snippetnet.queries import build_query
@@ -73,7 +73,7 @@ class TestCorpusLoader:
 class TestFixtureSearch:
     def test_counts_against_scan_oracle_single_phrases(self, corpus20, corpus20_rows):
         for phrase in corpusdata.ACTORS + ["graph", "research", "no such thing at all"]:
-            result = fixture_search(corpus20, build_query([phrase]), page_size=10)
+            result = FixtureBackend(corpus20).search(build_query([phrase]), page_size=10)
             assert result.hit_count == scan_count(corpus20_rows, [phrase])
 
     def test_counts_against_scan_oracle_pairs(self, corpus20, corpus20_rows):
@@ -81,28 +81,28 @@ class TestFixtureSearch:
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
                 phrases = [names[i], names[j]]
-                result = fixture_search(corpus20, build_query(phrases), page_size=10)
+                result = FixtureBackend(corpus20).search(build_query(phrases), page_size=10)
                 assert result.hit_count == scan_count(corpus20_rows, phrases)
 
     def test_match_is_case_insensitive(self, corpus20):
-        upper = fixture_search(corpus20, build_query(["ALICE NGUYEN"]), page_size=10)
-        lower = fixture_search(corpus20, build_query(["alice nguyen"]), page_size=10)
+        upper = FixtureBackend(corpus20).search(build_query(["ALICE NGUYEN"]), page_size=10)
+        lower = FixtureBackend(corpus20).search(build_query(["alice nguyen"]), page_size=10)
         assert upper.hit_count == lower.hit_count == 4
 
     def test_url_text_counts_for_matching(self, corpus20, corpus20_rows):
         # "citylab" appears only in urls of docs 8 and 9
-        result = fixture_search(corpus20, build_query(["citylab"]), page_size=10)
+        result = FixtureBackend(corpus20).search(build_query(["citylab"]), page_size=10)
         assert result.hit_count == scan_count(corpus20_rows, ["citylab"]) == 2
 
     def test_snippets_are_first_page_in_ascending_id_order(self, corpus20, corpus20_rows):
-        result = fixture_search(corpus20, build_query(["research"]), page_size=5)
+        result = FixtureBackend(corpus20).search(build_query(["research"]), page_size=5)
         assert result.hit_count == 20
         assert len(result.snippets) == 5
         expected_urls = [row["url"] for row in corpus20_rows[:5]]
         assert [s.url for s in result.snippets] == expected_urls
 
     def test_abstract_is_body_prefix(self, corpus20):
-        result = fixture_search(corpus20, build_query(["Methods Seminar Notes"]), page_size=10)
+        result = FixtureBackend(corpus20).search(build_query(["Methods Seminar Notes"]), page_size=10)
         assert result.hit_count == 1
         snippet = result.snippets[0]
         long_body = corpus20.documents[2].body
@@ -111,13 +111,13 @@ class TestFixtureSearch:
         assert "carol reyes" not in snippet.abstract.lower()
 
     def test_zero_hits_zero_snippets(self, corpus20):
-        result = fixture_search(corpus20, build_query(["xyzzy not present"]), page_size=10)
+        result = FixtureBackend(corpus20).search(build_query(["xyzzy not present"]), page_size=10)
         assert result.hit_count == 0
         assert result.snippets == ()
 
     def test_deterministic(self, corpus20):
         q = build_query(["Alice Nguyen"])
-        assert fixture_search(corpus20, q, 10) == fixture_search(corpus20, q, 10)
+        assert FixtureBackend(corpus20).search(q, 10) == FixtureBackend(corpus20).search(q, 10)
 
     def test_conjunction_shrinks_hits(self, corpus20, corpus20_rows):
         # adding a phrase can never add matches
@@ -126,15 +126,15 @@ class TestFixtureSearch:
         for _ in range(100):
             base = rng.sample(words, k=rng.randint(1, 2))
             extended = base + [rng.choice(words)]
-            few = fixture_search(corpus20, build_query(extended), 10).hit_count
-            many = fixture_search(corpus20, build_query(base), 10).hit_count
+            few = FixtureBackend(corpus20).search(build_query(extended), 10).hit_count
+            many = FixtureBackend(corpus20).search(build_query(base), 10).hit_count
             assert few <= many
             assert few == scan_count(corpus20_rows, extended)
 
     def test_snippet_count_never_exceeds_hit_count_or_page(self, corpus20):
         for phrase in ["research", "graph", "Erin Walsh", "absent phrase"]:
             for page_size in (1, 3, 10, 50):
-                result = fixture_search(corpus20, build_query([phrase]), page_size)
+                result = FixtureBackend(corpus20).search(build_query([phrase]), page_size)
                 assert len(result.snippets) <= min(result.hit_count, page_size)
                 if result.hit_count <= page_size:
                     assert len(result.snippets) == result.hit_count

@@ -13,6 +13,7 @@ To regenerate after an intended output change:
 """
 
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -54,7 +55,7 @@ def run_case(case: str, workdir: Path) -> dict:
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_demo_outputs_match_golden(case, tmp_path, capsys):
+def test_demo_outputs_match_golden(case, tmp_path):
     written = run_case(case, tmp_path)
     expected_dir = GOLDEN / case
     expected = {
@@ -66,8 +67,6 @@ def test_demo_outputs_match_golden(case, tmp_path, capsys):
 
 
 def regenerate() -> None:
-    import tempfile
-
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as scratch:
             written = run_case(case, Path(scratch))

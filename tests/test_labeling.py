@@ -24,15 +24,11 @@ class TestRegistrableDomain:
             ("https://cs.uni.ac.id", "uni.ac.id"),
             ("http://news.bbc.co.uk/world", "bbc.co.uk"),
             ("http://localhost/x", "localhost"),
+            ("http://lab.uni.example", "uni.example"),
         ],
     )
     def test_known_values(self, url, expected):
         assert registrable_domain(parse_url(url)) == expected
-
-    def test_extra_suffixes_extend_the_builtin_list(self):
-        url = parse_url("http://lab.uni.example")
-        assert registrable_domain(url) == "uni.example"
-        assert registrable_domain(url, extra_suffixes={"uni.example"}) == "lab.uni.example"
 
 
 class TestUsr:
@@ -100,15 +96,6 @@ class TestLabelEdge:
         result = label_edge(snips, max_labels=1)
         assert result.labels == (("quantum", 2),)
         assert result.source == "url_path"
-
-    def test_extra_generic_tokens_block_terms(self):
-        result = label_edge(self.EVIDENCE, max_labels=3, generic_tokens={"papers"})
-        assert result.labels[0] == ("2010", 1)
-
-    def test_absent_generic_addition_changes_nothing(self):
-        base = label_edge(self.EVIDENCE, max_labels=3)
-        padded = label_edge(self.EVIDENCE, max_labels=3, generic_tokens={"zzz-not-there"})
-        assert base == padded
 
     def test_no_evidence_yields_empty_labels(self):
         assert label_edge([], max_labels=3) == EdgeLabels(labels=(), source=None)

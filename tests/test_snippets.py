@@ -70,11 +70,10 @@ class TestParseUrl:
 class TestParseSnippet:
     def test_builds_snippet_with_parsed_url(self):
         raw = RawSnippet(url="http://a.com/x", title="  Title  ", abstract=" body text ")
-        snip = parse_snippet(raw, source_doc=9)
+        snip = parse_snippet(raw)
         assert snip.url.domains == ("com", "a")
         assert snip.title == "Title"
         assert snip.abstract == "body text"
-        assert snip.source_doc == 9
 
     def test_rejects_bad_url(self):
         with pytest.raises(MalformedUrl):

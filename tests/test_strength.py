@@ -139,4 +139,10 @@ class TestSrWithKeywords:
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
         sr_with_keywords(a, "graph", b, "graph", gateway)
         assert gateway.stats.backend_calls == 3
-        assert gateway.stats.calls_by_term_count == {2: 2, 4: 1}
+        assert len(gateway.cache) == 3
+        for rendered in (
+            '"Alice Nguyen" "graph"',
+            '"Bob Santos" "graph"',
+            '"Alice Nguyen" "graph" "Bob Santos" "graph"',
+        ):
+            assert gateway.cache.lookup(rendered) is not None
