@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import BudgetExhausted
-from .ioutil import atomic_write_bytes
+from .ioutil import atomic_write_json
 
 
 def utc_day_key() -> str:
@@ -91,7 +91,7 @@ class BudgetLedger:
         self.used_today += 1
         self.total_issued += 1
         if self.path is not None:
-            self.save()
+            self._save()
 
     def snapshot(self) -> dict:
         return {
@@ -101,12 +101,10 @@ class BudgetLedger:
             "total_issued": self.total_issued,
         }
 
-    def save(self) -> None:
-        if self.path is None:
-            raise ValueError("ledger has no backing path")
+    def _save(self) -> None:
         state = {
             "day_key": self.day_key,
             "used_today": self.used_today,
             "total_issued": self.total_issued,
         }
-        atomic_write_bytes(self.path, (json.dumps(state, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+        atomic_write_json(self.path, state)

@@ -2,8 +2,9 @@
 
 Three subcommands: extract runs the whole pipeline (detect, score, label,
 build, export), keywords writes per-actor keyword sets, cache inspects or
-clears the persistent query cache. Exit codes: 0 success, 2 configuration
-problems, 3 query budget exhausted (cache is preserved, rerun to resume),
+clears the persistent query cache. Every flag is checked by the argument
+parser, before any file is read. Exit codes: 0 success, 2 bad flags or
+input files, 3 query budget exhausted (cache is preserved, rerun to resume),
 4 backend failure.
 """
 
@@ -13,20 +14,13 @@ import argparse
 import json
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .backends import FixtureBackend, LiveBackend
 from .budget import BudgetLedger, read_ledger_state
-from .cache import QueryCache
+from .cache import QueryCache, utc_now_iso
 from .corpus import load_corpus
-from .errors import (
-    BackendError,
-    BudgetExhausted,
-    ConfigError,
-    CorpusError,
-    SnippetNetError,
-)
+from .errors import BackendError, BudgetExhausted, ConfigError, SnippetNetError
 from .gateway import DEFAULT_PAGE_SIZE, SearchGateway
 from .keywords import (
     classify_attribute,
@@ -35,7 +29,7 @@ from .keywords import (
     fetch_actor_context,
     load_keyword_overrides,
 )
-from .ioutil import atomic_write_bytes
+from .ioutil import atomic_write_bytes, atomic_write_json
 from .labeling import label_edge, usr
 from .network import EXPORT_FORMATS, build_network, export
 from .relations import Actor, detect_all
@@ -43,10 +37,6 @@ from .strength import MEASURES, sr, sr_with_keywords
 
 API_KEY_ENV = "SNIPPETNET_API_KEY"
 API_ENDPOINT_ENV = "SNIPPETNET_API_ENDPOINT"
-
-
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def _ledger_path(cache_path) -> Path:
@@ -73,14 +63,8 @@ def load_actors(path) -> list:
 
 def _open_state(args):
     """Build the gateway plus the fixture corpus behind it (None for live)."""
-    if args.daily_limit < 1:
-        raise ConfigError("daily limit must be >= 1")
-    if args.page_size < 1:
-        raise ConfigError("page size must be >= 1")
     corpus = None
     if args.backend == "fixture":
-        if not args.corpus:
-            raise ConfigError("fixture backend needs --corpus")
         corpus = load_corpus(args.corpus)
         backend = FixtureBackend(corpus)
     else:
@@ -124,13 +108,7 @@ def _pick_keywords(args, contexts, corpus) -> dict:
 
 
 def cmd_extract(args) -> int:
-    started = _utc_now()
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1], got {args.threshold}")
-    if args.max_labels < 1:
-        raise ConfigError("max labels must be >= 1")
-    if args.parallelism < 1:
-        raise ConfigError("parallelism must be >= 1")
+    started = utc_now_iso()
     actors = load_actors(args.actors)
     if len(actors) < 2:
         raise ConfigError("need at least two actors")
@@ -174,7 +152,7 @@ def cmd_extract(args) -> int:
         "measure": args.measure,
         "variant": args.variant,
         "threshold": args.threshold,
-        "generated_at": _utc_now(),
+        "generated_at": utc_now_iso(),
     }
     network = build_network(
         actors, evidence, scores, usr_scores, edge_labels,
@@ -220,9 +198,9 @@ def cmd_extract(args) -> int:
             "holds": total_calls < bound,
         },
         "started_at": started,
-        "finished_at": _utc_now(),
+        "finished_at": utc_now_iso(),
     }
-    _write_json(_report_path(args.out), report)
+    atomic_write_json(_report_path(args.out), report)
     print(
         f"wrote {args.out}: {len(network.edges)} edges over {len(actors)} actors "
         f"({total_calls} backend calls, {gateway.stats.cache_hits} cache hits)"
@@ -238,13 +216,7 @@ def _evidence_path(output) -> str:
     return str(output) + ".evidence.jsonl"
 
 
-def _write_json(path, payload) -> None:
-    atomic_write_bytes(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-
-
 def cmd_keywords(args) -> int:
-    if args.top_k < 1:
-        raise ConfigError("top-k must be >= 1")
     actors = sorted(load_actors(args.actors), key=lambda a: a.id)
     if not actors:
         raise ConfigError("actors file lists nobody")
@@ -262,7 +234,7 @@ def cmd_keywords(args) -> int:
         }
         for actor in actors
     }
-    _write_json(args.out, payload)
+    atomic_write_json(args.out, payload)
     print(f"wrote {args.out}: keyword sets for {len(actors)} actors")
     return 0
 
@@ -281,12 +253,26 @@ def cmd_cache(action: str, cache_path) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # false for NaN too
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _add_gateway_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--actors", required=True, help="text file, one actor name per line")
     parser.add_argument("--backend", choices=("fixture", "live"), default="fixture")
     parser.add_argument("--corpus", help="JSON Lines corpus for the fixture backend")
-    parser.add_argument("--daily-limit", type=int, default=1000, help="query budget per UTC day")
-    parser.add_argument("--page-size", type=int, default=DEFAULT_PAGE_SIZE)
+    parser.add_argument("--daily-limit", type=positive_int, default=1000, help="query budget per UTC day")
+    parser.add_argument("--page-size", type=positive_int, default=DEFAULT_PAGE_SIZE)
     parser.add_argument("--cache", default="snippetnet-cache.json", help="persistent query cache path")
 
 
@@ -301,20 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gateway_args(extract)
     extract.add_argument("--measure", choices=sorted(MEASURES), default="jaccard")
     extract.add_argument("--variant", choices=("sr", "srwk"), default="sr")
-    extract.add_argument("--threshold", type=float, required=True,
+    extract.add_argument("--threshold", type=fraction, required=True,
                          help="minimum strength for an edge, in [0, 1]")
     extract.add_argument("--out", required=True, help="network output path")
     extract.add_argument("--format", choices=EXPORT_FORMATS, default="json")
     extract.add_argument("--keywords", help="per-actor keyword override file (JSON)")
-    extract.add_argument("--max-labels", type=int, default=5)
-    extract.add_argument("--parallelism", type=int, default=1)
+    extract.add_argument("--max-labels", type=positive_int, default=5)
+    extract.add_argument("--parallelism", type=positive_int, default=1)
     extract.add_argument("--dump-evidence", action="store_true",
                          help="also write per-pair evidence as JSON Lines")
 
     keywords = sub.add_parser("keywords", help="write per-actor keyword sets")
     _add_gateway_args(keywords)
     keywords.add_argument("--out", required=True, help="keyword sets output path")
-    keywords.add_argument("--top-k", type=int, default=10)
+    keywords.add_argument("--top-k", type=positive_int, default=10)
 
     cache = sub.add_parser("cache", help="inspect or clear the query cache")
     cache.add_argument("action", choices=("stats", "clear"))
@@ -323,26 +309,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        if args.command != "cache" and args.backend == "fixture" and not args.corpus:
+            parser.error("argument --corpus: required with --backend fixture")
+    except SystemExit as exc:
+        return exc.code
     try:
         if args.command == "extract":
             return cmd_extract(args)
         if args.command == "keywords":
             return cmd_keywords(args)
         return cmd_cache(args.action, Path(args.cache))
-    except (ConfigError, CorpusError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetExhausted as exc:
         print(f"error: {exc} (cache preserved; rerun later to resume)", file=sys.stderr)
         return 3
     except BackendError as exc:
         print(f"error: search backend failed: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SnippetNetError as exc:
+    except (OSError, SnippetNetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

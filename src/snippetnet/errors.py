@@ -2,11 +2,12 @@
 
 
 class SnippetNetError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for the package's own errors.
 
-
-class EmptyPhrase(SnippetNetError):
-    """A query phrase was missing or blank after trimming."""
+    A bad argument to a library function raises ValueError instead. The
+    subclasses cover unusable corpus or configuration files, the spent
+    budget, a failed backend, and a URL that cannot be parsed.
+    """
 
 
 class BudgetExhausted(SnippetNetError):
@@ -23,22 +24,6 @@ class BackendError(SnippetNetError):
 
 class MalformedUrl(SnippetNetError):
     """A URL could not be split into scheme, host labels, and path segments."""
-
-
-class SelfPair(SnippetNetError):
-    """Relation detection was asked to pair an actor with itself."""
-
-
-class NotDetected(SnippetNetError):
-    """Strength was requested for a pair that failed relation detection."""
-
-
-class EmptyKeyword(SnippetNetError):
-    """A keyword-augmented score was requested with a blank keyword."""
-
-
-class MissingScore(SnippetNetError):
-    """A detected pair reached network assembly without a strength score."""
 
 
 class CorpusError(SnippetNetError):

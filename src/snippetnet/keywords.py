@@ -7,28 +7,20 @@ import math
 from pathlib import Path
 
 from .corpus import FixtureCorpus
-from .errors import MalformedUrl
 from .gateway import SearchGateway
 from .queries import build_query
 from .relations import Actor
-from .snippets import parse_snippet
-from .text import STOPWORDS, tokenize
+from .snippets import parse_snippets
+from .text import tokenize
 
 
 def fetch_actor_context(actor: Actor, gateway: SearchGateway):
     """One singleton query: returns (parsed snippets, hit count)."""
     result = gateway.execute(build_query([actor.name]))
-    snippets = []
-    for raw in result.snippets:
-        try:
-            snippets.append(parse_snippet(raw))
-        except MalformedUrl:
-            continue
-    return snippets, result.hit_count
+    return parse_snippets(result.snippets), result.hit_count
 
 
-def extract_keywords(l_a, corpus_doc_freq: dict, universe_size: int, k: int, *,
-                     stopwords: frozenset = STOPWORDS) -> tuple:
+def extract_keywords(l_a, corpus_doc_freq: dict, universe_size: int, k: int) -> tuple:
     """Rank the tokens of an actor's snippets by tf-idf against the corpus.
 
     Returns the top k (term, score) pairs, best first, scores >= 0.
@@ -44,7 +36,7 @@ def extract_keywords(l_a, corpus_doc_freq: dict, universe_size: int, k: int, *,
         raise ValueError("k must be >= 1")
     tf: dict = {}
     for snippet in l_a:
-        for token in tokenize(f"{snippet.title} {snippet.abstract}", stopwords=stopwords):
+        for token in tokenize(f"{snippet.title} {snippet.abstract}"):
             tf[token] = tf.get(token, 0) + 1
     scored = []
     for term, count in tf.items():
@@ -58,11 +50,11 @@ def extract_keywords(l_a, corpus_doc_freq: dict, universe_size: int, k: int, *,
     return tuple(scored[:k])
 
 
-def document_frequencies(corpus: FixtureCorpus, stopwords: frozenset = STOPWORDS) -> dict:
+def document_frequencies(corpus: FixtureCorpus) -> dict:
     """How many corpus documents contain each token at least once."""
     frequencies: dict = {}
     for doc in corpus.documents:
-        for token in set(tokenize(f"{doc.title} {doc.body}", stopwords=stopwords)):
+        for token in set(tokenize(f"{doc.title} {doc.body}")):
             frequencies[token] = frequencies.get(token, 0) + 1
     return frequencies
 

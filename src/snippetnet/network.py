@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
-from .errors import MissingScore
 from .labeling import EdgeLabels, UsrScore
 from .relations import Actor
 from .strength import StrengthScore
@@ -50,7 +49,7 @@ def build_network(actors, evidence, scores, usr_scores=None, labels=None, *,
                   threshold: float, provenance: dict | None = None) -> SocialNetwork:
     """Assemble the network from detection evidence and per-pair annotations.
 
-    Every detected pair must have a StrengthScore in scores (MissingScore
+    Every detected pair must have a StrengthScore in scores (ValueError
     otherwise); pairs scoring below the threshold are dropped, undetected
     pairs are never edges. usr_scores and labels are optional per-pair maps;
     absent entries get empty placeholders. The threshold has no default on
@@ -76,7 +75,7 @@ def build_network(actors, evidence, scores, usr_scores=None, labels=None, *,
             continue
         score = scores.get(item.pair) if scores else None
         if score is None:
-            raise MissingScore(f"detected pair {item.pair} has no strength score")
+            raise ValueError(f"detected pair {item.pair} has no strength score")
         if score.value < threshold:
             continue
         edges.append(

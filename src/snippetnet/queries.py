@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import EmptyPhrase
-
 
 @dataclass(frozen=True)
 class Query:
@@ -21,17 +19,17 @@ class Query:
 def build_query(phrases: Iterable[str]) -> Query:
     """Trim each phrase and wrap the list in a Query.
 
-    Raises EmptyPhrase when the list is empty or any phrase is blank after
+    Raises ValueError when the list is empty or any phrase is blank after
     trimming. Phrases are kept in the order given; callers that want one
     query per unordered pair must canonicalize the order themselves.
     """
     given = list(phrases)
     if not given:
-        raise EmptyPhrase("a query needs at least one phrase")
+        raise ValueError("a query needs at least one phrase")
     trimmed = []
     for phrase in given:
         cleaned = phrase.strip()
         if not cleaned:
-            raise EmptyPhrase(f"blank phrase in query: {given!r}")
+            raise ValueError(f"blank phrase in query: {given!r}")
         trimmed.append(cleaned)
     return Query(terms=tuple(trimmed))

@@ -14,10 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import MalformedUrl, SelfPair
 from .gateway import SearchGateway
 from .queries import build_query
-from .snippets import Snippet, contains_term, parse_snippet
+from .snippets import Snippet, contains_term, parse_snippets
 
 _SLUG = re.compile(r"[^0-9a-z]+")
 
@@ -61,21 +60,16 @@ def detect_relation(a: Actor, b: Actor, gateway: SearchGateway) -> RelationEvide
 
     The two actors are ordered by id before the query is built, so the same
     unordered pair always renders to the same cache key. Snippets with URLs
-    that fail to parse are skipped; fixture corpora are validated at load
-    time, so that only happens with live engines.
+    that fail to parse are skipped.
     """
     if a.id == b.id:
-        raise SelfPair(f"cannot relate {a.id!r} to itself")
+        raise ValueError(f"cannot relate {a.id!r} to itself")
     first, second = sorted((a, b), key=lambda actor: actor.id)
     result = gateway.execute(build_query([first.name, second.name]))
-    kept = []
-    for raw in result.snippets:
-        try:
-            snippet = parse_snippet(raw)
-        except MalformedUrl:
-            continue
-        if contains_term(snippet, first.name) and contains_term(snippet, second.name):
-            kept.append(snippet)
+    kept = [
+        snippet for snippet in parse_snippets(result.snippets)
+        if contains_term(snippet, first.name) and contains_term(snippet, second.name)
+    ]
     return RelationEvidence(
         pair=(first.id, second.id),
         doubleton_count=result.hit_count,

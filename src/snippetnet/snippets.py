@@ -71,6 +71,21 @@ def parse_snippet(raw: RawSnippet) -> Snippet:
     )
 
 
+def parse_snippets(raws) -> list[Snippet]:
+    """Parse each raw snippet, skipping those whose URL fails to parse.
+
+    Fixture corpora are validated at load time, so only live engines return
+    such URLs.
+    """
+    parsed = []
+    for raw in raws:
+        try:
+            parsed.append(parse_snippet(raw))
+        except MalformedUrl:
+            continue
+    return parsed
+
+
 def contains_term(snippet: Snippet, term: str) -> bool:
     """True when term occurs, case-insensitively, in the title or the abstract.
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyKeyword, NotDetected
 from .gateway import SearchGateway
 from .queries import build_query
 from .relations import Actor, RelationEvidence
@@ -64,12 +63,12 @@ def sr(a: Actor, b: Actor, evidence: RelationEvidence, gateway: SearchGateway,
        measure: str = "jaccard") -> StrengthScore:
     """Plain strength: two cache-first singleton fetches plus the evidence doubleton.
 
-    Raises NotDetected when the evidence says the pair failed detection;
+    Raises ValueError when the evidence says the pair failed detection;
     scoring an undetected pair would manufacture a relation out of nothing.
     """
     fn = _measure_fn(measure)
     if not evidence.detected:
-        raise NotDetected(f"pair {evidence.pair} was not detected; nothing to score")
+        raise ValueError(f"pair {evidence.pair} was not detected; nothing to score")
     count_a = gateway.execute(build_query([a.name])).hit_count
     count_b = gateway.execute(build_query([b.name])).hit_count
     triple = clamp(count_a, count_b, evidence.doubleton_count)
@@ -87,7 +86,7 @@ def sr_with_keywords(a: Actor, kw_a: str, b: Actor, kw_b: str, gateway: SearchGa
     """
     fn = _measure_fn(measure)
     if not kw_a.strip() or not kw_b.strip():
-        raise EmptyKeyword(f"keywords must be non-empty, got {kw_a!r} and {kw_b!r}")
+        raise ValueError(f"keywords must be non-empty, got {kw_a!r} and {kw_b!r}")
     if b.id < a.id:
         a, kw_a, b, kw_b = b, kw_b, a, kw_a
     count_a = gateway.execute(build_query([a.name, kw_a])).hit_count

@@ -29,10 +29,10 @@ STOPWORDS = frozenset(
 )
 
 
-def tokenize(text: str, min_length: int = MIN_TOKEN_LENGTH, stopwords: frozenset = STOPWORDS) -> list[str]:
+def tokenize(text: str, stopwords: frozenset = STOPWORDS) -> list[str]:
     """Lowercase, split on non-alphanumerics, drop short tokens and stopwords."""
     out = []
     for token in _SPLIT.split(text.lower()):
-        if len(token) >= min_length and token not in stopwords:
+        if len(token) >= MIN_TOKEN_LENGTH and token not in stopwords:
             out.append(token)
     return out

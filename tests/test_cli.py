@@ -219,6 +219,32 @@ class TestExitCodes:
         assert not (tmp_path / "cache.json").exists()
         assert not (tmp_path / "cache.json.ledger").exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["extract", "--threshold", "0.0", "--daily-limit", "0"], "--daily-limit"),
+            (["extract", "--threshold", "0.0", "--page-size", "-3"], "--page-size"),
+            (["extract", "--threshold", "nan"], "--threshold"),
+            (["extract", "--threshold", "0.0", "--measure", "cosine"], "--measure"),
+            (["keywords", "--top-k", "ten"], "--top-k"),
+        ],
+        ids=["daily-limit", "page-size", "threshold-nan", "measure", "top-k-not-an-integer"],
+    )
+    def test_bad_flag_is_named_before_any_file_is_read(
+        self, tmp_path, actors6_file, corpus20_file, capsys, argv, flag
+    ):
+        # The first run has no actors file, so only a check made before it is
+        # read can name the flag; the second shows nothing gets paid for.
+        for actors in (tmp_path / "absent.txt", actors6_file):
+            code = main(argv + [
+                "--actors", str(actors), "--corpus", str(corpus20_file),
+                "--cache", str(tmp_path / "cache.json"), "--out", str(tmp_path / "out.json"),
+            ])
+            assert code == 2
+            assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
+        assert not (tmp_path / "cache.json.ledger").exists()
+
     def test_live_backend_without_endpoint(self, tmp_path, actors6_file, monkeypatch, capsys):
         monkeypatch.delenv("SNIPPETNET_API_ENDPOINT", raising=False)
         code = main([

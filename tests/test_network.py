@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from snippetnet.errors import MissingScore
 from snippetnet.labeling import EdgeLabels, UsrScore
 from snippetnet.network import (
     EMPTY_LABELS,
@@ -73,7 +72,7 @@ class TestBuildNetwork:
     def test_detected_pair_without_score_is_an_error(self):
         evidence, scores = _three_actor_inputs()
         del scores[("bob-santos", "carol-reyes")]
-        with pytest.raises(MissingScore):
+        with pytest.raises(ValueError, match="has no strength score"):
             build_network([A, B, C], evidence, scores, threshold=0.0)
 
     def test_annotations_attach_and_default(self):

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from snippetnet.errors import EmptyPhrase
 from snippetnet.queries import Query, build_query
 
 
@@ -24,11 +23,11 @@ class TestBuildQuery:
         assert build_query(["b", "a"]).rendered == '"b" "a"'
 
     def test_empty_list_rejected(self):
-        with pytest.raises(EmptyPhrase):
+        with pytest.raises(ValueError, match="a query needs at least one phrase"):
             build_query([])
 
     def test_blank_phrase_rejected(self):
-        with pytest.raises(EmptyPhrase):
+        with pytest.raises(ValueError, match="blank phrase in query"):
             build_query(["alice", "   "])
 
     def test_every_phrase_appears_quoted(self):

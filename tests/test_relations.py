@@ -5,7 +5,6 @@ import pytest
 
 from conftest import make_gateway, scan_count
 from corpusdata import ACTORS
-from snippetnet.errors import SelfPair
 from snippetnet.relations import Actor, detect_all, detect_relation
 
 ACTOR_OBJS = [Actor(name) for name in ACTORS]
@@ -58,7 +57,7 @@ class TestDetectRelation:
 
     def test_self_pair_rejected(self, gateway20):
         alice = _actor("Alice Nguyen")
-        with pytest.raises(SelfPair):
+        with pytest.raises(ValueError, match="cannot relate 'alice-nguyen' to itself"):
             detect_relation(alice, Actor(name="Alice Clone", id=alice.id), gateway20)
 
 

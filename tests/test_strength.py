@@ -4,7 +4,6 @@ import pytest
 
 from conftest import make_gateway
 from corpusdata import ACTORS
-from snippetnet.errors import EmptyKeyword, NotDetected
 from snippetnet.relations import Actor, detect_relation
 from snippetnet.strength import (
     HitCountTriple,
@@ -84,7 +83,7 @@ class TestSr:
     def test_undetected_pair_refused(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Farid Omar")
         ev = detect_relation(a, b, gateway20)
-        with pytest.raises(NotDetected):
+        with pytest.raises(ValueError, match="was not detected; nothing to score"):
             sr(a, b, ev, gateway20)
 
     def test_singletons_come_from_cache_when_warm(self, gateway20):
@@ -131,7 +130,7 @@ class TestSrWithKeywords:
 
     def test_blank_keyword_rejected(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
-        with pytest.raises(EmptyKeyword):
+        with pytest.raises(ValueError, match="keywords must be non-empty"):
             sr_with_keywords(a, " ", b, "graph", gateway20)
 
     def test_uses_exactly_three_queries_cold(self, corpus20):
