@@ -43,10 +43,35 @@ class SearchBackendPort(Protocol):
 
 
 class FixtureBackend:
-    """Deterministic, reentrant search over an in-memory corpus."""
+    """Deterministic, exact search over an in-memory corpus.
+
+    Each document is lowercased once, when the backend is built. Each distinct
+    phrase is then scanned for once, the first time a query asks for it, and
+    its set of matching document positions is remembered, so a query costs
+    one set intersection once its phrases have been seen.
+
+    Safe to share between threads: the gateway calls search outside its lock.
+    The only shared mutable state is the phrase memo, and two threads that
+    fill the same phrase at once both store equal sets; a single dict get or
+    set is atomic under the interpreter lock, so no reader sees a partial
+    entry.
+    """
 
     def __init__(self, corpus: FixtureCorpus):
         self.corpus = corpus
+        self._haystacks = [
+            f"{doc.title}\n{doc.body}\n{doc.url}".lower() for doc in corpus.documents
+        ]
+        self._positions: dict[str, frozenset[int]] = {}
+
+    def _matching(self, phrase: str) -> frozenset[int]:
+        positions = self._positions.get(phrase)
+        if positions is None:
+            positions = frozenset(
+                index for index, haystack in enumerate(self._haystacks) if phrase in haystack
+            )
+            self._positions[phrase] = positions
+        return positions
 
     def search(self, query: Query, page_size: int) -> SearchResult:
         """Exact conjunctive search over the fixture corpus.
@@ -54,21 +79,20 @@ class FixtureBackend:
         A document matches when every phrase of the query occurs, case
         insensitively, as a contiguous substring of its title, body, or url.
         hit_count is the exact number of matches; snippets cover the first
-        result page only, in ascending document id order.
+        result page only, in corpus order, which load_corpus makes ascending
+        document id order.
         """
         if page_size < 1:
             raise ValueError("page_size must be >= 1")
-        phrases = [term.lower() for term in query.terms]
-        matches = []
-        for doc in self.corpus.documents:
-            haystack = f"{doc.title}\n{doc.body}\n{doc.url}".lower()
-            if all(phrase in haystack for phrase in phrases):
-                matches.append(doc)
+        smallest, *rest = sorted((self._matching(term.lower()) for term in query.terms), key=len)
+        hits = smallest.intersection(*rest)
+        documents = self.corpus.documents
+        first_page = [documents[index] for index in sorted(hits)[:page_size]]
         snippets = tuple(
             RawSnippet(url=doc.url, title=doc.title, abstract=doc.body[:ABSTRACT_LENGTH])
-            for doc in matches[:page_size]
+            for doc in first_page
         )
-        return SearchResult(hit_count=len(matches), snippets=snippets)
+        return SearchResult(hit_count=len(hits), snippets=snippets)
 
 
 class LiveBackend:

@@ -27,6 +27,10 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
+def json_bytes(payload) -> bytes:
+    """Encode payload as indented, key-sorted JSON with a trailing newline."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def atomic_write_json(path, payload) -> None:
-    """Write payload as indented, key-sorted JSON with a trailing newline."""
-    atomic_write_bytes(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    atomic_write_bytes(path, json_bytes(payload))

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
+from .ioutil import json_bytes
 from .labeling import EdgeLabels, UsrScore
 from .relations import Actor
 from .strength import StrengthScore
@@ -188,7 +189,7 @@ def _to_json(network: SocialNetwork) -> bytes:
         ],
         "provenance": network.provenance,
     }
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return json_bytes(payload)
 
 
 def network_from_json(data) -> SocialNetwork:

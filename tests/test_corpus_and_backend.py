@@ -1,15 +1,58 @@
 import json
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import corpusdata
-from conftest import scan_count
+from conftest import corpus_from_rows, make_gateway, scan_count, scan_matches
 from snippetnet.backends import ABSTRACT_LENGTH, FixtureBackend, LiveBackend
-from snippetnet.corpus import load_corpus
+from snippetnet.corpus import FixtureCorpus, load_corpus
 from snippetnet.errors import BackendError, CorpusError
 from snippetnet.queries import build_query
+from snippetnet.relations import Actor, detect_all
+
+# Names where one is a prefix of another ("Ana Santoso 1" occurs inside
+# "Ana Santoso 12"), so substring matching must not be mistaken for word matching.
+INDEX_NAMES = ["Ana Santoso 1", "Ana Santoso 12", "Ana Santoso 2", "Budi Hartono", "Citra Dewi"]
+INDEX_WORDS = ["graph", "census", "transit", "research", "workshop"]
+
+
+def index_rows(seed=7, count=120):
+    """corpus20 plus rows mixing prefix names, topic words and url-only hosts."""
+    rng = random.Random(seed)
+    rows = corpusdata.corpus20()
+    for doc_id in range(len(rows) + 1, len(rows) + 1 + count):
+        title_names = rng.sample(INDEX_NAMES, k=rng.randint(0, 2))
+        body_words = rng.sample(INDEX_NAMES + INDEX_WORDS, k=rng.randint(0, 4))
+        rows.append({
+            "id": doc_id,
+            "url": f"http://{rng.choice(['citylab', 'uni', 'press'])}.example/{doc_id}",
+            "title": " and ".join(title_names) or "Untitled",
+            "body": "Notes on " + ", ".join(rng.choice([w, w.upper()]) for w in body_words) + ".",
+        })
+    return rows
+
+
+def random_phrases(rng):
+    pool = (
+        INDEX_NAMES + INDEX_WORDS + corpusdata.ACTORS
+        + ["citylab", "ANA SANTOSO 1", "budi HARTONO", "no such phrase", "Santoso 12 and"]
+        # Spans a title/body boundary, so it matches only if fields run together.
+        + ["untitledNotes on"]
+    )
+    phrases = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.2:
+        phrases.append(phrases[0])
+    return phrases
+
+
+def oracle_result(rows, phrases, page_size):
+    ids = scan_matches(rows, phrases)
+    url_by_id = {row["id"]: row["url"] for row in rows}
+    return len(ids), [url_by_id[doc_id] for doc_id in ids[:page_size]]
 
 
 class TestCorpusLoader:
@@ -58,6 +101,35 @@ class TestCorpusLoader:
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
         with pytest.raises(CorpusError):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_raw_line_separator_inside_a_string_loads(self, tmp_path, separator):
+        # json.dumps(ensure_ascii=False) writes these characters unescaped;
+        # they end a line for str.splitlines() but not for a JSON Lines reader.
+        path = tmp_path / "sep.jsonl"
+        rows = [
+            {"id": 1, "url": "http://a.com/x", "title": "t", "body": f"before{separator}Alice Nguyen after"},
+            {"id": 2, "url": "http://b.com/y", "title": "t", "body": "plain"},
+        ]
+        path.write_text(
+            "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8"
+        )
+        assert separator in path.read_text(encoding="utf-8")
+        corpus = load_corpus(path)
+        assert corpus.universe_size == 2
+        assert corpus.documents[0].body == rows[0]["body"]
+        result = FixtureBackend(corpus).search(build_query(["Alice Nguyen after"]), page_size=10)
+        assert result.hit_count == 1
+        assert result.snippets[0].url == "http://a.com/x"
+
+    def test_invalid_utf8_is_a_corpus_error_naming_the_line(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(
+            b'{"id": 1, "url": "http://a.com/x", "title": "t", "body": "b"}\n'
+            b'{"id": 2, "url": "http://b.com/y", "title": "caf\xe9", "body": "b"}\n'
+        )
+        with pytest.raises(CorpusError, match=r":2: invalid JSON"):
             load_corpus(path)
 
     def test_unparseable_url_rejected(self, tmp_path):
@@ -138,6 +210,99 @@ class TestFixtureSearch:
                 assert len(result.snippets) <= min(result.hit_count, page_size)
                 if result.hit_count <= page_size:
                     assert len(result.snippets) == result.hit_count
+
+    def test_one_backend_answers_many_queries_like_the_scan_oracle(self):
+        rows = index_rows()
+        backend = FixtureBackend(corpus_from_rows(rows))
+        rng = random.Random(2024)
+        for _ in range(300):
+            phrases = random_phrases(rng)
+            page_size = rng.choice([1, 3, 10])
+            result = backend.search(build_query(phrases), page_size)
+            hit_count, urls = oracle_result(rows, phrases, page_size)
+            assert result.hit_count == hit_count, phrases
+            assert [s.url for s in result.snippets] == urls, phrases
+
+    def test_documents_are_read_once_not_once_per_query(self, corpus20_rows):
+        reads = []
+
+        class CountingDocument:
+            def __init__(self, row):
+                self.doc_id, self.url, self.title = row["id"], row["url"], row["title"]
+                self._body = row["body"]
+
+            @property
+            def body(self):
+                reads.append(self.doc_id)
+                return self._body
+
+        corpus = FixtureCorpus(documents=tuple(CountingDocument(row) for row in corpus20_rows))
+        backend = FixtureBackend(corpus)
+        rng = random.Random(5)
+        returned = 0
+        for _ in range(200):
+            result = backend.search(build_query(random_phrases(rng)), rng.choice([1, 3, 10]))
+            returned += len(result.snippets)
+        # One read per document to build the index, one per snippet abstract.
+        assert len(reads) <= corpus.universe_size + returned
+
+
+class TestFixtureSearchThreads:
+    def test_shared_backend_under_many_threads_matches_the_oracle(self):
+        # Each round starts eight threads on a fresh backend at once, so they
+        # race to fill the same unseen phrases; every answer must match the scan.
+        rows = index_rows(seed=11, count=400)
+        corpus = corpus_from_rows(rows)
+        rng = random.Random(99)
+        cases = [(random_phrases(rng), rng.choice([1, 3, 10])) for _ in range(40)]
+        expected = [oracle_result(rows, phrases, page_size) for phrases, page_size in cases]
+        mismatches = []
+        finished = []
+
+        def worker(backend, start, seed):
+            order = list(range(len(cases)))
+            random.Random(seed).shuffle(order)
+            start.wait(timeout=60)
+            for i in order:
+                phrases, page_size = cases[i]
+                result = backend.search(build_query(phrases), page_size)
+                if (result.hit_count, [s.url for s in result.snippets]) != expected[i]:
+                    mismatches.append((phrases, page_size))
+            finished.append(seed)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(10):
+                backend = FixtureBackend(corpus)
+                start = threading.Barrier(8)
+                threads = [
+                    threading.Thread(target=worker, args=(backend, start, round_ * 8 + k))
+                    for k in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(finished) == 80
+        assert mismatches == []
+
+    def test_detect_all_with_eight_threads_matches_serial(self):
+        rows = index_rows(seed=13, count=300)
+        actors = [Actor(name) for name in INDEX_NAMES + corpusdata.ACTORS]
+        corpus = corpus_from_rows(rows)
+        serial = detect_all(actors, make_gateway(corpus), parallelism=1)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = detect_all(actors, make_gateway(corpus), parallelism=8)
+        finally:
+            sys.setswitchinterval(previous)
+        assert threaded == serial
+        assert any(item.detected for item in serial)
 
 
 class TestLiveBackend:
