@@ -15,7 +15,7 @@ import urllib.request
 from dataclasses import dataclass
 from typing import Protocol
 
-from .corpus import FixtureCorpus
+from .corpus import FixtureDocument
 from .errors import BackendError
 from .queries import Query
 
@@ -45,6 +45,7 @@ class SearchBackendPort(Protocol):
 class FixtureBackend:
     """Deterministic, exact search over an in-memory corpus.
 
+    The corpus is the documents load_corpus returns, in ascending id order.
     Each document is lowercased once, when the backend is built. Each distinct
     phrase is then scanned for once, the first time a query asks for it, and
     its set of matching document positions is remembered, so a query costs
@@ -57,11 +58,9 @@ class FixtureBackend:
     entry.
     """
 
-    def __init__(self, corpus: FixtureCorpus):
-        self.corpus = corpus
-        self._haystacks = [
-            f"{doc.title}\n{doc.body}\n{doc.url}".lower() for doc in corpus.documents
-        ]
+    def __init__(self, documents: tuple[FixtureDocument, ...]):
+        self._documents = documents
+        self._haystacks = [f"{doc.title}\n{doc.body}\n{doc.url}".lower() for doc in documents]
         self._positions: dict[str, frozenset[int]] = {}
 
     def _matching(self, phrase: str) -> frozenset[int]:
@@ -78,15 +77,14 @@ class FixtureBackend:
 
         A document matches when every phrase of the query occurs, case
         insensitively, as a contiguous substring of its title, body, or url.
-        hit_count is the exact number of matches; snippets cover the first
-        result page only, in corpus order, which load_corpus makes ascending
-        document id order.
+        hit_count is the exact number of matches; snippets are the first
+        page_size matches in corpus order, which is ascending document id.
         """
         if page_size < 1:
             raise ValueError("page_size must be >= 1")
         smallest, *rest = sorted((self._matching(term.lower()) for term in query.terms), key=len)
         hits = smallest.intersection(*rest)
-        documents = self.corpus.documents
+        documents = self._documents
         first_page = [documents[index] for index in sorted(hits)[:page_size]]
         snippets = tuple(
             RawSnippet(url=doc.url, title=doc.title, abstract=doc.body[:ABSTRACT_LENGTH])

@@ -21,7 +21,7 @@ from .budget import BudgetLedger, read_ledger_state
 from .cache import QueryCache, utc_now_iso
 from .corpus import load_corpus
 from .errors import BackendError, BudgetExhausted, ConfigError, SnippetNetError
-from .gateway import DEFAULT_PAGE_SIZE, SearchGateway
+from .gateway import SearchGateway
 from .keywords import (
     classify_attribute,
     document_frequencies,
@@ -30,7 +30,7 @@ from .keywords import (
     load_keyword_overrides,
 )
 from .ioutil import atomic_write_bytes, atomic_write_json
-from .labeling import label_edge, usr
+from .labeling import MAX_LABELS, label_edge, usr
 from .network import EXPORT_FORMATS, build_network, export
 from .relations import Actor, detect_all
 from .strength import MEASURES, sr, sr_with_keywords
@@ -47,8 +47,8 @@ def load_actors(path) -> list:
     """Plain text, one actor name per line; blank lines and '#' comments skipped."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read actors file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read actors file {path}: {exc}") from exc
     actors = []
     for line in text.splitlines():
         name = line.strip()
@@ -62,8 +62,8 @@ def load_actors(path) -> list:
 
 
 def _open_state(args):
-    """Build the gateway plus the fixture corpus behind it (None for live)."""
-    corpus = None
+    """Build the gateway plus the fixture corpus behind it (empty for live)."""
+    corpus = ()
     if args.backend == "fixture":
         corpus = load_corpus(args.corpus)
         backend = FixtureBackend(corpus)
@@ -77,16 +77,15 @@ def _open_state(args):
         ledger = BudgetLedger.open(args.daily_limit, _ledger_path(args.cache))
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    gateway = SearchGateway(backend, cache=cache, ledger=ledger, page_size=args.page_size)
+    gateway = SearchGateway(backend, cache=cache, ledger=ledger)
     return gateway, corpus
 
 
 def _rank_keywords(contexts: dict, corpus, k: int) -> dict:
     """Each actor's top-k (term, score) pairs, tf-idf against the corpus if there is one."""
-    doc_freq = document_frequencies(corpus) if corpus is not None else {}
-    universe = corpus.universe_size if corpus is not None else 0
+    doc_freq = document_frequencies(corpus)
     return {
-        actor_id: extract_keywords(snippets, doc_freq, universe, k)
+        actor_id: extract_keywords(snippets, doc_freq, len(corpus), k)
         for actor_id, (snippets, _) in contexts.items()
     }
 
@@ -144,7 +143,7 @@ def cmd_extract(args) -> int:
             score = sr(a, b, item, gateway, args.measure)
         scores[item.pair] = score
         usr_scores[item.pair] = usr(contexts[a.id][0], contexts[b.id][0])
-        edge_labels[item.pair] = label_edge(item.l_ab, args.max_labels)
+        edge_labels[item.pair] = label_edge(item.l_ab, MAX_LABELS)
 
     provenance = {
         "backend": args.backend,
@@ -272,7 +271,6 @@ def _add_gateway_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=("fixture", "live"), default="fixture")
     parser.add_argument("--corpus", help="JSON Lines corpus for the fixture backend")
     parser.add_argument("--daily-limit", type=positive_int, default=1000, help="query budget per UTC day")
-    parser.add_argument("--page-size", type=positive_int, default=DEFAULT_PAGE_SIZE)
     parser.add_argument("--cache", default="snippetnet-cache.json", help="persistent query cache path")
 
 
@@ -292,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--out", required=True, help="network output path")
     extract.add_argument("--format", choices=EXPORT_FORMATS, default="json")
     extract.add_argument("--keywords", help="per-actor keyword override file (JSON)")
-    extract.add_argument("--max-labels", type=positive_int, default=5)
     extract.add_argument("--parallelism", type=positive_int, default=1)
     extract.add_argument("--dump-evidence", action="store_true",
                          help="also write per-pair evidence as JSON Lines")

@@ -17,16 +17,7 @@ class FixtureDocument:
     body: str
 
 
-@dataclass(frozen=True)
-class FixtureCorpus:
-    documents: tuple[FixtureDocument, ...]
-
-    @property
-    def universe_size(self) -> int:
-        return len(self.documents)
-
-
-def load_corpus(path) -> FixtureCorpus:
+def load_corpus(path) -> tuple[FixtureDocument, ...]:
     """Read a JSON Lines corpus of {"id", "url", "title", "body"} rows.
 
     Ids must be unique and strictly ascending; urls must carry a scheme
@@ -69,4 +60,4 @@ def load_corpus(path) -> FixtureCorpus:
             docs.append(doc)
     if not docs:
         raise CorpusError(f"{source}: corpus is empty")
-    return FixtureCorpus(documents=tuple(docs))
+    return tuple(docs)

@@ -1,15 +1,16 @@
 """Single coordinator for query execution.
 
 Order of business for every query: cache first, then the budget gate, then the
-backend. Cache hits never touch the ledger. All cache and ledger mutations go
-through one lock, so QueryCache and BudgetLedger need none of their own: a
-cache store appends one record to the cache journal and a charge rewrites
-the small ledger sidecar, both O(1) bytes per query. The backend call itself
-runs outside the lock, so independent queries may execute concurrently, and a
-backend shared by several worker threads must be safe to call from all of them
-at once (FixtureBackend is: its phrase memo only ever gains equal entries). Two
-threads racing on the *same* uncached query can each spend budget; pipeline
-callers only fan out distinct queries.
+backend, asked for one result page of PAGE_SIZE snippets. Cache hits never
+touch the ledger. All cache and ledger mutations go through one lock, so
+QueryCache and BudgetLedger need none of their own: a cache store appends one
+record to the cache journal and a charge rewrites the small ledger sidecar,
+both O(1) bytes per query. The backend call itself runs outside the lock, so
+independent queries may execute concurrently, and a backend shared by several
+worker threads must be safe to call from all of them at once (FixtureBackend
+is: its phrase memo only ever gains equal entries). Two threads racing on the
+*same* uncached query can each spend budget; pipeline callers only fan out
+distinct queries.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .budget import BudgetLedger
 from .cache import QueryCache
 from .queries import Query
 
-DEFAULT_PAGE_SIZE = 10
+PAGE_SIZE = 10  # the cache is keyed by the query alone, so every cached answer must have this page size
 
 
 @dataclass
@@ -33,13 +34,10 @@ class GatewayStats:
 
 class SearchGateway:
     def __init__(self, backend: SearchBackendPort, cache: QueryCache | None = None,
-                 ledger: BudgetLedger | None = None, page_size: int = DEFAULT_PAGE_SIZE):
-        if page_size < 1:
-            raise ValueError("page_size must be >= 1")
+                 ledger: BudgetLedger | None = None):
         self.backend = backend
         self.cache = cache if cache is not None else QueryCache()
         self.ledger = ledger if ledger is not None else BudgetLedger(daily_limit=1_000_000)
-        self.page_size = page_size
         self.stats = GatewayStats()
         self._lock = threading.Lock()
 
@@ -57,7 +55,7 @@ class SearchGateway:
                 self.stats.cache_hits += 1
                 return cached
             self.ledger.charge()
-        result = self.backend.search(query, self.page_size)
+        result = self.backend.search(query, PAGE_SIZE)
         with self._lock:
             self.cache.store(rendered, result)
             self.stats.backend_calls += 1

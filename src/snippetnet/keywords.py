@@ -6,7 +6,7 @@ import json
 import math
 from pathlib import Path
 
-from .corpus import FixtureCorpus
+from .corpus import FixtureDocument
 from .gateway import SearchGateway
 from .queries import build_query
 from .relations import Actor
@@ -20,17 +20,17 @@ def fetch_actor_context(actor: Actor, gateway: SearchGateway):
     return parse_snippets(result.snippets), result.hit_count
 
 
-def extract_keywords(l_a, corpus_doc_freq: dict, universe_size: int, k: int) -> tuple:
+def extract_keywords(l_a, corpus_doc_freq: dict, corpus_size: int, k: int) -> tuple:
     """Rank the tokens of an actor's snippets by tf-idf against the corpus.
 
     Returns the top k (term, score) pairs, best first, scores >= 0.
 
     tf counts occurrences across all snippet titles and abstracts; idf is
-    ln(universe_size / (1 + document_frequency)). Scores floor at zero
+    ln(corpus_size / (1 + document_frequency)). Scores floor at zero
     because idf goes negative for terms in nearly every document. With no
-    usable universe (universe_size <= 0, as with live engines) ranking
-    degrades to plain tf. Ties break lexicographically, so rankings are
-    total and increasing k never reorders earlier entries.
+    corpus (corpus_size <= 0, as with live engines) ranking degrades to
+    plain tf. Ties break lexicographically, so rankings are total and
+    increasing k never reorders earlier entries.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -40,8 +40,8 @@ def extract_keywords(l_a, corpus_doc_freq: dict, universe_size: int, k: int) -> 
             tf[token] = tf.get(token, 0) + 1
     scored = []
     for term, count in tf.items():
-        if universe_size > 0:
-            idf = math.log(universe_size / (1 + corpus_doc_freq.get(term, 0)))
+        if corpus_size > 0:
+            idf = math.log(corpus_size / (1 + corpus_doc_freq.get(term, 0)))
             score = max(0.0, count * idf)
         else:
             score = float(count)
@@ -50,10 +50,10 @@ def extract_keywords(l_a, corpus_doc_freq: dict, universe_size: int, k: int) -> 
     return tuple(scored[:k])
 
 
-def document_frequencies(corpus: FixtureCorpus) -> dict:
+def document_frequencies(documents: tuple[FixtureDocument, ...]) -> dict:
     """How many corpus documents contain each token at least once."""
     frequencies: dict = {}
-    for doc in corpus.documents:
+    for doc in documents:
         for token in set(tokenize(f"{doc.title} {doc.body}")):
             frequencies[token] = frequencies.get(token, 0) + 1
     return frequencies

@@ -45,6 +45,9 @@ GENERIC_TOKENS = (
 
 _SOURCE_PRIORITY = ("url_domain", "url_path", "title")
 
+# How many labels the command line keeps per edge.
+MAX_LABELS = 5
+
 
 @dataclass(frozen=True)
 class UsrScore:

@@ -9,7 +9,6 @@ networks export to byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
@@ -190,36 +189,3 @@ def _to_json(network: SocialNetwork) -> bytes:
         "provenance": network.provenance,
     }
     return json_bytes(payload)
-
-
-def network_from_json(data) -> SocialNetwork:
-    """Rebuild a SocialNetwork from the json export format."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    payload = json.loads(data)
-    nodes = tuple(Actor(name=row["name"], id=row["id"]) for row in payload["nodes"])
-    edges = []
-    for row in payload["edges"]:
-        weight = row["weight"]
-        keywords = weight.get("keywords_used")
-        edges.append(
-            Edge(
-                pair=(row["pair"][0], row["pair"][1]),
-                weight=StrengthScore(
-                    value=float(weight["value"]),
-                    measure=weight["measure"],
-                    variant=weight["variant"],
-                    keywords_used=tuple(keywords) if keywords is not None else None,
-                ),
-                usr=UsrScore(
-                    value=float(row["usr"]["value"]),
-                    shared_domains=frozenset(row["usr"]["shared_domains"]),
-                ),
-                labels=EdgeLabels(
-                    labels=tuple((token, weight_) for token, weight_ in row["labels"]["ranked"]),
-                    source=row["labels"]["source"],
-                ),
-                evidence_size=int(row["evidence_size"]),
-            )
-        )
-    return SocialNetwork(nodes=nodes, edges=tuple(edges), provenance=dict(payload["provenance"]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .gateway import SearchGateway
@@ -30,15 +30,14 @@ def slugify(name: str) -> str:
 @dataclass(frozen=True)
 class Actor:
     name: str
-    id: str = ""
+    id: str = field(init=False)
 
     def __post_init__(self):
         cleaned = self.name.strip()
         if not cleaned:
             raise ValueError("actor name must be non-empty")
         object.__setattr__(self, "name", cleaned)
-        if not self.id:
-            object.__setattr__(self, "id", slugify(cleaned))
+        object.__setattr__(self, "id", slugify(cleaned))
 
 
 @dataclass(frozen=True)

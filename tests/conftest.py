@@ -8,14 +8,14 @@ import corpusdata
 from snippetnet.backends import FixtureBackend
 from snippetnet.budget import BudgetLedger
 from snippetnet.cache import QueryCache
-from snippetnet.corpus import FixtureCorpus, FixtureDocument
+from snippetnet.corpus import FixtureDocument
 from snippetnet.gateway import SearchGateway
 from snippetnet.relations import Actor
 
 
 # ---------------------------------------------------------------- oracle ----
 # Independent exhaustive scan over raw corpus rows. This deliberately does not
-# go through FixtureCorpus or FixtureBackend; it re-states the matching rule
+# go through load_corpus or FixtureBackend; it re-states the matching rule
 # from scratch so the implementation has something to be checked against.
 
 def scan_matches(rows, phrases):
@@ -35,23 +35,21 @@ def scan_count(rows, phrases):
 # --------------------------------------------------------------- helpers ----
 
 def corpus_from_rows(rows):
-    return FixtureCorpus(
-        documents=tuple(
-            FixtureDocument(doc_id=row["id"], url=row["url"], title=row["title"], body=row["body"])
-            for row in rows
-        )
+    return tuple(
+        FixtureDocument(doc_id=row["id"], url=row["url"], title=row["title"], body=row["body"])
+        for row in rows
     )
 
 
 def make_gateway(corpus, daily_limit=1_000_000, cache_path=None, ledger_path=None,
-                 page_size=10, today_fn=None):
+                 today_fn=None):
     cache = QueryCache.open(cache_path) if cache_path else QueryCache()
     kwargs = {} if today_fn is None else {"today_fn": today_fn}
     if ledger_path:
         ledger = BudgetLedger.open(daily_limit, ledger_path, **kwargs)
     else:
         ledger = BudgetLedger(daily_limit, **kwargs)
-    return SearchGateway(FixtureBackend(corpus), cache=cache, ledger=ledger, page_size=page_size)
+    return SearchGateway(FixtureBackend(corpus), cache=cache, ledger=ledger)
 
 
 _TIMESTAMP_FIELDS = re.compile(r'"(generated_at|started_at|finished_at|fetched_at)": "[^"]*"')

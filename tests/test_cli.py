@@ -11,7 +11,6 @@ from conftest import mask_timestamps, read_json
 from corpusdata import no_cooccurrence_actors, no_cooccurrence_corpus, write_jsonl
 from snippetnet.cache import QueryCache
 from snippetnet.cli import main
-from snippetnet.network import network_from_json
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -40,19 +39,19 @@ class TestExtract:
         assert code == 0
         assert "2 edges over 6 actors" in capsys.readouterr().out
 
-        net = network_from_json(out.read_bytes())
-        assert [n.id for n in net.nodes] == [
+        net = read_json(out)
+        assert [n["id"] for n in net["nodes"]] == [
             "alice-nguyen", "bob-santos", "carol-reyes",
             "david-kim", "erin-walsh", "farid-omar",
         ]
-        assert [e.pair for e in net.edges] == [
+        assert [tuple(e["pair"]) for e in net["edges"]] == [
             ("alice-nguyen", "bob-santos"),
             ("david-kim", "erin-walsh"),
         ]
-        weights = {e.pair: e.weight.value for e in net.edges}
+        weights = {tuple(e["pair"]): e["weight"]["value"] for e in net["edges"]}
         assert weights[("alice-nguyen", "bob-santos")] == pytest.approx(0.4)
         assert weights[("david-kim", "erin-walsh")] == pytest.approx(2 / 3)
-        usr_values = {e.pair: e.usr.value for e in net.edges}
+        usr_values = {tuple(e["pair"]): e["usr"]["value"] for e in net["edges"]}
         assert usr_values[("alice-nguyen", "bob-santos")] == pytest.approx(1 / 3)
         assert usr_values[("david-kim", "erin-walsh")] == pytest.approx(1 / 2)
 
@@ -87,9 +86,9 @@ class TestExtract:
     def test_threshold_filters_edges(self, tmp_path, actors6_file, corpus20_file):
         code, out = run_extract(tmp_path, actors6_file, corpus20_file, threshold="0.5")
         assert code == 0
-        net = network_from_json(out.read_bytes())
-        assert [e.pair for e in net.edges] == [("david-kim", "erin-walsh")]
-        assert len(net.nodes) == 6
+        net = read_json(out)
+        assert [tuple(e["pair"]) for e in net["edges"]] == [("david-kim", "erin-walsh")]
+        assert len(net["nodes"]) == 6
 
     def test_dot_and_graphml_formats(self, tmp_path, actors6_file, corpus20_file):
         code, out = run_extract(tmp_path, actors6_file, corpus20_file, out_name="net.dot", format="dot")
@@ -128,24 +127,24 @@ class TestExtract:
             tmp_path, actors6_file, corpus20_file, variant="srwk", keywords=kw_file,
         )
         assert code == 0
-        net = network_from_json(out.read_bytes())
-        by_pair = {e.pair: e.weight for e in net.edges}
+        net = read_json(out)
+        by_pair = {tuple(e["pair"]): e["weight"] for e in net["edges"]}
         augmented = by_pair[("alice-nguyen", "bob-santos")]
-        assert augmented.variant == "srwk"
-        assert augmented.keywords_used == ("graph", "graph")
-        assert augmented.value == pytest.approx(0.25)
+        assert augmented["variant"] == "srwk"
+        assert augmented["keywords_used"] == ["graph", "graph"]
+        assert augmented["value"] == pytest.approx(0.25)
         # david and erin have no override, so their pair keeps the plain score
         fallback = by_pair[("david-kim", "erin-walsh")]
-        assert fallback.variant == "sr"
-        assert fallback.value == pytest.approx(2 / 3)
+        assert fallback["variant"] == "sr"
+        assert fallback["value"] == pytest.approx(2 / 3)
 
     def test_srwk_auto_keywords(self, tmp_path, actors6_file, corpus20_file):
         code, out = run_extract(tmp_path, actors6_file, corpus20_file, variant="srwk")
         assert code == 0
-        net = network_from_json(out.read_bytes())
-        for edge in net.edges:
-            assert edge.weight.variant == "srwk"
-            assert edge.weight.keywords_used is not None
+        net = read_json(out)
+        for edge in net["edges"]:
+            assert edge["weight"]["variant"] == "srwk"
+            assert edge["weight"]["keywords_used"] is not None
 
 
 class TestReportRoles:
@@ -200,12 +199,10 @@ class TestExitCodes:
         "argv",
         [
             ["extract", "--threshold", "0.0", "--daily-limit", "0"],
-            ["extract", "--threshold", "0.0", "--page-size", "0"],
             ["extract", "--threshold", "0.0", "--parallelism", "0"],
-            ["extract", "--threshold", "0.0", "--max-labels", "0"],
             ["keywords", "--top-k", "0"],
         ],
-        ids=["daily-limit", "page-size", "parallelism", "max-labels", "top-k"],
+        ids=["daily-limit", "parallelism", "top-k"],
     )
     def test_bad_setting_is_rejected_before_paying(
         self, tmp_path, actors6_file, corpus20_file, capsys, argv
@@ -223,12 +220,11 @@ class TestExitCodes:
         "argv, flag",
         [
             (["extract", "--threshold", "0.0", "--daily-limit", "0"], "--daily-limit"),
-            (["extract", "--threshold", "0.0", "--page-size", "-3"], "--page-size"),
             (["extract", "--threshold", "nan"], "--threshold"),
             (["extract", "--threshold", "0.0", "--measure", "cosine"], "--measure"),
             (["keywords", "--top-k", "ten"], "--top-k"),
         ],
-        ids=["daily-limit", "page-size", "threshold-nan", "measure", "top-k-not-an-integer"],
+        ids=["daily-limit", "threshold-nan", "measure", "top-k-not-an-integer"],
     )
     def test_bad_flag_is_named_before_any_file_is_read(
         self, tmp_path, actors6_file, corpus20_file, capsys, argv, flag
@@ -244,6 +240,37 @@ class TestExitCodes:
             assert f"argument {flag}:" in capsys.readouterr().err
         assert not (tmp_path / "cache.json").exists()
         assert not (tmp_path / "cache.json.ledger").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--page-size", "1"), ("--max-labels", "3")],
+                             ids=["page-size", "max-labels"])
+    def test_removed_flag_is_rejected_before_any_file_is_read(
+        self, tmp_path, actors6_file, corpus20_file, capsys, flag, value
+    ):
+        # The result page and the label count are fixed: a cache keyed by the
+        # query alone could not tell answers of different page sizes apart.
+        for actors in (tmp_path / "absent.txt", actors6_file):
+            code = main([
+                "extract", "--actors", str(actors), "--corpus", str(corpus20_file),
+                "--cache", str(tmp_path / "cache.json"), "--threshold", "0.0",
+                "--out", str(tmp_path / "out.json"), flag, value,
+            ])
+            assert code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
+        assert not (tmp_path / "cache.json.ledger").exists()
+
+    @pytest.mark.parametrize("command", [["extract", "--threshold", "0.0"], ["keywords"]],
+                             ids=["extract", "keywords"])
+    def test_actors_file_that_is_not_utf8(self, tmp_path, corpus20_file, capsys, command):
+        actors = tmp_path / "actors.txt"
+        actors.write_bytes(b"Alice Nguyen\nBob \xff Santos\n")
+        code = main(command + [
+            "--actors", str(actors), "--corpus", str(corpus20_file),
+            "--cache", str(tmp_path / "cache.json"), "--out", str(tmp_path / "out.json"),
+        ])
+        assert code == 2
+        assert f"cannot read actors file {actors}" in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
 
     def test_live_backend_without_endpoint(self, tmp_path, actors6_file, monkeypatch, capsys):
         monkeypatch.delenv("SNIPPETNET_API_ENDPOINT", raising=False)
@@ -437,9 +464,9 @@ class TestKeywordsCommand:
             tmp_path, actors6_file, corpus20_file, variant="srwk", keywords=kw_out,
         )
         assert code == 0
-        net = network_from_json(out.read_bytes())
-        for edge in net.edges:
-            assert edge.weight.variant == "srwk"
+        net = read_json(out)
+        for edge in net["edges"]:
+            assert edge["weight"]["variant"] == "srwk"
 
 
 class TestCacheCommand:

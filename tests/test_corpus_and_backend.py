@@ -9,7 +9,7 @@ import pytest
 import corpusdata
 from conftest import corpus_from_rows, make_gateway, scan_count, scan_matches
 from snippetnet.backends import ABSTRACT_LENGTH, FixtureBackend, LiveBackend
-from snippetnet.corpus import FixtureCorpus, load_corpus
+from snippetnet.corpus import load_corpus
 from snippetnet.errors import BackendError, CorpusError
 from snippetnet.queries import build_query
 from snippetnet.relations import Actor, detect_all
@@ -60,10 +60,10 @@ class TestCorpusLoader:
         path = tmp_path / "corpus.jsonl"
         corpusdata.write_jsonl(path, corpus20_rows)
         corpus = load_corpus(path)
-        assert corpus.universe_size == 20
-        assert corpus.documents[0].doc_id == 1
-        assert corpus.documents[0].title == "Community Detection Workshop"
-        assert corpus.documents[-1].doc_id == 20
+        assert len(corpus) == 20
+        assert corpus[0].doc_id == 1
+        assert corpus[0].title == "Community Detection Workshop"
+        assert corpus[-1].doc_id == 20
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
@@ -117,8 +117,8 @@ class TestCorpusLoader:
         )
         assert separator in path.read_text(encoding="utf-8")
         corpus = load_corpus(path)
-        assert corpus.universe_size == 2
-        assert corpus.documents[0].body == rows[0]["body"]
+        assert len(corpus) == 2
+        assert corpus[0].body == rows[0]["body"]
         result = FixtureBackend(corpus).search(build_query(["Alice Nguyen after"]), page_size=10)
         assert result.hit_count == 1
         assert result.snippets[0].url == "http://a.com/x"
@@ -177,7 +177,7 @@ class TestFixtureSearch:
         result = FixtureBackend(corpus20).search(build_query(["Methods Seminar Notes"]), page_size=10)
         assert result.hit_count == 1
         snippet = result.snippets[0]
-        long_body = corpus20.documents[2].body
+        long_body = corpus20[2].body
         assert snippet.abstract == long_body[:ABSTRACT_LENGTH]
         assert len(snippet.abstract) == ABSTRACT_LENGTH
         assert "carol reyes" not in snippet.abstract.lower()
@@ -236,7 +236,7 @@ class TestFixtureSearch:
                 reads.append(self.doc_id)
                 return self._body
 
-        corpus = FixtureCorpus(documents=tuple(CountingDocument(row) for row in corpus20_rows))
+        corpus = tuple(CountingDocument(row) for row in corpus20_rows)
         backend = FixtureBackend(corpus)
         rng = random.Random(5)
         returned = 0
@@ -244,7 +244,7 @@ class TestFixtureSearch:
             result = backend.search(build_query(random_phrases(rng)), rng.choice([1, 3, 10]))
             returned += len(result.snippets)
         # One read per document to build the index, one per snippet abstract.
-        assert len(reads) <= corpus.universe_size + returned
+        assert len(reads) <= len(corpus) + returned
 
 
 class TestFixtureSearchThreads:

@@ -78,7 +78,7 @@ class TestDocumentFrequencies:
         assert document_frequencies(corpus20) == oracle
 
     def test_ubiquitous_token_has_full_frequency(self, corpus20):
-        assert document_frequencies(corpus20)["research"] == corpus20.universe_size
+        assert document_frequencies(corpus20)["research"] == len(corpus20)
 
 
 class TestClassifyAttribute:

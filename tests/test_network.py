@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from snippetnet.network import (
     EMPTY_USR,
     build_network,
     export,
-    network_from_json,
     to_matrix,
 )
 from snippetnet.relations import Actor, RelationEvidence
@@ -168,7 +168,7 @@ class TestExports:
         assert text.endswith("}\n")
 
     def test_dot_escapes_quotes(self):
-        actor = Actor(name='Joe "Quote" Smith', id="joe")
+        actor = Actor(name='Joe "Quote" Smith')
         net = build_network([actor], [], {}, threshold=0.0)
         text = export(net, "dot").decode("utf-8")
         assert '[label="Joe \\"Quote\\" Smith"];' in text
@@ -181,7 +181,7 @@ class TestExports:
         assert '<data key="d3">graph;mining</data>' in text
 
     def test_graphml_escapes_markup(self):
-        actor = Actor(name="Tom & Co <x>", id="tom")
+        actor = Actor(name="Tom & Co <x>")
         net = build_network([actor], [], {}, threshold=0.0)
         text = export(net, "graphml").decode("utf-8")
         assert "Tom &amp; Co &lt;x&gt;" in text
@@ -195,12 +195,32 @@ class TestExports:
         with pytest.raises(ValueError):
             export(self._network(), "gexf")
 
-    def test_json_round_trip_preserves_everything(self):
-        net = self._network()
-        rebuilt = network_from_json(export(net, "json"))
-        assert rebuilt == net
+    def test_json_export_carries_every_field(self):
+        payload = json.loads(export(self._network(), "json"))
+        assert payload["nodes"] == [
+            {"id": "alice-nguyen", "name": "Alice Nguyen"},
+            {"id": "bob-santos", "name": "Bob Santos"},
+            {"id": "carol-reyes", "name": "Carol Reyes"},
+        ]
+        assert payload["edges"] == [
+            {
+                "pair": ["alice-nguyen", "bob-santos"],
+                "weight": {"value": 0.4, "measure": "jaccard", "variant": "sr", "keywords_used": None},
+                "usr": {"value": 1 / 3, "shared_domains": ["netsci.org"]},
+                "labels": {"ranked": [["graph", 2], ["mining", 1]], "source": "title"},
+                "evidence_size": 2,
+            },
+            {
+                "pair": ["bob-santos", "carol-reyes"],
+                "weight": {"value": 0.1, "measure": "jaccard", "variant": "sr", "keywords_used": None},
+                "usr": {"value": 0.0, "shared_domains": []},
+                "labels": {"ranked": [], "source": None},
+                "evidence_size": 1,
+            },
+        ]
+        assert payload["provenance"] == {"backend": "fixture", "threshold": 0.0}
 
-    def test_json_round_trip_with_keywords(self):
+    def test_json_export_carries_keywords(self):
         evidence = [_evidence(A, B, 2)]
         scores = {
             ("alice-nguyen", "bob-santos"): StrengthScore(
@@ -208,6 +228,7 @@ class TestExports:
             )
         }
         net = build_network([A, B], evidence, scores, threshold=0.0)
-        rebuilt = network_from_json(export(net, "json"))
-        assert rebuilt == net
-        assert rebuilt.edges[0].weight.keywords_used == ("graph", "mining")
+        weight = json.loads(export(net, "json"))["edges"][0]["weight"]
+        assert weight == {
+            "value": 0.25, "measure": "jaccard", "variant": "srwk", "keywords_used": ["graph", "mining"],
+        }
