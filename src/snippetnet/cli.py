@@ -32,6 +32,7 @@ from .keywords import (
 from .ioutil import atomic_write_bytes, atomic_write_json
 from .labeling import MAX_LABELS, label_edge, usr
 from .network import EXPORT_FORMATS, build_network, export
+from .queries import build_query
 from .relations import Actor, detect_all
 from .strength import MEASURES, sr, sr_with_keywords
 
@@ -50,10 +51,14 @@ def load_actors(path) -> list:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read actors file {path}: {exc}") from exc
     actors = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         name = line.strip()
         if not name or name.startswith("#"):
             continue
+        try:
+            build_query([name])  # every query about this actor must render unambiguously
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {number}: {exc}") from exc
         actors.append(Actor(name))
     ids = [actor.id for actor in actors]
     if len(set(ids)) != len(ids):
@@ -90,20 +95,16 @@ def _rank_keywords(contexts: dict, corpus, k: int) -> dict:
     }
 
 
-def _pick_keywords(args, contexts, corpus) -> dict:
-    """One keyword per involved actor: from the override file, or extracted."""
-    if args.keywords:
-        try:
-            overrides = load_keyword_overrides(args.keywords)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read keywords file: {exc}") from exc
-        return {
-            actor_id: terms[0]
-            for actor_id, terms in overrides.items()
-            if terms and str(terms[0]).strip()
-        }
-    ranked = _rank_keywords(contexts, corpus, 1)
-    return {actor_id: terms[0][0] for actor_id, terms in ranked.items() if terms}
+def _keyword_overrides(path) -> dict:
+    """The first term per actor in the override file, checked before any query is paid."""
+    try:
+        overrides = load_keyword_overrides(path)
+        picked = {actor_id: terms[0] for actor_id, terms in overrides.items() if terms and terms[0].strip()}
+        for term in picked.values():
+            build_query([term])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read keywords file {path}: {exc}") from exc
+    return picked
 
 
 def cmd_extract(args) -> int:
@@ -111,6 +112,7 @@ def cmd_extract(args) -> int:
     actors = load_actors(args.actors)
     if len(actors) < 2:
         raise ConfigError("need at least two actors")
+    overrides = _keyword_overrides(args.keywords) if args.variant == "srwk" and args.keywords else None
     gateway, corpus = _open_state(args)
     by_id = {actor.id: actor for actor in actors}
 
@@ -125,8 +127,11 @@ def cmd_extract(args) -> int:
     singleton_calls = gateway.stats.backend_calls - doubleton_calls
 
     keywords_by_actor: dict = {}
-    if args.variant == "srwk":
-        keywords_by_actor = _pick_keywords(args, contexts, corpus)
+    if overrides is not None:
+        keywords_by_actor = overrides
+    elif args.variant == "srwk":
+        ranked = _rank_keywords(contexts, corpus, 1)
+        keywords_by_actor = {actor_id: terms[0][0] for actor_id, terms in ranked.items() if terms}
 
     scores: dict = {}
     usr_scores: dict = {}

@@ -19,9 +19,12 @@ class Query:
 def build_query(phrases: Iterable[str]) -> Query:
     """Trim each phrase and wrap the list in a Query.
 
-    Raises ValueError when the list is empty or any phrase is blank after
-    trimming. Phrases are kept in the order given; callers that want one
-    query per unordered pair must canonicalize the order themselves.
+    Raises ValueError when the list is empty, when any phrase is blank after
+    trimming, or when a phrase holds a double quote: that would close the
+    quoted phrase early, so ['Ann" "Bo'] would render exactly like
+    ['Ann', 'Bo'] and share its cache entry. Phrases are kept in the order
+    given; callers that want one query per unordered pair must canonicalize
+    the order themselves.
     """
     given = list(phrases)
     if not given:
@@ -31,5 +34,7 @@ def build_query(phrases: Iterable[str]) -> Query:
         cleaned = phrase.strip()
         if not cleaned:
             raise ValueError(f"blank phrase in query: {given!r}")
+        if '"' in cleaned:
+            raise ValueError(f"double quote in phrase {cleaned!r}")
         trimmed.append(cleaned)
     return Query(terms=tuple(trimmed))

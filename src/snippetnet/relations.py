@@ -10,6 +10,7 @@ per pair is ever issued.
 from __future__ import annotations
 
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -84,7 +85,9 @@ def detect_all(actors, gateway: SearchGateway, parallelism: int = 1) -> list[Rel
     list keeps that order even when queries fan out across threads. Negative
     evidence is retained so callers can tell "checked, unrelated" apart from
     "never checked". On error nothing partial is returned; completed queries
-    stay in the cache, so a rerun resumes where this one stopped.
+    stay in the cache, so a rerun resumes where this one stopped. Once a pair
+    has failed no further pair starts; only the pairs already in flight, at
+    most `parallelism` of them, still pay for their query.
     """
     actors = list(actors)
     if len(actors) < 2:
@@ -98,6 +101,19 @@ def detect_all(actors, gateway: SearchGateway, parallelism: int = 1) -> list[Rel
     pairs = list(combinations(ordered, 2))
     if parallelism == 1:
         return [detect_relation(a, b, gateway) for a, b in pairs]
+    failed = threading.Event()
+
+    def detect_unless_failed(a, b):
+        if failed.is_set():
+            return None
+        try:
+            return detect_relation(a, b, gateway)
+        except BaseException:
+            failed.set()
+            raise
+
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(detect_relation, a, b, gateway) for a, b in pairs]
+        futures = [pool.submit(detect_unless_failed, a, b) for a, b in pairs]
+        # A pair skipped after a failure gives None, but then the failed
+        # pair's future raises before the list is complete.
         return [future.result() for future in futures]

@@ -263,6 +263,42 @@ class TestExitCodes:
         assert f"cannot read actors file {actors}" in capsys.readouterr().err
         assert not (tmp_path / "cache.json").exists()
 
+    @pytest.mark.parametrize("command", [["extract", "--threshold", "0.0"], ["keywords"]],
+                             ids=["extract", "keywords"])
+    def test_actor_name_with_double_quote(self, tmp_path, corpus20_file, capsys, command):
+        # 'Ann" "Bob Santos' would render as a pair query and share its cache entry.
+        actors = tmp_path / "actors.txt"
+        actors.write_text('Alice Nguyen\n# a comment\nAnn" "Bob Santos\n', encoding="utf-8")
+        code = main(command + [
+            "--actors", str(actors), "--corpus", str(corpus20_file),
+            "--cache", str(tmp_path / "cache.json"), "--out", str(tmp_path / "out.json"),
+        ])
+        assert code == 2
+        assert f"{actors}: line 3: double quote in phrase" in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
+        assert not (tmp_path / "cache.json.ledger").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"alice-nguyen": 42}, "neither a term list nor a keyword set"),
+            ({"alice-nguyen": ['x" "y'], "bob-santos": ["graph"]}, "double quote in phrase"),
+        ],
+        ids=["not-a-term-list", "double-quote"],
+    )
+    def test_bad_keywords_file_is_rejected_before_paying(self, tmp_path, capsys, overrides, message):
+        keywords = tmp_path / "kw.json"
+        keywords.write_text(json.dumps(overrides), encoding="utf-8")
+        code, _ = run_extract(
+            tmp_path, DEMO / "actors.txt", DEMO / "corpus.jsonl", variant="srwk", keywords=keywords,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read keywords file {keywords}" in err
+        assert message in err
+        assert not (tmp_path / "cache.json").exists()
+        assert not (tmp_path / "cache.json.ledger").exists()
+
     def test_live_backend_without_endpoint(self, tmp_path, actors6_file, monkeypatch, capsys):
         monkeypatch.delenv("SNIPPETNET_API_ENDPOINT", raising=False)
         code = main([
@@ -380,6 +416,39 @@ class TestCacheJournal:
         assert result.returncode == 2
         assert "line 6: malformed cache record" in result.stderr
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"hit_count": 1, "snippets": []}',
+            '{"fetched_at": "2026-08-18T00:00:00+00:00", "hit_count": "many", "snippets": []}',
+            '{"fetched_at": "2026-08-18T00:00:00+00:00", "hit_count": Infinity, "snippets": []}',
+            '{"fetched_at": "2026-08-18T00:00:00+00:00", "hit_count": 1, "snippets": [{}]}',
+            '[1, 2]',
+        ],
+        ids=["no-fetched-at", "hit-count-not-a-number", "hit-count-infinite", "snippet-fields", "not-an-object"],
+    )
+    def test_malformed_whole_object_cache_is_exit_2_and_kept(self, tmp_path, entry):
+        cache_path = tmp_path / "cache.json"
+        old = ('{"\\"Alice Nguyen\\"": {"fetched_at": "2026-08-18T00:00:00+00:00", '
+               '"hit_count": 3, "snippets": []}, "\\"Bob Santos\\"": ' + entry + '}\n').encode("utf-8")
+        cache_path.write_bytes(old)
+
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "snippetnet.cli", "extract",
+                "--actors", str(DEMO / "actors.txt"), "--corpus", str(DEMO / "corpus.jsonl"),
+                "--cache", str(cache_path), "--threshold", "0.0",
+                "--out", str(tmp_path / "network.json"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert str(cache_path) in result.stderr
+        assert "Traceback" not in result.stderr
+        assert cache_path.read_bytes() == old
+        assert not (tmp_path / "cache.json.ledger").exists()
 
 
 class TestResume:

@@ -30,6 +30,12 @@ class TestBuildQuery:
         with pytest.raises(ValueError, match="blank phrase in query"):
             build_query(["alice", "   "])
 
+    @pytest.mark.parametrize("phrases", [['Ann" "Bo'], ['"Ann Bo"'], ["Ann", 'B"o']])
+    def test_double_quote_in_phrase_rejected(self, phrases):
+        # 'Ann" "Bo' would otherwise render as the pair query "Ann" "Bo".
+        with pytest.raises(ValueError, match="double quote in phrase"):
+            build_query(phrases)
+
     def test_every_phrase_appears_quoted(self):
         rng = random.Random(20260818)
         alphabet = "abcdefghij XYZ.'-"

@@ -1,10 +1,14 @@
-"""The README's "Library use" block runs as written, and names the whole public API."""
+"""The README's "Quick start" and "Library use" blocks run as written and print
+what the README shows, and the "Library use" imports name the whole public API."""
 
 import ast
 import re
+import shlex
+import shutil
 from pathlib import Path
 
 import snippetnet
+from snippetnet.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -15,6 +19,21 @@ def _library_use_block() -> str:
     match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert match, "README has no python block under 'Library use'"
     return match.group(1)
+
+
+def test_quick_start_prints_what_the_readme_says(tmp_path, monkeypatch, capsys):
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    command, printed = re.findall(r"```\n(.*?)```", section, re.DOTALL)[:2]
+    argv = shlex.split(command.replace("\\\n", " "))
+    assert argv[:2] == ["snippetnet", "extract"]
+    shutil.copytree(ROOT / "demo", tmp_path / "demo")
+    monkeypatch.chdir(tmp_path)
+
+    assert main(argv[1:]) == 0
+    assert capsys.readouterr().out == printed
+    assert printed == "wrote network.json: 2 edges over 6 actors (19 backend calls, 4 cache hits)\n"
+    assert main(argv[1:]) == 0
+    assert "(0 backend calls, " in capsys.readouterr().out
 
 
 def test_library_use_block_runs(monkeypatch, capsys):

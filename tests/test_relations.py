@@ -1,10 +1,14 @@
 import itertools
 import random
+import sys
 
 import pytest
 
 from conftest import make_gateway, scan_count
 from corpusdata import ACTORS
+from snippetnet.budget import BudgetLedger
+from snippetnet.errors import BackendError
+from snippetnet.gateway import SearchGateway
 from snippetnet.relations import Actor, detect_all, detect_relation
 
 ACTOR_OBJS = [Actor(name) for name in ACTORS]
@@ -88,6 +92,26 @@ class TestDetectAll:
         seq = detect_all(ACTOR_OBJS, make_gateway(corpus20))
         par = detect_all(ACTOR_OBJS, make_gateway(corpus20), parallelism=4)
         assert seq == par
+
+    @pytest.mark.parametrize("parallelism", [2, 4, 8])
+    def test_failure_stops_pairs_not_yet_started(self, parallelism):
+        class DownBackend:
+            def search(self, query, page_size):
+                raise BackendError("engine down")
+
+        actors = [Actor(f"Person {i}") for i in range(10)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to widen any race
+        try:
+            for _ in range(20):
+                ledger = BudgetLedger(daily_limit=1_000)
+                gateway = SearchGateway(DownBackend(), ledger=ledger)
+                with pytest.raises(BackendError, match="engine down"):
+                    detect_all(actors, gateway, parallelism=parallelism)
+                # 45 pairs, but only those in flight when the first failed are paid.
+                assert 1 <= ledger.total_issued <= parallelism
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_warm_rerun_issues_no_backend_calls(self, corpus20, tmp_path):
         cache_path = tmp_path / "cache.json"
