@@ -3,15 +3,14 @@
 The fixture backend scans a local corpus and returns exact counts, which makes
 it the reference every arithmetic claim is checked against. The live backend
 adapts a JSON-over-HTTP search service; engine counts are estimates, so it is
-explicitly outside those exactness guarantees.
+explicitly outside those exactness guarantees. The live backend imports the
+web client (urllib, and with it http, email and ssl) on its first search, so
+a run on the fixture backend never loads it.
 """
 
 from __future__ import annotations
 
 import json
-import urllib.error
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -109,6 +108,10 @@ class LiveBackend:
         self.timeout = timeout
 
     def search(self, query: Query, page_size: int) -> SearchResult:
+        import urllib.error
+        import urllib.parse
+        import urllib.request
+
         params = urllib.parse.urlencode({"q": query.rendered, "page_size": page_size})
         request = urllib.request.Request(f"{self.endpoint}?{params}")
         if self.api_key:

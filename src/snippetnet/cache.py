@@ -11,12 +11,14 @@ to its SearchResult; ``fetched_at`` lives only in the file.
 Opening replays the journal; the last record for a query wins. A final
 segment without a trailing newline is a torn append: it is dropped and cut
 off before the next append. A complete line that is not a valid record raises
-ValueError. ``_replay`` is the only record parser. A file without the header
-is the older whole-object format ``{query: {"fetched_at", "hit_count",
-"snippets"}}``: each entry is reshaped into a journal record line and
-replayed, and only if every line parses is the file rewritten once,
-atomically, as the header plus those lines. A malformed old file is left as
-it was.
+ValueError. A valid record has a string query, a hit_count that is a JSON
+integer >= 0 (not a bool or a float), and a list of snippets whose url,
+title and abstract are strings. ``_replay`` is the only record parser. A
+file without the header is the older whole-object format ``{query:
+{"fetched_at", "hit_count", "snippets"}}``: each entry is reshaped into a
+journal record line and replayed, and only if every line parses is the file
+rewritten once, atomically, as the header plus those lines. A malformed old
+file is left as it was.
 """
 
 from __future__ import annotations
@@ -130,10 +132,21 @@ def _replay(body: bytes, source: str) -> dict[str, SearchResult]:
             rendered, hit_count, snippets, _ = (row[key] for key in _RECORD_FIELDS)
             if not isinstance(rendered, str):
                 raise TypeError(f"query must be a string, got {rendered!r}")
-            results[rendered] = SearchResult(hit_count=int(hit_count), snippets=tuple(
-                RawSnippet(url=str(s["url"]), title=str(s["title"]), abstract=str(s["abstract"]))
-                for s in snippets
-            ))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # type() rather than isinstance: a JSON true is a bool, not a count.
+            if type(hit_count) is not int or hit_count < 0:
+                raise ValueError(f"hit_count must be an integer >= 0, got {hit_count!r}")
+            if not isinstance(snippets, list):
+                raise TypeError(f"snippets must be a list, got {snippets!r}")
+            results[rendered] = SearchResult(
+                hit_count=hit_count, snippets=tuple(_raw_snippet(s) for s in snippets)
+            )
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{source}: line {number}: malformed cache record: {exc!r}") from exc
     return results
+
+
+def _raw_snippet(fields) -> RawSnippet:
+    url, title, abstract = (fields[key] for key in ("url", "title", "abstract"))
+    if not (isinstance(url, str) and isinstance(title, str) and isinstance(abstract, str)):
+        raise TypeError(f"snippet url, title and abstract must be strings, got {fields!r}")
+    return RawSnippet(url=url, title=title, abstract=abstract)

@@ -112,7 +112,7 @@ def cmd_extract(args) -> int:
     actors = load_actors(args.actors)
     if len(actors) < 2:
         raise ConfigError("need at least two actors")
-    overrides = _keyword_overrides(args.keywords) if args.variant == "srwk" and args.keywords else None
+    overrides = _keyword_overrides(args.keywords) if args.keywords else None
     gateway, corpus = _open_state(args)
     by_id = {actor.id: actor for actor in actors}
 
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="minimum strength for an edge, in [0, 1]")
     extract.add_argument("--out", required=True, help="network output path")
     extract.add_argument("--format", choices=EXPORT_FORMATS, default="json")
-    extract.add_argument("--keywords", help="per-actor keyword override file (JSON)")
+    extract.add_argument("--keywords", help="per-actor keyword override file (JSON); needs --variant srwk")
     extract.add_argument("--parallelism", type=positive_int, default=1)
     extract.add_argument("--dump-evidence", action="store_true",
                          help="also write per-pair evidence as JSON Lines")
@@ -316,6 +316,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command != "cache" and args.backend == "fixture" and not args.corpus:
             parser.error("argument --corpus: required with --backend fixture")
+        if args.command == "extract" and args.keywords and args.variant != "srwk":
+            parser.error("argument --keywords: needs --variant srwk")
     except SystemExit as exc:
         return exc.code
     try:

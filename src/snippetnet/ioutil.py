@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import json
 import os
-import secrets
 from pathlib import Path
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    tmp_name = target.with_name(f"{target.name}.{secrets.token_hex(8)}.tmp")
+    tmp_name = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
     # Exclusive create with the default mode 0o666, so the process umask sets
     # the permissions as for any other new file; mkstemp always gives 0600.
     handle = open(tmp_name, "xb")

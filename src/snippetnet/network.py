@@ -4,13 +4,14 @@ Nodes are all the input actors -- people with no surviving relation stay in
 the graph as isolates. Edges are the detected pairs whose strength clears the
 threshold, each carrying its score, domain-overlap value, labels, and how many
 snippets back it. Everything is ordered (nodes by id, edges by pair), so equal
-networks export to byte-identical files.
+networks export to byte-identical files. The GraphML escapes are local and
+match xml.sax.saxutils' escape and quoteattr exactly; saxutils itself imports
+urllib.request, and with it a whole web client that no export needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape, quoteattr
 
 from .ioutil import json_bytes
 from .labeling import EdgeLabels, UsrScore
@@ -131,6 +132,21 @@ def _to_dot(network: SocialNetwork) -> bytes:
         )
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for XML character data."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """Escape and quote text as an XML attribute value."""
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def _to_graphml(network: SocialNetwork) -> bytes:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -101,6 +100,8 @@ def detect_all(actors, gateway: SearchGateway, parallelism: int = 1) -> list[Rel
     pairs = list(combinations(ordered, 2))
     if parallelism == 1:
         return [detect_relation(a, b, gateway) for a, b in pairs]
+    from concurrent.futures import ThreadPoolExecutor
+
     failed = threading.Event()
 
     def detect_unless_failed(a, b):

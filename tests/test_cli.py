@@ -299,6 +299,19 @@ class TestExitCodes:
         assert not (tmp_path / "cache.json").exists()
         assert not (tmp_path / "cache.json.ledger").exists()
 
+    def test_keywords_without_srwk_is_rejected_before_any_file_is_read(self, tmp_path, capsys):
+        # Only srwk uses the keywords file, invalid here; with no actors file,
+        # only a check made before any file is read can name the flag.
+        keywords = tmp_path / "kw.json"
+        keywords.write_text(json.dumps({"alice-nguyen": 42}), encoding="utf-8")
+        for actors in (tmp_path / "absent.txt", DEMO / "actors.txt"):
+            code, out = run_extract(tmp_path, actors, DEMO / "corpus.jsonl", keywords=keywords)
+            assert code == 2
+            assert "argument --keywords: needs --variant srwk" in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
+        assert not (tmp_path / "cache.json.ledger").exists()
+        assert not out.exists()
+
     def test_live_backend_without_endpoint(self, tmp_path, actors6_file, monkeypatch, capsys):
         monkeypatch.delenv("SNIPPETNET_API_ENDPOINT", raising=False)
         code = main([
@@ -415,6 +428,47 @@ class TestCacheJournal:
         )
         assert result.returncode == 2
         assert "line 6: malformed cache record" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hit_count", -7),
+            ("hit_count", True),
+            ("hit_count", 3.5),
+            ("hit_count", "12"),
+            ("snippets", ""),
+            ("url", None),
+        ],
+        ids=["hit-count-negative", "hit-count-true", "hit-count-float", "hit-count-string",
+             "snippets-not-a-list", "url-null"],
+    )
+    def test_record_with_a_bad_field_type_is_exit_2(self, tmp_path, field, value):
+        cache_path = tmp_path / "cache.json"
+        self._extract_demo(tmp_path)
+        lines = cache_path.read_bytes().split(b"\n")
+        # The first record with snippets, so that a snippet field can be spoiled too.
+        number = next(i for i, line in enumerate(lines[1:-1], start=1) if json.loads(line)["snippets"])
+        record = json.loads(lines[number])
+        if field in record:
+            record[field] = value
+        else:
+            record["snippets"][0][field] = value
+        lines[number] = json.dumps(record, sort_keys=True).encode("utf-8")
+        cache_path.write_bytes(b"\n".join(lines))
+
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "snippetnet.cli", "extract",
+                "--actors", str(DEMO / "actors.txt"), "--corpus", str(DEMO / "corpus.jsonl"),
+                "--cache", str(cache_path), "--threshold", "0.0",
+                "--out", str(tmp_path / "network.json"),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert f"{cache_path}: line {number + 1}: malformed cache record" in result.stderr
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ from snippetnet.network import (
     EMPTY_LABELS,
     EMPTY_USR,
     build_network,
+    escape,
     export,
+    quoteattr,
     to_matrix,
 )
 from snippetnet.relations import Actor, RelationEvidence
@@ -185,6 +187,16 @@ class TestExports:
         net = build_network([actor], [], {}, threshold=0.0)
         text = export(net, "graphml").decode("utf-8")
         assert "Tom &amp; Co &lt;x&gt;" in text
+
+    def test_local_escapes_match_saxutils(self):
+        from xml.sax import saxutils
+
+        rng = random.Random(8)
+        alphabet = "&<>\"'\n\r\t abzAZ09;#é–中😀"
+        for _ in range(5000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(24)))
+            assert escape(text) == saxutils.escape(text), repr(text)
+            assert quoteattr(text) == saxutils.quoteattr(text), repr(text)
 
     def test_equal_networks_export_identically(self):
         assert export(self._network(), "json") == export(self._network(), "json")

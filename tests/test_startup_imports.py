@@ -1,0 +1,115 @@
+"""What `import snippetnet.cli` loads, checked in a fresh interpreter.
+
+A run on the fixture backend never talks to the network and, at the default
+--parallelism 1, never starts a thread pool, so importing the command line
+must not load the web client, the hashing behind `secrets`, or
+concurrent.futures and the logging it pulls in. The modules are compared
+with those of a bare interpreter, so whatever a machine's `site` preloads
+does not count.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+NOT_AT_STARTUP = (
+    "urllib.request",
+    "http.client",
+    "email",
+    "ssl",
+    "secrets",
+    "hashlib",
+    "concurrent.futures",
+    "logging",
+    "xml.sax.saxutils",
+)
+
+
+def run_python(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120
+    )
+    return result.stdout
+
+
+def loaded_modules(code: str) -> set:
+    return set(json.loads(run_python(code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))")))
+
+
+def test_importing_the_cli_loads_no_web_client_hashing_or_thread_pool():
+    added = loaded_modules("import snippetnet.cli") - loaded_modules("pass")
+    assert "snippetnet.cli" in added
+    unwanted = sorted(
+        module for module in added
+        if any(module == name or module.startswith(name + ".") for name in NOT_AT_STARTUP)
+    )
+    assert unwanted == []
+
+
+# Runs after the lean import, so the thread pool and urllib are first
+# imported by the code that needs them; urlopen is replaced before the first
+# live search, as the LiveBackend tests do by dotted path.
+_LAZY_USERS = """
+import json, sys
+sys.path.insert(0, {tests!r})
+import snippetnet.cli
+loaded_early = "urllib.request" in sys.modules or "concurrent.futures" in sys.modules
+from corpusdata import ACTORS, corpus20
+from snippetnet.backends import FixtureBackend, LiveBackend
+from snippetnet.budget import BudgetLedger
+from snippetnet.cache import QueryCache
+from snippetnet.corpus import FixtureDocument
+from snippetnet.gateway import SearchGateway
+from snippetnet.queries import build_query
+from snippetnet.relations import Actor, detect_all
+
+actors = [Actor(name) for name in ACTORS]
+corpus = tuple(FixtureDocument(doc_id=row["id"], url=row["url"], title=row["title"], body=row["body"])
+               for row in corpus20())
+
+def detect(parallelism):
+    gateway = SearchGateway(FixtureBackend(corpus), cache=QueryCache(), ledger=BudgetLedger(1000))
+    return detect_all(actors, gateway, parallelism=parallelism)
+
+serial, threaded = detect(1), detect(2)
+
+import urllib.request
+
+class Response:
+    def read(self):
+        return b'{{"hit_count": 4, "snippets": []}}'
+    def __enter__(self):
+        return self
+    def __exit__(self, *args):
+        return False
+
+requested = []
+def fake_urlopen(request, timeout):
+    requested.append(request.full_url)
+    return Response()
+
+urllib.request.urlopen = fake_urlopen
+result = LiveBackend("http://search.example/api").search(build_query(["alice"]), page_size=10)
+print(json.dumps({{
+    "loaded_early": loaded_early,
+    "threaded_matches_serial": threaded == serial,
+    "detected": sum(item.detected for item in serial),
+    "hit_count": result.hit_count,
+    "requested": requested,
+}}))
+"""
+
+
+def test_lazily_imported_thread_pool_and_web_client_still_work():
+    code = _LAZY_USERS.format(tests=str(Path(__file__).resolve().parent))
+    report = json.loads(run_python(code))
+    assert report["loaded_early"] is False
+    assert report["threaded_matches_serial"] is True
+    assert report["detected"] > 0
+    assert report["hit_count"] == 4
+    assert report["requested"] == ["http://search.example/api?q=%22alice%22&page_size=10"]
