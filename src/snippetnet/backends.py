@@ -5,7 +5,8 @@ it the reference every arithmetic claim is checked against. The live backend
 adapts a JSON-over-HTTP search service; engine counts are estimates, so it is
 explicitly outside those exactness guarantees. The live backend imports the
 web client (urllib, and with it http, email and ssl) on its first search, so
-a run on the fixture backend never loads it.
+a run on the fixture backend never loads it. ``parse_result`` is the one
+reader of a search answer, for live response bodies and cache records alike.
 """
 
 from __future__ import annotations
@@ -34,6 +35,27 @@ class RawSnippet:
 class SearchResult:
     hit_count: int
     snippets: tuple[RawSnippet, ...]
+
+
+def parse_result(payload) -> SearchResult:
+    """Read {"hit_count", "snippets": [{"url", "title", "abstract"}, ...]}.
+
+    Coerces nothing: a field of another type raises TypeError or ValueError.
+    """
+    hit_count, snippets = payload["hit_count"], payload["snippets"]
+    # type() rather than isinstance: a JSON true is a bool, not a count.
+    if type(hit_count) is not int or hit_count < 0:
+        raise ValueError(f"hit_count must be an integer >= 0, got {hit_count!r}")
+    if not isinstance(snippets, list):
+        raise TypeError(f"snippets must be a list, got {snippets!r}")
+    return SearchResult(hit_count=hit_count, snippets=tuple(_raw_snippet(s) for s in snippets))
+
+
+def _raw_snippet(fields) -> RawSnippet:
+    url, title, abstract = (fields[key] for key in ("url", "title", "abstract"))
+    if not (isinstance(url, str) and isinstance(title, str) and isinstance(abstract, str)):
+        raise TypeError(f"snippet url, title and abstract must be strings, got {fields!r}")
+    return RawSnippet(url=url, title=title, abstract=abstract)
 
 
 class SearchBackendPort(Protocol):
@@ -96,10 +118,10 @@ class LiveBackend:
     """Adapter for a JSON search service reached over HTTP.
 
     Sends GET <endpoint>?q=<rendered>&page_size=<n> with an optional bearer
-    token, and expects a body of the shape
-    {"hit_count": int, "snippets": [{"url", "title", "abstract"}, ...]}.
-    Transport and server failures raise BackendError; 5xx and network errors
-    are marked retryable, malformed payloads are not.
+    token, and reads the body with parse_result, keeping the first n
+    snippets. Transport and server failures raise BackendError; 5xx and
+    network errors are marked retryable, a body that parse_result rejects
+    is not.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 10.0):
@@ -126,16 +148,7 @@ class LiveBackend:
         except (urllib.error.URLError, OSError) as exc:
             raise BackendError(f"search endpoint unreachable: {exc}", retryable=True) from exc
         try:
-            payload = json.loads(body)
-            hit_count = max(0, int(payload["hit_count"]))
-            snippets = tuple(
-                RawSnippet(
-                    url=str(item.get("url", "")),
-                    title=str(item.get("title", "")),
-                    abstract=str(item.get("abstract", "")),
-                )
-                for item in payload.get("snippets", [])[:page_size]
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            result = parse_result(json.loads(body))
+        except (KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed search response: {exc!r}", retryable=False) from exc
-        return SearchResult(hit_count=hit_count, snippets=snippets)
+        return SearchResult(hit_count=result.hit_count, snippets=result.snippets[:page_size])

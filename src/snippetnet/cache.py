@@ -11,9 +11,9 @@ to its SearchResult; ``fetched_at`` lives only in the file.
 Opening replays the journal; the last record for a query wins. A final
 segment without a trailing newline is a torn append: it is dropped and cut
 off before the next append. A complete line that is not a valid record raises
-ValueError. A valid record has a string query, a hit_count that is a JSON
-integer >= 0 (not a bool or a float), and a list of snippets whose url,
-title and abstract are strings. ``_replay`` is the only record parser. A
+ValueError. A valid record has a string query and a ``fetched_at``, and the
+rest of it is a search answer that ``backends.parse_result``, the reader the
+live backend uses too, accepts. ``_replay`` is the only record parser. A
 file without the header is the older whole-object format ``{query:
 {"fetched_at", "hit_count", "snippets"}}``: each entry is reshaped into a
 journal record line and replayed, and only if every line parses is the file
@@ -28,11 +28,10 @@ import os
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .backends import RawSnippet, SearchResult
+from .backends import SearchResult, parse_result
 from .ioutil import atomic_write_bytes
 
 HEADER = b'{"snippetnet_cache": 2}\n'
-_RECORD_FIELDS = ("query", "hit_count", "snippets", "fetched_at")
 
 
 def utc_now_iso() -> str:
@@ -85,10 +84,7 @@ class QueryCache:
             self._append(_record_line({
                 "query": rendered,
                 "hit_count": result.hit_count,
-                "snippets": [
-                    {"url": s.url, "title": s.title, "abstract": s.abstract}
-                    for s in result.snippets
-                ],
+                "snippets": [vars(snippet) for snippet in result.snippets],
                 "fetched_at": fetched_at or utc_now_iso(),
             }))
 
@@ -129,24 +125,11 @@ def _replay(body: bytes, source: str) -> dict[str, SearchResult]:
         try:
             row = json.loads(line)
             # fetched_at must be present, although only the file keeps it.
-            rendered, hit_count, snippets, _ = (row[key] for key in _RECORD_FIELDS)
+            rendered, _ = row["query"], row["fetched_at"]
             if not isinstance(rendered, str):
                 raise TypeError(f"query must be a string, got {rendered!r}")
-            # type() rather than isinstance: a JSON true is a bool, not a count.
-            if type(hit_count) is not int or hit_count < 0:
-                raise ValueError(f"hit_count must be an integer >= 0, got {hit_count!r}")
-            if not isinstance(snippets, list):
-                raise TypeError(f"snippets must be a list, got {snippets!r}")
-            results[rendered] = SearchResult(
-                hit_count=hit_count, snippets=tuple(_raw_snippet(s) for s in snippets)
-            )
+            results[rendered] = parse_result(row)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{source}: line {number}: malformed cache record: {exc!r}") from exc
     return results
 
-
-def _raw_snippet(fields) -> RawSnippet:
-    url, title, abstract = (fields[key] for key in ("url", "title", "abstract"))
-    if not (isinstance(url, str) and isinstance(title, str) and isinstance(abstract, str)):
-        raise TypeError(f"snippet url, title and abstract must be strings, got {fields!r}")
-    return RawSnippet(url=url, title=title, abstract=abstract)

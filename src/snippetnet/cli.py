@@ -112,7 +112,7 @@ def cmd_extract(args) -> int:
     actors = load_actors(args.actors)
     if len(actors) < 2:
         raise ConfigError("need at least two actors")
-    overrides = _keyword_overrides(args.keywords) if args.keywords else None
+    overrides = _keyword_overrides(args.keywords) if args.keywords is not None else None
     gateway, corpus = _open_state(args)
     by_id = {actor.id: actor for actor in actors}
 
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command != "cache" and args.backend == "fixture" and not args.corpus:
             parser.error("argument --corpus: required with --backend fixture")
-        if args.command == "extract" and args.keywords and args.variant != "srwk":
+        if args.command == "extract" and args.keywords is not None and args.variant != "srwk":
             parser.error("argument --keywords: needs --variant srwk")
     except SystemExit as exc:
         return exc.code

@@ -20,9 +20,10 @@ class FixtureDocument:
 def load_corpus(path) -> tuple[FixtureDocument, ...]:
     """Read a JSON Lines corpus of {"id", "url", "title", "body"} rows.
 
-    Ids must be unique and strictly ascending; urls must carry a scheme
-    separator so every snippet built from them parses. Raises CorpusError
-    on any malformed row or on an empty file.
+    Ids must be JSON integers, unique and strictly ascending; url, title and
+    body must be strings, and urls must carry a scheme separator so every
+    snippet built from them parses. Raises CorpusError on any malformed row
+    or on an empty file.
     """
     source = Path(path)
     docs = []
@@ -42,14 +43,14 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
             if not isinstance(row, dict):
                 raise CorpusError(f"{source}:{lineno}: expected an object, got {type(row).__name__}")
             try:
-                doc = FixtureDocument(
-                    doc_id=int(row["id"]),
-                    url=str(row["url"]),
-                    title=str(row["title"]),
-                    body=str(row["body"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusError(f"{source}:{lineno}: missing or invalid field: {exc!r}") from exc
+                doc = FixtureDocument(row["id"], row["url"], row["title"], row["body"])
+            except KeyError as exc:
+                raise CorpusError(f"{source}:{lineno}: missing field: {exc!r}") from exc
+            # type() rather than isinstance: a JSON true is a bool, not an id.
+            if type(doc.doc_id) is not int:
+                raise CorpusError(f"{source}:{lineno}: id must be an integer, got {doc.doc_id!r}")
+            if not (isinstance(doc.url, str) and isinstance(doc.title, str) and isinstance(doc.body, str)):
+                raise CorpusError(f"{source}:{lineno}: url, title and body must be strings")
             if "://" not in doc.url:
                 raise CorpusError(f"{source}:{lineno}: url has no scheme separator: {doc.url!r}")
             if last_id is not None and doc.doc_id <= last_id:

@@ -80,7 +80,7 @@ def load_keyword_overrides(path) -> dict:
 
     Accepts two shapes: a plain map of actor id to a list of keyword strings,
     or the richer structure the keywords command writes, where each actor maps
-    to {"keywords": [{"term": ...}, ...]}.
+    to {"keywords": [{"term": ...}, ...]}. Every term must be a string.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
@@ -88,10 +88,12 @@ def load_keyword_overrides(path) -> dict:
     overrides: dict = {}
     for actor_id, value in payload.items():
         if isinstance(value, list):
-            terms = [str(term) for term in value]
+            terms = value
         elif isinstance(value, dict) and isinstance(value.get("keywords"), list):
-            terms = [str(entry["term"]) for entry in value["keywords"] if isinstance(entry, dict) and "term" in entry]
+            terms = [entry["term"] for entry in value["keywords"] if isinstance(entry, dict) and "term" in entry]
         else:
             raise ValueError(f"{path}: entry for {actor_id!r} is neither a term list nor a keyword set")
+        if not all(isinstance(term, str) for term in terms):
+            raise ValueError(f"{path}: keyword terms for {actor_id!r} must be strings, got {terms!r}")
         overrides[actor_id] = terms
     return overrides

@@ -283,8 +283,10 @@ class TestExitCodes:
         [
             ({"alice-nguyen": 42}, "neither a term list nor a keyword set"),
             ({"alice-nguyen": ['x" "y'], "bob-santos": ["graph"]}, "double quote in phrase"),
+            ({"alice-nguyen": [None], "bob-santos": [7]}, "keyword terms for 'alice-nguyen' must be strings"),
+            ({"alice-nguyen": {"keywords": [{"term": 7}]}}, "keyword terms for 'alice-nguyen' must be strings"),
         ],
-        ids=["not-a-term-list", "double-quote"],
+        ids=["not-a-term-list", "double-quote", "term-not-a-string", "keyword-set-term-not-a-string"],
     )
     def test_bad_keywords_file_is_rejected_before_paying(self, tmp_path, capsys, overrides, message):
         keywords = tmp_path / "kw.json"
@@ -308,6 +310,19 @@ class TestExitCodes:
             code, out = run_extract(tmp_path, actors, DEMO / "corpus.jsonl", keywords=keywords)
             assert code == 2
             assert "argument --keywords: needs --variant srwk" in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
+        assert not (tmp_path / "cache.json.ledger").exists()
+        assert not out.exists()
+
+    def test_empty_keywords_path_is_a_file_that_cannot_be_read(self, tmp_path, capsys):
+        code, out = run_extract(
+            tmp_path, DEMO / "actors.txt", DEMO / "corpus.jsonl", variant="srwk", keywords="",
+        )
+        assert code == 2
+        assert "cannot read keywords file" in capsys.readouterr().err
+        code, out = run_extract(tmp_path, DEMO / "actors.txt", DEMO / "corpus.jsonl", keywords="")
+        assert code == 2
+        assert "argument --keywords: needs --variant srwk" in capsys.readouterr().err
         assert not (tmp_path / "cache.json").exists()
         assert not (tmp_path / "cache.json.ledger").exists()
         assert not out.exists()

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import threading
 from pathlib import Path
@@ -130,6 +131,23 @@ class TestCorpusLoader:
             b'{"id": 2, "url": "http://b.com/y", "title": "caf\xe9", "body": "b"}\n'
         )
         with pytest.raises(CorpusError, match=r":2: invalid JSON"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("id", True), ("id", 2.9), ("id", "3"), ("url", ["http://a.com/x"]), ("title", None), ("body", 12)],
+        ids=["id-true", "id-float", "id-string", "url-list", "title-null", "body-number"],
+    )
+    def test_field_of_the_wrong_type_is_rejected_naming_the_line(self, tmp_path, field, value):
+        # Coercing would load true as id 1, a null title as the searchable text "None".
+        path = tmp_path / "typed.jsonl"
+        rows = [
+            {"id": 0, "url": "http://a.com/x", "title": "t", "body": "b"},
+            {"id": 3, "url": "http://b.com/y", "title": "t", "body": "b"},
+        ]
+        rows[1][field] = value
+        corpusdata.write_jsonl(path, rows)
+        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}:2: "):
             load_corpus(path)
 
     def test_unparseable_url_rejected(self, tmp_path):

@@ -1,0 +1,184 @@
+"""The live backend end to end over a loopback search service, and the one
+answer reader it shares with the query cache.
+
+The service answers each ``?q=`` by running the quoted phrases through a
+FixtureBackend over the demo corpus, so a live run can be compared with a
+fixture run edge for edge.
+"""
+
+import json
+import re
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
+from urllib.parse import parse_qs, urlsplit
+
+import pytest
+
+from conftest import read_json
+from snippetnet.backends import FixtureBackend, LiveBackend
+from snippetnet.cache import HEADER
+from snippetnet.cli import main
+from snippetnet.corpus import load_corpus
+from snippetnet.errors import BackendError
+from snippetnet.queries import build_query
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+
+def corpus_answer(backend, q, page_size):
+    result = backend.search(build_query(re.findall(r'"([^"]*)"', q)), page_size)
+    body = {"hit_count": result.hit_count, "snippets": [vars(s) for s in result.snippets]}
+    return 200, json.dumps(body).encode("utf-8")
+
+
+@pytest.fixture
+def search_server():
+    """A loopback search service; set ``server.answer(q, page_size)`` to replace its answers."""
+    backend = FixtureBackend(load_corpus(DEMO / "corpus.jsonl"))
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            params = parse_qs(urlsplit(self.path).query)
+            self.server.authorizations.append(self.headers.get("Authorization"))
+            status, body = self.server.answer(params["q"][0], int(params["page_size"][0]))
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.answer = lambda q, page_size: corpus_answer(backend, q, page_size)
+    server.authorizations = []
+    server.endpoint = f"http://127.0.0.1:{server.server_address[1]}/search"
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def extract(tmp_path, backend, out_name="network.json"):
+    argv = [
+        "extract", "--actors", str(DEMO / "actors.txt"), "--backend", backend,
+        "--cache", str(tmp_path / f"{backend}-cache.json"),
+        "--threshold", "0.2", "--out", str(tmp_path / out_name),
+    ]
+    if backend == "fixture":
+        argv += ["--corpus", str(DEMO / "corpus.jsonl")]
+    code = main(argv)
+    return code, tmp_path / out_name
+
+
+class TestLoopback:
+    def test_live_run_matches_fixture_run_and_replays_from_cache(
+        self, tmp_path, search_server, monkeypatch
+    ):
+        monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", search_server.endpoint)
+        monkeypatch.setenv("SNIPPETNET_API_KEY", "k123")
+        code, fixture_out = extract(tmp_path, "fixture", "fixture.json")
+        assert code == 0
+        code, live_out = extract(tmp_path, "live", "live.json")
+        assert code == 0
+
+        fixture_net, live_net = read_json(fixture_out), read_json(live_out)
+        assert live_net["nodes"] == fixture_net["nodes"]
+        assert live_net["edges"] == fixture_net["edges"]
+        assert len(live_net["edges"]) == 2
+        assert read_json(str(live_out) + ".report.json")["backend_calls"] == 19
+        assert search_server.authorizations == ["Bearer k123"] * 19
+
+        # The journal written from live answers replays through the same reader.
+        code, rerun_out = extract(tmp_path, "live", "rerun.json")
+        assert code == 0
+        assert read_json(str(rerun_out) + ".report.json")["backend_calls"] == 0
+        assert read_json(rerun_out)["edges"] == live_net["edges"]
+        assert len(search_server.authorizations) == 19
+
+    def test_infinite_hit_count_is_exit_4(self, tmp_path, search_server, monkeypatch, capsys):
+        monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", search_server.endpoint)
+        search_server.answer = lambda q, page_size: (200, b'{"hit_count": Infinity, "snippets": []}')
+        code, out = extract(tmp_path, "live")
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "malformed search response" in err
+        assert "hit_count must be an integer >= 0, got inf" in err
+        assert not out.exists()
+
+    def test_server_error_is_exit_4(self, tmp_path, search_server, monkeypatch, capsys):
+        monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", search_server.endpoint)
+        search_server.answer = lambda q, page_size: (503, b"{}")
+        code, out = extract(tmp_path, "live")
+        assert code == 4
+        assert "HTTP 503" in capsys.readouterr().err
+        assert len(search_server.authorizations) == 1
+        assert not out.exists()
+
+
+GOOD_ANSWER = {"hit_count": 3, "snippets": [{"url": "http://a.com/x", "title": "T", "abstract": "A"}]}
+DELETE = object()
+
+
+def spoiled(field, value):
+    answer = json.loads(json.dumps(GOOD_ANSWER))
+    target = answer if field in ("hit_count", "snippets") else answer["snippets"][0]
+    if value is DELETE:
+        del target[field]
+    else:
+        target[field] = value
+    return answer
+
+
+MALFORMED_ANSWERS = pytest.mark.parametrize(
+    "field, value",
+    [
+        ("hit_count", -5),
+        ("hit_count", True),
+        ("hit_count", 3.5),
+        ("hit_count", float("inf")),
+        ("hit_count", "12"),
+        ("url", None),
+        ("snippets", DELETE),
+        ("title", DELETE),
+    ],
+    ids=["negative", "true", "float", "infinite", "string", "null-url", "no-snippets", "no-title"],
+)
+
+
+class TestOneAnswerReader:
+    """Each malformed answer is refused by the live backend and by a cache record alike."""
+
+    @MALFORMED_ANSWERS
+    def test_live_backend_refuses_it_without_retry(self, monkeypatch, field, value):
+        class FakeResponse:
+            def read(self):
+                return json.dumps(spoiled(field, value)).encode("utf-8")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *args):
+                return False
+
+        monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout: FakeResponse())
+        with pytest.raises(BackendError, match="malformed search response") as info:
+            LiveBackend("http://search.example/api").search(build_query(["alice"]), page_size=10)
+        assert info.value.retryable is False
+
+    @MALFORMED_ANSWERS
+    def test_cache_record_refuses_it_with_exit_2(self, tmp_path, capsys, field, value):
+        record = {**spoiled(field, value), "query": '"Alice Nguyen"', "fetched_at": "2026-08-18T00:00:00+00:00"}
+        cache_path = tmp_path / "fixture-cache.json"
+        cache_path.write_bytes(HEADER + json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+        code, out = extract(tmp_path, "fixture")
+        assert code == 2
+        assert f"{cache_path}: line 2: malformed cache record" in capsys.readouterr().err
+        assert not out.exists()
