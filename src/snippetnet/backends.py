@@ -117,7 +117,8 @@ class FixtureBackend:
 class LiveBackend:
     """Adapter for a JSON search service reached over HTTP.
 
-    Sends GET <endpoint>?q=<rendered>&page_size=<n> with an optional bearer
+    Sends GET <endpoint>?q=<rendered>&page_size=<n> (joined with & to an
+    endpoint that carries its own query string) with an optional bearer
     token, and reads the body with parse_result, keeping the first n
     snippets. Transport and server failures raise BackendError; 5xx and
     network errors are marked retryable, a body that parse_result rejects
@@ -135,7 +136,8 @@ class LiveBackend:
         import urllib.request
 
         params = urllib.parse.urlencode({"q": query.rendered, "page_size": page_size})
-        request = urllib.request.Request(f"{self.endpoint}?{params}")
+        separator = "&" if "?" in self.endpoint else "?"
+        request = urllib.request.Request(f"{self.endpoint}{separator}{params}")
         if self.api_key:
             request.add_header("Authorization", f"Bearer {self.api_key}")
         try:

@@ -45,9 +45,9 @@ def _ledger_path(cache_path) -> Path:
 
 
 def load_actors(path) -> list:
-    """Plain text, one actor name per line; blank lines and '#' comments skipped."""
+    """Plain text, one actor name per line, a leading BOM allowed; blank lines and '#' comments skipped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read actors file {path}: {exc}") from exc
     actors = []
@@ -98,13 +98,9 @@ def _rank_keywords(contexts: dict, corpus, k: int) -> dict:
 def _keyword_overrides(path) -> dict:
     """The first term per actor in the override file, checked before any query is paid."""
     try:
-        overrides = load_keyword_overrides(path)
-        picked = {actor_id: terms[0] for actor_id, terms in overrides.items() if terms and terms[0].strip()}
-        for term in picked.values():
-            build_query([term])
+        return load_keyword_overrides(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read keywords file {path}: {exc}") from exc
-    return picked
 
 
 def cmd_extract(args) -> int:

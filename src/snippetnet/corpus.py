@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import CorpusError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
 
     Ids must be JSON integers, unique and strictly ascending; url, title and
     body must be strings, and urls must carry a scheme separator so every
-    snippet built from them parses. Raises CorpusError on any malformed row
+    snippet built from them parses. Raises ConfigError on any malformed row
     or on an empty file.
     """
     source = Path(path)
@@ -39,26 +39,26 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
             try:
                 row = json.loads(line)
             except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-                raise CorpusError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
+                raise ConfigError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):
-                raise CorpusError(f"{source}:{lineno}: expected an object, got {type(row).__name__}")
+                raise ConfigError(f"{source}:{lineno}: expected an object, got {type(row).__name__}")
             try:
                 doc = FixtureDocument(row["id"], row["url"], row["title"], row["body"])
             except KeyError as exc:
-                raise CorpusError(f"{source}:{lineno}: missing field: {exc!r}") from exc
+                raise ConfigError(f"{source}:{lineno}: missing field: {exc!r}") from exc
             # type() rather than isinstance: a JSON true is a bool, not an id.
             if type(doc.doc_id) is not int:
-                raise CorpusError(f"{source}:{lineno}: id must be an integer, got {doc.doc_id!r}")
+                raise ConfigError(f"{source}:{lineno}: id must be an integer, got {doc.doc_id!r}")
             if not (isinstance(doc.url, str) and isinstance(doc.title, str) and isinstance(doc.body, str)):
-                raise CorpusError(f"{source}:{lineno}: url, title and body must be strings")
+                raise ConfigError(f"{source}:{lineno}: url, title and body must be strings")
             if "://" not in doc.url:
-                raise CorpusError(f"{source}:{lineno}: url has no scheme separator: {doc.url!r}")
+                raise ConfigError(f"{source}:{lineno}: url has no scheme separator: {doc.url!r}")
             if last_id is not None and doc.doc_id <= last_id:
-                raise CorpusError(
+                raise ConfigError(
                     f"{source}:{lineno}: ids must be unique and ascending (got {doc.doc_id} after {last_id})"
                 )
             last_id = doc.doc_id
             docs.append(doc)
     if not docs:
-        raise CorpusError(f"{source}: corpus is empty")
+        raise ConfigError(f"{source}: corpus is empty")
     return tuple(docs)

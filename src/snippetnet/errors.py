@@ -1,34 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per command-line exit code."""
 
 
 class SnippetNetError(Exception):
     """Base class for the package's own errors.
 
-    A bad argument to a library function raises ValueError instead. The
-    subclasses cover unusable corpus or configuration files, the spent
-    budget, a failed backend, and a URL that cannot be parsed.
+    A bad argument to a library function, a URL included, raises ValueError
+    instead. The subclasses cover the spent budget, a failed backend, and an
+    unusable actors, corpus, keywords or state file.
     """
 
 
 class BudgetExhausted(SnippetNetError):
-    """The per-day query budget is spent; only cached queries can be served."""
+    """The per-day query budget is spent; only cached queries can be served (exit 3)."""
 
 
 class BackendError(SnippetNetError):
-    """A search backend failed to produce a result."""
+    """A search backend failed to produce a result (exit 4)."""
 
     def __init__(self, message: str, retryable: bool = False):
         super().__init__(message)
         self.retryable = retryable
 
 
-class MalformedUrl(SnippetNetError):
-    """A URL could not be split into scheme, host labels, and path segments."""
-
-
-class CorpusError(SnippetNetError):
-    """A fixture corpus file is malformed or violates ordering rules."""
-
-
 class ConfigError(SnippetNetError):
-    """Run configuration is invalid or references unusable inputs."""
+    """Run configuration is invalid or references unusable input files (exit 2)."""

@@ -76,13 +76,16 @@ def classify_attribute(term: str) -> str:
 
 
 def load_keyword_overrides(path) -> dict:
-    """Read a per-actor keyword file; returns {actor_id: [terms...]}.
+    """Read and check a per-actor keyword file; returns {actor_id: first term, trimmed}.
 
     Accepts two shapes: a plain map of actor id to a list of keyword strings,
     or the richer structure the keywords command writes, where each actor maps
-    to {"keywords": [{"term": ...}, ...]}. Every term must be a string.
+    to {"keywords": [{"term": ...}, ...]}. Every term, not only the first, must
+    be a string build_query accepts: not blank, no double quote. An empty list
+    gives that actor no keyword. Anything else raises ValueError naming the
+    actor. A UTF-8 byte order mark at the start of the file is skipped.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: keyword file must hold a JSON object")
     overrides: dict = {}
@@ -90,10 +93,16 @@ def load_keyword_overrides(path) -> dict:
         if isinstance(value, list):
             terms = value
         elif isinstance(value, dict) and isinstance(value.get("keywords"), list):
-            terms = [entry["term"] for entry in value["keywords"] if isinstance(entry, dict) and "term" in entry]
+            if not all(isinstance(entry, dict) and "term" in entry for entry in value["keywords"]):
+                raise ValueError(f'{path}: keywords of {actor_id!r} must be objects with a "term"')
+            terms = [entry["term"] for entry in value["keywords"]]
         else:
             raise ValueError(f"{path}: entry for {actor_id!r} is neither a term list nor a keyword set")
         if not all(isinstance(term, str) for term in terms):
             raise ValueError(f"{path}: keyword terms for {actor_id!r} must be strings, got {terms!r}")
-        overrides[actor_id] = terms
+        if terms:
+            try:
+                overrides[actor_id] = build_query(terms).terms[0]
+            except ValueError as exc:
+                raise ValueError(f"{path}: keyword terms for {actor_id!r}: {exc}") from exc
     return overrides

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .backends import RawSnippet
-from .errors import MalformedUrl
 
 
 @dataclass(frozen=True)
@@ -38,16 +37,16 @@ class Snippet:
 def parse_url(raw: str) -> UrlTokens:
     """Split a URL into scheme, right-to-left host labels, and path segments.
 
-    Raises MalformedUrl when there is no '://' separator or the host is empty.
+    Raises ValueError on a missing '://' separator or an empty scheme or host.
     Userinfo, if present, stays inside the host labels verbatim; empty path
     segments (from doubled or trailing slashes) are dropped.
     """
     if "://" not in raw:
-        raise MalformedUrl(f"no scheme separator in {raw!r}")
+        raise ValueError(f"no scheme separator in {raw!r}")
     scheme, _, rest = raw.partition("://")
     scheme = scheme.strip().lower()
     if not scheme:
-        raise MalformedUrl(f"empty scheme in {raw!r}")
+        raise ValueError(f"empty scheme in {raw!r}")
     for cut in ("#", "?"):
         rest = rest.split(cut, 1)[0]
     host, _, path = rest.partition("/")
@@ -57,7 +56,7 @@ def parse_url(raw: str) -> UrlTokens:
         host = head
     labels = [label for label in host.split(".") if label]
     if not labels:
-        raise MalformedUrl(f"empty host in {raw!r}")
+        raise ValueError(f"empty host in {raw!r}")
     segments = tuple(segment for segment in path.split("/") if segment)
     return UrlTokens(scheme=scheme, domains=tuple(reversed(labels)), paths=segments)
 
@@ -72,7 +71,7 @@ def parse_snippet(raw: RawSnippet) -> Snippet:
 
 
 def parse_snippets(raws) -> list[Snippet]:
-    """Parse each raw snippet, skipping those whose URL fails to parse.
+    """Parse each raw snippet, skipping those whose URL parse_url rejects.
 
     Fixture corpora are validated at load time, so only live engines return
     such URLs.
@@ -81,7 +80,7 @@ def parse_snippets(raws) -> list[Snippet]:
     for raw in raws:
         try:
             parsed.append(parse_snippet(raw))
-        except MalformedUrl:
+        except ValueError:
             continue
     return parsed
 

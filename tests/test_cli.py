@@ -13,6 +13,7 @@ from snippetnet.cache import QueryCache
 from snippetnet.cli import main
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
+NOT_TERM_OBJECTS = "keywords of 'alice-nguyen' must be objects with a \"term\""
 
 
 def run_extract(tmp_path, actors, corpus, out_name="network.json", **flags):
@@ -263,6 +264,21 @@ class TestExitCodes:
         assert f"cannot read actors file {actors}" in capsys.readouterr().err
         assert not (tmp_path / "cache.json").exists()
 
+    def test_actors_file_with_byte_order_mark_reads_like_the_plain_file(self, tmp_path):
+        written = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            workdir = tmp_path / name
+            workdir.mkdir()
+            actors = workdir / "actors.txt"
+            actors.write_bytes(prefix + (DEMO / "actors.txt").read_bytes())
+            code, out = run_extract(workdir, actors, DEMO / "corpus.jsonl", threshold="0.2", dump_evidence=True)
+            assert code == 0
+            written.append([
+                mask_timestamps(path.read_text(encoding="utf-8"))
+                for path in (out, Path(str(out) + ".evidence.jsonl"))
+            ])
+        assert written[1] == written[0]
+
     @pytest.mark.parametrize("command", [["extract", "--threshold", "0.0"], ["keywords"]],
                              ids=["extract", "keywords"])
     def test_actor_name_with_double_quote(self, tmp_path, corpus20_file, capsys, command):
@@ -285,8 +301,22 @@ class TestExitCodes:
             ({"alice-nguyen": ['x" "y'], "bob-santos": ["graph"]}, "double quote in phrase"),
             ({"alice-nguyen": [None], "bob-santos": [7]}, "keyword terms for 'alice-nguyen' must be strings"),
             ({"alice-nguyen": {"keywords": [{"term": 7}]}}, "keyword terms for 'alice-nguyen' must be strings"),
+            ({"alice-nguyen": {"keywords": [{"trem": "graph"}]}, "bob-santos": ["  "]}, NOT_TERM_OBJECTS),
+            ({"alice-nguyen": {"keywords": [{"term": "graph"}, {"trem": "mining"}]}}, NOT_TERM_OBJECTS),
+            ({"alice-nguyen": {"keywords": ["graph"]}}, NOT_TERM_OBJECTS),
+            ({"alice-nguyen": ["graph"], "bob-santos": ["  ", "graph"]}, "keyword terms for 'bob-santos': blank phrase"),
+            ({"alice-nguyen": ["graph", ""]}, "keyword terms for 'alice-nguyen': blank phrase"),
+            ({"alice-nguyen": ["graph", 'x" "y']}, "keyword terms for 'alice-nguyen': double quote in phrase"),
+            (
+                {"alice-nguyen": {"keywords": [{"term": "graph"}, {"term": " "}]}},
+                "keyword terms for 'alice-nguyen': blank phrase",
+            ),
         ],
-        ids=["not-a-term-list", "double-quote", "term-not-a-string", "keyword-set-term-not-a-string"],
+        ids=[
+            "not-a-term-list", "double-quote", "term-not-a-string", "keyword-set-term-not-a-string",
+            "misspelt-term-key-and-blank-term", "misspelt-term-key-after-a-good-one", "keyword-set-entry-not-an-object",
+            "blank-first-term", "blank-later-term", "double-quote-in-later-term", "keyword-set-blank-later-term",
+        ],
     )
     def test_bad_keywords_file_is_rejected_before_paying(self, tmp_path, capsys, overrides, message):
         keywords = tmp_path / "kw.json"

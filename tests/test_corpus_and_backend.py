@@ -11,7 +11,7 @@ import corpusdata
 from conftest import corpus_from_rows, make_gateway, scan_count, scan_matches
 from snippetnet.backends import ABSTRACT_LENGTH, FixtureBackend, LiveBackend
 from snippetnet.corpus import load_corpus
-from snippetnet.errors import BackendError, CorpusError
+from snippetnet.errors import BackendError, ConfigError
 from snippetnet.queries import build_query
 from snippetnet.relations import Actor, detect_all
 
@@ -73,7 +73,7 @@ class TestCorpusLoader:
             {"id": 1, "url": "http://b.com/y", "title": "t", "body": "b"},
         ]
         corpusdata.write_jsonl(path, rows)
-        with pytest.raises(CorpusError):
+        with pytest.raises(ConfigError):
             load_corpus(path)
 
     def test_descending_ids_rejected(self, tmp_path):
@@ -83,25 +83,25 @@ class TestCorpusLoader:
             {"id": 1, "url": "http://b.com/y", "title": "t", "body": "b"},
         ]
         corpusdata.write_jsonl(path, rows)
-        with pytest.raises(CorpusError):
+        with pytest.raises(ConfigError):
             load_corpus(path)
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "missing.jsonl"
         path.write_text('{"id": 1, "url": "http://a.com/x", "title": "t"}\n', encoding="utf-8")
-        with pytest.raises(CorpusError):
+        with pytest.raises(ConfigError):
             load_corpus(path)
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n", encoding="utf-8")
-        with pytest.raises(CorpusError):
+        with pytest.raises(ConfigError):
             load_corpus(path)
 
     def test_empty_corpus_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("", encoding="utf-8")
-        with pytest.raises(CorpusError):
+        with pytest.raises(ConfigError):
             load_corpus(path)
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
@@ -130,7 +130,7 @@ class TestCorpusLoader:
             b'{"id": 1, "url": "http://a.com/x", "title": "t", "body": "b"}\n'
             b'{"id": 2, "url": "http://b.com/y", "title": "caf\xe9", "body": "b"}\n'
         )
-        with pytest.raises(CorpusError, match=r":2: invalid JSON"):
+        with pytest.raises(ConfigError, match=r":2: invalid JSON"):
             load_corpus(path)
 
     @pytest.mark.parametrize(
@@ -147,7 +147,7 @@ class TestCorpusLoader:
         ]
         rows[1][field] = value
         corpusdata.write_jsonl(path, rows)
-        with pytest.raises(CorpusError, match=f"{re.escape(str(path))}:2: "):
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:2: "):
             load_corpus(path)
 
     def test_unparseable_url_rejected(self, tmp_path):
@@ -156,7 +156,7 @@ class TestCorpusLoader:
             json.dumps({"id": 1, "url": "no-scheme-here", "title": "t", "body": "b"}) + "\n",
             encoding="utf-8",
         )
-        with pytest.raises(CorpusError):
+        with pytest.raises(ConfigError):
             load_corpus(path)
 
 

@@ -103,6 +103,15 @@ class TestLoopback:
         assert read_json(rerun_out)["edges"] == live_net["edges"]
         assert len(search_server.authorizations) == 19
 
+    def test_endpoint_with_its_own_query_string_keeps_it(self, tmp_path, search_server, monkeypatch):
+        code, fixture_out = extract(tmp_path, "fixture", "fixture.json")
+        assert code == 0
+        monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", search_server.endpoint + "?engine=web")
+        code, live_out = extract(tmp_path, "live", "live.json")
+        assert code == 0
+        assert read_json(live_out)["edges"] == read_json(fixture_out)["edges"]
+        assert read_json(str(live_out) + ".report.json")["backend_calls"] == 19
+
     def test_infinite_hit_count_is_exit_4(self, tmp_path, search_server, monkeypatch, capsys):
         monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", search_server.endpoint)
         search_server.answer = lambda q, page_size: (200, b'{"hit_count": Infinity, "snippets": []}')

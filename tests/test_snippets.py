@@ -1,7 +1,6 @@
 import pytest
 
 from snippetnet.backends import RawSnippet
-from snippetnet.errors import MalformedUrl
 from snippetnet.snippets import Snippet, contains_term, parse_snippet, parse_url
 
 
@@ -50,7 +49,7 @@ class TestParseUrl:
         ["", "example.com/a", "http//missing.colon", "://nohost", "http://"],
     )
     def test_rejects_malformed(self, bad):
-        with pytest.raises(MalformedUrl):
+        with pytest.raises(ValueError):
             parse_url(bad)
 
     def test_render_round_trip_of_normalized_form(self):
@@ -76,7 +75,7 @@ class TestParseSnippet:
         assert snip.abstract == "body text"
 
     def test_rejects_bad_url(self):
-        with pytest.raises(MalformedUrl):
+        with pytest.raises(ValueError):
             parse_snippet(RawSnippet(url="not-a-url", title="t", abstract="a"))
 
 
