@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
-from .corpus import FixtureDocument
 from .errors import BackendError
 from .queries import Query
+
+if TYPE_CHECKING:  # corpus imports this module, through snippets
+    from .corpus import FixtureDocument
 
 # A snippet abstract is the first slice of the document body, mirroring the
 # short preview a result page shows under each hit.

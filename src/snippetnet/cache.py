@@ -14,11 +14,9 @@ off before the next append. A complete line that is not a valid record raises
 ValueError. A valid record has a string query and a ``fetched_at``, and the
 rest of it is a search answer that ``backends.parse_result``, the reader the
 live backend uses too, accepts. ``_replay`` is the only record parser. A
-file without the header is the older whole-object format ``{query:
-{"fetched_at", "hit_count", "snippets"}}``: each entry is reshaped into a
-journal record line and replayed, and only if every line parses is the file
-rewritten once, atomically, as the header plus those lines. A malformed old
-file is left as it was.
+file that does not begin with the header, or with a cut-off piece of it,
+raises ValueError. Opening never writes: the file keeps its bytes whatever
+they are, and only an append or ``clear`` changes it.
 """
 
 from __future__ import annotations
@@ -58,18 +56,16 @@ class QueryCache:
             data = cache.path.read_bytes()
         except FileNotFoundError:
             return cache
-        source = str(cache.path)
         # An empty file or a cut-off header is a journal whose first append
-        # was torn, not a file in the older format.
-        if HEADER.startswith(data[:len(HEADER)]):
-            cut = data.rfind(b"\n") + 1
-            if cut < len(data):
-                cache._torn_at = cut
-            cache._results = _replay(data[len(HEADER):cut], source)
-        else:
-            lines = _whole_object_as_lines(data, source)
-            cache._results = _replay(lines, f"{source} (whole-object cache read as a journal)")
-            atomic_write_bytes(cache.path, HEADER + lines)
+        # was torn.
+        if not HEADER.startswith(data[:len(HEADER)]):
+            raise ValueError(
+                f"{cache.path}: not a snippetnet cache journal: it does not begin with {HEADER.decode().strip()}"
+            )
+        cut = data.rfind(b"\n") + 1
+        if cut < len(data):
+            cache._torn_at = cut
+        cache._results = _replay(data[len(HEADER):cut], str(cache.path))
         return cache
 
     def __len__(self) -> int:
@@ -81,12 +77,13 @@ class QueryCache:
     def store(self, rendered: str, result: SearchResult, fetched_at: str | None = None) -> None:
         self._results[rendered] = result
         if self.path is not None:
-            self._append(_record_line({
+            record = {
                 "query": rendered,
                 "hit_count": result.hit_count,
                 "snippets": [vars(snippet) for snippet in result.snippets],
                 "fetched_at": fetched_at or utc_now_iso(),
-            }))
+            }
+            self._append((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
 
     def clear(self) -> None:
         self._results = {}
@@ -103,20 +100,6 @@ class QueryCache:
             if handle.seek(0, os.SEEK_END) == 0:
                 line = HEADER + line
             handle.write(line)
-
-
-def _record_line(record: dict) -> bytes:
-    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _whole_object_as_lines(data: bytes, source: str) -> bytes:
-    """Reshape the older whole-object format into journal record lines, unchecked."""
-    try:
-        payload = json.loads(data)
-        # AttributeError: not an object; TypeError: an entry that is not one.
-        return b"".join(_record_line({**entry, "query": query}) for query, entry in payload.items())
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{source}: neither a cache journal nor a whole-object cache: {exc!r}") from exc
 
 
 def _replay(body: bytes, source: str) -> dict[str, SearchResult]:

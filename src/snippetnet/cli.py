@@ -95,10 +95,10 @@ def _rank_keywords(contexts: dict, corpus, k: int) -> dict:
     }
 
 
-def _keyword_overrides(path) -> dict:
+def _keyword_overrides(path, actors) -> dict:
     """The first term per actor in the override file, checked before any query is paid."""
     try:
-        return load_keyword_overrides(path)
+        return load_keyword_overrides(path, [actor.id for actor in actors])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read keywords file {path}: {exc}") from exc
 
@@ -108,7 +108,7 @@ def cmd_extract(args) -> int:
     actors = load_actors(args.actors)
     if len(actors) < 2:
         raise ConfigError("need at least two actors")
-    overrides = _keyword_overrides(args.keywords) if args.keywords is not None else None
+    overrides = _keyword_overrides(args.keywords, actors) if args.keywords is not None else None
     gateway, corpus = _open_state(args)
     by_id = {actor.id: actor for actor in actors}
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .snippets import parse_url
 
 
 @dataclass(frozen=True)
@@ -21,9 +22,10 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
     """Read a JSON Lines corpus of {"id", "url", "title", "body"} rows.
 
     Ids must be JSON integers, unique and strictly ascending; url, title and
-    body must be strings, and urls must carry a scheme separator so every
-    snippet built from them parses. Raises ConfigError on any malformed row
-    or on an empty file.
+    body must be strings, and every url must pass snippets.parse_url, so no
+    snippet built from the corpus is dropped as unparseable. Raises
+    ConfigError naming the file and line on any malformed row, and on an
+    empty file.
     """
     source = Path(path)
     docs = []
@@ -51,8 +53,10 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
                 raise ConfigError(f"{source}:{lineno}: id must be an integer, got {doc.doc_id!r}")
             if not (isinstance(doc.url, str) and isinstance(doc.title, str) and isinstance(doc.body, str)):
                 raise ConfigError(f"{source}:{lineno}: url, title and body must be strings")
-            if "://" not in doc.url:
-                raise ConfigError(f"{source}:{lineno}: url has no scheme separator: {doc.url!r}")
+            try:
+                parse_url(doc.url)
+            except ValueError as exc:
+                raise ConfigError(f"{source}:{lineno}: url does not parse: {exc}") from exc
             if last_id is not None and doc.doc_id <= last_id:
                 raise ConfigError(
                     f"{source}:{lineno}: ids must be unique and ascending (got {doc.doc_id} after {last_id})"

@@ -75,19 +75,24 @@ def classify_attribute(term: str) -> str:
     return "flexible"
 
 
-def load_keyword_overrides(path) -> dict:
+def load_keyword_overrides(path, actor_ids) -> dict:
     """Read and check a per-actor keyword file; returns {actor_id: first term, trimmed}.
 
     Accepts two shapes: a plain map of actor id to a list of keyword strings,
     or the richer structure the keywords command writes, where each actor maps
-    to {"keywords": [{"term": ...}, ...]}. Every term, not only the first, must
-    be a string build_query accepts: not blank, no double quote. An empty list
-    gives that actor no keyword. Anything else raises ValueError naming the
-    actor. A UTF-8 byte order mark at the start of the file is skipped.
+    to {"keywords": [{"term": ...}, ...]}. Every id must be one of actor_ids,
+    so a misspelt id cannot leave its actor without a keyword. Every term, not
+    only the first, must be a string build_query accepts: not blank, no double
+    quote. An empty list gives that actor no keyword. Anything else raises
+    ValueError naming the actor. A UTF-8 byte order mark at the start of the
+    file is skipped.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: keyword file must hold a JSON object")
+    unknown = sorted(set(payload) - set(actor_ids))
+    if unknown:
+        raise ValueError(f"{path}: ids that name no actor in this run: {', '.join(unknown)}")
     overrides: dict = {}
     for actor_id, value in payload.items():
         if isinstance(value, list):

@@ -139,33 +139,6 @@ class TestQueryCache:
             with pytest.raises(ValueError, match="line 3: malformed cache record"):
                 QueryCache.open(path)
 
-    def test_whole_object_cache_is_converted_to_journal(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(
-            '{\n'
-            '  "\\"alice\\"": {\n'
-            '    "fetched_at": "2026-08-18T00:00:00+00:00",\n'
-            '    "hit_count": 7,\n'
-            '    "snippets": [{"abstract": "A", "title": "T", "url": "http://a.com/x"}]\n'
-            '  },\n'
-            '  "\\"alice\\" \\"bob\\"": {\n'
-            '    "fetched_at": "2026-08-18T00:00:01+00:00",\n'
-            '    "hit_count": 0,\n'
-            '    "snippets": []\n'
-            '  }\n'
-            '}\n',
-            encoding="utf-8",
-        )
-        cache = QueryCache.open(path)
-        assert len(cache) == 2
-        assert cache.lookup('"alice"') == _result(7)
-        assert cache.lookup('"alice" "bob"') == SearchResult(hit_count=0, snippets=())
-
-        assert path.read_bytes().startswith(b'{"snippetnet_cache": 2}\n')
-        reopened = QueryCache.open(path)
-        assert len(reopened) == 2
-        assert reopened.lookup('"alice"') == _result(7)
-
 
 class TestBudgetLedger:
     def test_charges_until_limit(self):

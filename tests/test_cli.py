@@ -311,11 +311,16 @@ class TestExitCodes:
                 {"alice-nguyen": {"keywords": [{"term": "graph"}, {"term": " "}]}},
                 "keyword terms for 'alice-nguyen': blank phrase",
             ),
+            (
+                {"alice-nguyn": ["community"], "bob-santos": ["graph"], "zed": []},
+                "ids that name no actor in this run: alice-nguyn, zed",
+            ),
         ],
         ids=[
             "not-a-term-list", "double-quote", "term-not-a-string", "keyword-set-term-not-a-string",
             "misspelt-term-key-and-blank-term", "misspelt-term-key-after-a-good-one", "keyword-set-entry-not-an-object",
             "blank-first-term", "blank-later-term", "double-quote-in-later-term", "keyword-set-blank-later-term",
+            "misspelt-actor-id",
         ],
     )
     def test_bad_keywords_file_is_rejected_before_paying(self, tmp_path, capsys, overrides, message):
@@ -424,35 +429,24 @@ class TestCacheJournal:
         assert code == 0
         return out, read_json(str(out) + ".report.json")["backend_calls"]
 
-    def test_rerun_after_torn_append_pays_only_the_lost_query(self, tmp_path):
+    def test_rerun_after_torn_append_pays_only_the_lost_query(self, tmp_path, capsys):
         cache_path = tmp_path / "cache.json"
         _, calls = self._extract_demo(tmp_path)
         data = cache_path.read_bytes()
         assert data.count(b"\n") == calls + 1
         cache_path.write_bytes(data[:-40])
+        capsys.readouterr()
+
+        # Reading the cache leaves the torn tail for the next append to cut.
+        assert main(["cache", "stats", "--cache", str(cache_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == calls - 1
+        assert cache_path.read_bytes() == data[:-40]
 
         _, rerun_calls = self._extract_demo(tmp_path)
         assert rerun_calls == 1
         assert len(QueryCache.open(cache_path)) == calls
         _, warm_calls = self._extract_demo(tmp_path)
         assert warm_calls == 0
-
-    def test_whole_object_cache_resumes_at_zero_calls(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        out, calls = self._extract_demo(tmp_path)
-        assert calls > 0
-        first = mask_timestamps(out.read_text(encoding="utf-8"))
-        records = [json.loads(line) for line in cache_path.read_text(encoding="utf-8").splitlines()[1:]]
-        legacy = {
-            record["query"]: {key: record[key] for key in ("fetched_at", "hit_count", "snippets")}
-            for record in records
-        }
-        cache_path.write_text(json.dumps(legacy, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-        out, rerun_calls = self._extract_demo(tmp_path)
-        assert rerun_calls == 0
-        assert mask_timestamps(out.read_text(encoding="utf-8")) == first
-        assert cache_path.read_bytes().startswith(b'{"snippetnet_cache": 2}\n')
 
     def test_malformed_line_mid_journal_is_exit_2(self, tmp_path):
         cache_path = tmp_path / "cache.json"
@@ -548,6 +542,31 @@ class TestCacheJournal:
         assert "Traceback" not in result.stderr
         assert cache_path.read_bytes() == old
         assert not (tmp_path / "cache.json.ledger").exists()
+
+    @pytest.mark.parametrize("command", ["extract", "cache stats"], ids=["extract", "cache-stats"])
+    def test_headerless_cache_is_exit_2_and_kept(self, tmp_path, command):
+        # A well-formed cache in the single-JSON-object format written before
+        # the journal: only a journal is read, and opening never writes.
+        cache_path = tmp_path / "cache.json"
+        old = ('{"\\"Alice Nguyen\\"": {"fetched_at": "2026-08-18T00:00:00+00:00", '
+               '"hit_count": 3, "snippets": []}}\n').encode("utf-8")
+        cache_path.write_bytes(old)
+        argv = command.split() + ["--cache", str(cache_path)]
+        if command == "extract":
+            argv += [
+                "--actors", str(DEMO / "actors.txt"), "--corpus", str(DEMO / "corpus.jsonl"),
+                "--threshold", "0.0", "--out", str(tmp_path / "network.json"),
+            ]
+
+        result = subprocess.run(
+            [sys.executable, "-m", "snippetnet.cli", *argv], capture_output=True, text=True
+        )
+        assert result.returncode == 2
+        assert f"{cache_path}: not a snippetnet cache journal" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert cache_path.read_bytes() == old
+        assert not (tmp_path / "cache.json.ledger").exists()
+        assert not (tmp_path / "network.json").exists()
 
 
 class TestResume:

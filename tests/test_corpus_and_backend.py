@@ -152,12 +152,12 @@ class TestCorpusLoader:
 
     def test_unparseable_url_rejected(self, tmp_path):
         path = tmp_path / "nourl.jsonl"
-        path.write_text(
-            json.dumps({"id": 1, "url": "no-scheme-here", "title": "t", "body": "b"}) + "\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(ConfigError):
-            load_corpus(path)
+        for url in ("no-scheme-here", "http:///path", "://host/x"):
+            rows = [{"id": 1, "url": "http://a.com/x", "title": "t", "body": "b"},
+                    {"id": 2, "url": url, "title": "t", "body": "b"}]
+            corpusdata.write_jsonl(path, rows)
+            with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:2: url does not parse"):
+                load_corpus(path)
 
 
 class TestFixtureSearch:

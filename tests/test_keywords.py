@@ -104,30 +104,33 @@ class TestClassifyAttribute:
             classify_attribute("")
 
 
+ACTOR_IDS = [Actor(name).id for name in ACTORS]
+
+
 class TestKeywordOverrides:
     def test_plain_list_shape(self, tmp_path):
         path = tmp_path / "kw.json"
         path.write_text(json.dumps({"alice-nguyen": ["graph", "mining"]}), encoding="utf-8")
-        assert load_keyword_overrides(path) == {"alice-nguyen": "graph"}
+        assert load_keyword_overrides(path, ACTOR_IDS) == {"alice-nguyen": "graph"}
 
     def test_keyword_command_output_shape(self, tmp_path):
         path = tmp_path / "kw.json"
         payload = {"alice-nguyen": {"keywords": [{"term": "graph", "score": 1.5}], "name": "Alice Nguyen"}}
         path.write_text(json.dumps(payload), encoding="utf-8")
-        assert load_keyword_overrides(path) == {"alice-nguyen": "graph"}
+        assert load_keyword_overrides(path, ACTOR_IDS) == {"alice-nguyen": "graph"}
 
     def test_first_term_trimmed_and_empty_list_gives_no_keyword(self, tmp_path):
         path = tmp_path / "kw.json"
         path.write_text(json.dumps({"alice-nguyen": [], "bob-santos": [" graph ", "mining"]}), encoding="utf-8")
-        assert load_keyword_overrides(path) == {"bob-santos": "graph"}
+        assert load_keyword_overrides(path, ACTOR_IDS) == {"bob-santos": "graph"}
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         path = tmp_path / "kw.json"
         path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"alice-nguyen": ["graph"]}).encode("utf-8"))
-        assert load_keyword_overrides(path) == {"alice-nguyen": "graph"}
+        assert load_keyword_overrides(path, ACTOR_IDS) == {"alice-nguyen": "graph"}
 
     def test_malformed_entry_rejected(self, tmp_path):
         path = tmp_path / "kw.json"
         path.write_text(json.dumps({"alice-nguyen": 42}), encoding="utf-8")
         with pytest.raises(ValueError):
-            load_keyword_overrides(path)
+            load_keyword_overrides(path, ACTOR_IDS)
