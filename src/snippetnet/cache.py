@@ -15,8 +15,8 @@ ValueError. A valid record has a string query and a ``fetched_at``, and the
 rest of it is a search answer that ``backends.parse_result``, the reader the
 live backend uses too, accepts. ``_replay`` is the only record parser. A
 file that does not begin with the header, or with a cut-off piece of it,
-raises ValueError. Opening never writes: the file keeps its bytes whatever
-they are, and only an append or ``clear`` changes it.
+raises ValueError, and ``clear`` refuses it. Opening never writes: the file
+keeps its bytes whatever they are; only an append or ``clear`` changes it.
 """
 
 from __future__ import annotations
@@ -56,12 +56,7 @@ class QueryCache:
             data = cache.path.read_bytes()
         except FileNotFoundError:
             return cache
-        # An empty file or a cut-off header is a journal whose first append
-        # was torn.
-        if not HEADER.startswith(data[:len(HEADER)]):
-            raise ValueError(
-                f"{cache.path}: not a snippetnet cache journal: it does not begin with {HEADER.decode().strip()}"
-            )
+        _check_header(data, cache.path)
         cut = data.rfind(b"\n") + 1
         if cut < len(data):
             cache._torn_at = cut
@@ -88,6 +83,8 @@ class QueryCache:
     def clear(self) -> None:
         self._results = {}
         if self.path is not None:
+            if self.path.exists():
+                _check_header(self.path.read_bytes(), self.path)
             atomic_write_bytes(self.path, HEADER)
             self._torn_at = None
 
@@ -100,6 +97,12 @@ class QueryCache:
             if handle.seek(0, os.SEEK_END) == 0:
                 line = HEADER + line
             handle.write(line)
+
+
+def _check_header(data: bytes, path) -> None:
+    # An empty file or a cut-off header is a journal whose first append was torn.
+    if not HEADER.startswith(data[:len(HEADER)]):
+        raise ValueError(f"{path}: not a snippetnet cache journal: it does not begin with {HEADER.decode().strip()}")
 
 
 def _replay(body: bytes, source: str) -> dict[str, SearchResult]:

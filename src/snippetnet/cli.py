@@ -88,7 +88,7 @@ def _open_state(args):
 
 def _rank_keywords(contexts: dict, corpus, k: int) -> dict:
     """Each actor's top-k (term, score) pairs, tf-idf against the corpus if there is one."""
-    doc_freq = document_frequencies(corpus)
+    doc_freq = document_frequencies(corpus) if contexts else {}  # no actor, no pass over the corpus
     return {
         actor_id: extract_keywords(snippets, doc_freq, len(corpus), k)
         for actor_id, (snippets, _) in contexts.items()
@@ -240,16 +240,16 @@ def cmd_keywords(args) -> int:
 
 
 def cmd_cache(action: str, cache_path) -> int:
-    if action == "stats":
-        try:
-            cache = QueryCache.open(cache_path)
-            ledger_state = read_ledger_state(_ledger_path(cache_path))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        print(json.dumps({"entries": len(cache), "ledger": ledger_state}, indent=2, sort_keys=True))
-        return 0
-    QueryCache(cache_path).clear()
-    print(f"cleared {cache_path}")
+    try:
+        if action == "clear":
+            QueryCache(cache_path).clear()
+            print(f"cleared {cache_path}")
+            return 0
+        cache = QueryCache.open(cache_path)
+        ledger_state = read_ledger_state(_ledger_path(cache_path))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    print(json.dumps({"entries": len(cache), "ledger": ledger_state}, indent=2, sort_keys=True))
     return 0
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 from .corpus import FixtureDocument
@@ -11,7 +12,7 @@ from .gateway import SearchGateway
 from .queries import build_query
 from .relations import Actor
 from .snippets import parse_snippets
-from .text import tokenize
+from .text import raw_tokens, tokenize
 
 
 def fetch_actor_context(actor: Actor, gateway: SearchGateway):
@@ -52,11 +53,11 @@ def extract_keywords(l_a, corpus_doc_freq: dict, corpus_size: int, k: int) -> tu
 
 def document_frequencies(documents: tuple[FixtureDocument, ...]) -> dict:
     """How many corpus documents contain each token at least once."""
-    frequencies: dict = {}
+    counts: Counter = Counter()
     for doc in documents:
-        for token in set(tokenize(f"{doc.title} {doc.body}")):
-            frequencies[token] = frequencies.get(token, 0) + 1
-    return frequencies
+        counts.update(set(raw_tokens(f"{doc.title} {doc.body}")))
+    # Filter each distinct token once: the joined raw tokens tokenize to those that count.
+    return {token: counts[token] for token in tokenize(" ".join(counts))}
 
 
 def classify_attribute(term: str) -> str:

@@ -1,17 +1,17 @@
 """Shared tokenizer and the built-in English stopword list.
 
-Tokens are lowercase runs of ASCII letters and digits; anything shorter than
-three characters or on the stopword list is dropped. The same tokenizer feeds
-keyword extraction and edge labeling so scores and labels stay comparable.
+Text is lowercased first, then cut at every character other than an ASCII
+letter or digit, any non-ASCII one too, so "Café" gives "caf". Tokens shorter
+than three characters or on the stopword list are dropped. The same tokenizer
+feeds keyword extraction and edge labeling so scores and labels stay comparable.
 """
 
 from __future__ import annotations
 
-import re
-
 MIN_TOKEN_LENGTH = 3
 
-_SPLIT = re.compile(r"[^0-9a-z]+")
+# Maps every byte but [0-9a-z] to a space, "?" too, which non-ASCII encodes to.
+_TABLE = bytes(byte if chr(byte) in "0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 for byte in range(256))
 
 STOPWORDS = frozenset(
     """
@@ -29,10 +29,11 @@ STOPWORDS = frozenset(
 )
 
 
+def raw_tokens(text: str) -> list[str]:
+    """Every token of text, in order, before short tokens and stopwords are dropped."""
+    return text.lower().encode("ascii", "replace").translate(_TABLE).decode("ascii").split()
+
+
 def tokenize(text: str, stopwords: frozenset = STOPWORDS) -> list[str]:
-    """Lowercase, split on non-alphanumerics, drop short tokens and stopwords."""
-    out = []
-    for token in _SPLIT.split(text.lower()):
-        if len(token) >= MIN_TOKEN_LENGTH and token not in stopwords:
-            out.append(token)
-    return out
+    """The tokens of text, less those shorter than MIN_TOKEN_LENGTH or in stopwords."""
+    return [token for token in raw_tokens(text) if len(token) >= MIN_TOKEN_LENGTH and token not in stopwords]

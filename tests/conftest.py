@@ -11,6 +11,7 @@ from snippetnet.cache import QueryCache
 from snippetnet.corpus import FixtureDocument
 from snippetnet.gateway import SearchGateway
 from snippetnet.relations import Actor
+from snippetnet.text import MIN_TOKEN_LENGTH, STOPWORDS
 
 
 # ---------------------------------------------------------------- oracle ----
@@ -30,6 +31,22 @@ def scan_matches(rows, phrases):
 
 def scan_count(rows, phrases):
     return len(scan_matches(rows, phrases))
+
+
+# The tokenizer rule stated as a regex: lowercase, split on every run of
+# characters other than [0-9a-z], drop short tokens and stopwords.
+_NON_ALNUM = re.compile(r"[^0-9a-z]+")
+
+
+def regex_raw_tokens(text):
+    return [token for token in _NON_ALNUM.split(text.lower()) if token]
+
+
+def regex_tokenize(text, stopwords=STOPWORDS):
+    return [
+        token for token in regex_raw_tokens(text)
+        if len(token) >= MIN_TOKEN_LENGTH and token not in stopwords
+    ]
 
 
 # --------------------------------------------------------------- helpers ----

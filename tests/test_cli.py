@@ -9,6 +9,7 @@ import pytest
 
 from conftest import mask_timestamps, read_json
 from corpusdata import no_cooccurrence_actors, no_cooccurrence_corpus, write_jsonl
+from snippetnet import cli
 from snippetnet.cache import QueryCache
 from snippetnet.cli import main
 
@@ -146,6 +147,27 @@ class TestExtract:
         for edge in net["edges"]:
             assert edge["weight"]["variant"] == "srwk"
             assert edge["weight"]["keywords_used"] is not None
+
+    def test_srwk_without_detected_pairs_reads_no_document_frequencies(self, tmp_path, monkeypatch):
+        actors_file = tmp_path / "actors.txt"
+        corpus_file = tmp_path / "corpus.jsonl"
+        actors_file.write_text("\n".join(no_cooccurrence_actors()) + "\n", encoding="utf-8")
+        write_jsonl(corpus_file, no_cooccurrence_corpus())
+        calls = []
+        real = cli.document_frequencies
+        monkeypatch.setattr(cli, "document_frequencies", lambda corpus: calls.append(1) or real(corpus))
+
+        written = {}
+        for variant in ("sr", "srwk"):
+            (tmp_path / variant).mkdir()
+            code, out = run_extract(tmp_path / variant, actors_file, corpus_file, variant=variant, dump_evidence=True)
+            assert code == 0
+            paths = [out, Path(f"{out}.evidence.jsonl"), Path(f"{out}.report.json"), tmp_path / variant / "cache.json"]
+            written[variant] = [mask_timestamps(path.read_text(encoding="utf-8")) for path in paths]
+        assert calls == []
+        # With no pair to score, srwk writes what sr writes but for its name.
+        assert written["srwk"][0] == written["sr"][0].replace('"variant": "sr"', '"variant": "srwk"')
+        assert written["srwk"][1:] == written["sr"][1:]
 
 
 class TestReportRoles:
@@ -667,6 +689,40 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache", str(tmp_path / "none.json")]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats == {"entries": 0, "ledger": None}
+
+    def test_clear_refuses_a_file_that_is_not_a_cache(self, tmp_path):
+        not_a_cache = tmp_path / "actors-copy.txt"
+        old = (DEMO / "actors.txt").read_bytes()
+        not_a_cache.write_bytes(old)
+
+        result = subprocess.run(
+            [sys.executable, "-m", "snippetnet.cli", "cache", "clear", "--cache", str(not_a_cache)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert f"{not_a_cache}: not a snippetnet cache journal" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert "cleared" not in result.stdout
+        assert not_a_cache.read_bytes() == old
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            b"",
+            b'{"snippetnet_ca',
+            b'{"snippetnet_cache": 2}\n{"query": "\\"A\\"", "hit',
+            b'{"snippetnet_cache": 2}\nnot a record\n',
+        ],
+        ids=["absent", "empty", "torn-header", "journal-with-torn-record", "journal-with-bad-record"],
+    )
+    def test_clear_empties_a_journal_in_any_state(self, tmp_path, capsys, content):
+        cache_path = tmp_path / "cache.json"
+        if content is not None:
+            cache_path.write_bytes(content)
+        assert main(["cache", "clear", "--cache", str(cache_path)]) == 0
+        assert capsys.readouterr().out == f"cleared {cache_path}\n"
+        assert cache_path.read_bytes() == b'{"snippetnet_cache": 2}\n'
 
 
 class TestConsoleEntry:

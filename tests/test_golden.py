@@ -12,6 +12,8 @@ To regenerate after an intended output change:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -40,13 +42,15 @@ CASES = {
 }
 
 
-def run_case(case: str, workdir: Path) -> dict:
-    """Run one case in workdir; returns {file name: masked text} of what it wrote."""
+def case_argv(case: str, workdir: Path) -> list:
     command, out_name = CASES[case]
-    argv = command[:1] + _DEMO_INPUTS + command[1:] + [
+    return command[:1] + _DEMO_INPUTS + command[1:] + [
         "--cache", str(workdir / "cache.json"), "--out", str(workdir / out_name),
     ]
-    assert main(argv) == 0
+
+
+def written_files(workdir: Path) -> dict:
+    """{file name: masked text} of what a case wrote in workdir."""
     return {
         path.name: mask_timestamps(path.read_text(encoding="utf-8"))
         for path in sorted(workdir.iterdir())
@@ -54,16 +58,39 @@ def run_case(case: str, workdir: Path) -> dict:
     }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_demo_outputs_match_golden(case, tmp_path):
-    written = run_case(case, tmp_path)
-    expected_dir = GOLDEN / case
+def run_case(case: str, workdir: Path) -> dict:
+    """Run one case in workdir; returns {file name: masked text} of what it wrote."""
+    assert main(case_argv(case, workdir)) == 0
+    return written_files(workdir)
+
+
+def assert_matches_golden(case: str, written: dict) -> None:
     expected = {
-        path.name: path.read_text(encoding="utf-8") for path in sorted(expected_dir.iterdir())
+        path.name: path.read_text(encoding="utf-8") for path in sorted((GOLDEN / case).iterdir())
     }
     assert sorted(written) == sorted(expected)
     for name, text in expected.items():
         assert written[name] == text, f"{case}/{name} differs from the golden file"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_demo_outputs_match_golden(case, tmp_path):
+    assert_matches_golden(case, run_case(case, tmp_path))
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_srwk_output_does_not_depend_on_the_hash_seed(seed, tmp_path):
+    # Document frequencies are counted over per-document sets of tokens, whose
+    # order follows string hashing; PYTHONHASHSEED fixes that hashing per
+    # interpreter, so each seed needs its own process.
+    env = {**os.environ, "PYTHONHASHSEED": seed}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "snippetnet.cli", *case_argv("srwk-json", tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert_matches_golden("srwk-json", written_files(tmp_path))
 
 
 def regenerate() -> None:

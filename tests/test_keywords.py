@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from conftest import corpus_from_rows, regex_tokenize
 from corpusdata import ACTORS
 from snippetnet.keywords import (
     classify_attribute,
@@ -13,7 +14,6 @@ from snippetnet.keywords import (
 )
 from snippetnet.relations import Actor
 from snippetnet.snippets import Snippet, parse_url
-from snippetnet.text import tokenize
 
 
 def _snip(title, abstract):
@@ -73,12 +73,23 @@ class TestDocumentFrequencies:
     def test_matches_per_document_token_scan(self, corpus20_rows, corpus20):
         oracle: dict = {}
         for row in corpus20_rows:
-            for token in set(tokenize(f"{row['title']} {row['body']}")):
+            for token in set(regex_tokenize(f"{row['title']} {row['body']}")):
                 oracle[token] = oracle.get(token, 0) + 1
         assert document_frequencies(corpus20) == oracle
 
     def test_ubiquitous_token_has_full_frequency(self, corpus20):
         assert document_frequencies(corpus20)["research"] == len(corpus20)
+
+    def test_non_ascii_repeats_stopwords_and_short_tokens(self):
+        corpus = corpus_from_rows([
+            {"id": 1, "url": "http://a.org/1", "title": "Café İstanbul \u212aELVIN",
+             "body": "kelvin KELVIN café of the ox"},
+            {"id": 2, "url": "http://a.org/2", "title": "Kelvin", "body": "and Cafe at it"},
+        ])
+        # "café" gives "caf", "İstanbul" gives "i" and "stanbul"; the Kelvin
+        # sign lowercases to "k", so every spelling of kelvin is one token,
+        # counted once per document however often it repeats there.
+        assert document_frequencies(corpus) == {"caf": 1, "stanbul": 1, "kelvin": 2, "cafe": 1}
 
 
 class TestClassifyAttribute:
