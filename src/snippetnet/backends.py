@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # corpus imports this module, through snippets
 # A snippet abstract is the first slice of the document body, mirroring the
 # short preview a result page shows under each hit.
 ABSTRACT_LENGTH = 200
+PAGE_SIZE = 10  # one result page per query: the cache is keyed by the query alone
 
 
 @dataclass(frozen=True)
@@ -61,8 +62,8 @@ def _raw_snippet(fields) -> RawSnippet:
 
 
 class SearchBackendPort(Protocol):
-    def search(self, query: Query, page_size: int) -> SearchResult:
-        """Run one query, returning a hit count and at most page_size snippets."""
+    def search(self, query: Query) -> SearchResult:
+        """Run one query, returning a hit count and at most PAGE_SIZE snippets."""
 
 
 class FixtureBackend:
@@ -95,20 +96,18 @@ class FixtureBackend:
             self._positions[phrase] = positions
         return positions
 
-    def search(self, query: Query, page_size: int) -> SearchResult:
+    def search(self, query: Query) -> SearchResult:
         """Exact conjunctive search over the fixture corpus.
 
         A document matches when every phrase of the query occurs, case
         insensitively, as a contiguous substring of its title, body, or url.
         hit_count is the exact number of matches; snippets are the first
-        page_size matches in corpus order, which is ascending document id.
+        PAGE_SIZE matches in corpus order, which is ascending document id.
         """
-        if page_size < 1:
-            raise ValueError("page_size must be >= 1")
         smallest, *rest = sorted((self._matching(term.lower()) for term in query.terms), key=len)
         hits = smallest.intersection(*rest)
         documents = self._documents
-        first_page = [documents[index] for index in sorted(hits)[:page_size]]
+        first_page = [documents[index] for index in sorted(hits)[:PAGE_SIZE]]
         snippets = tuple(
             RawSnippet(url=doc.url, title=doc.title, abstract=doc.body[:ABSTRACT_LENGTH])
             for doc in first_page
@@ -119,9 +118,9 @@ class FixtureBackend:
 class LiveBackend:
     """Adapter for a JSON search service reached over HTTP.
 
-    Sends GET <endpoint>?q=<rendered>&page_size=<n> (joined with & to an
-    endpoint that carries its own query string) with an optional bearer
-    token, and reads the body with parse_result, keeping the first n
+    Sends GET <endpoint>?q=<rendered>&page_size=<PAGE_SIZE> (joined with &
+    to an endpoint that carries its own query string) with an optional bearer
+    token, and reads the body with parse_result, keeping the first PAGE_SIZE
     snippets. Transport and server failures raise BackendError; 5xx and
     network errors are marked retryable, a body that parse_result rejects
     is not.
@@ -132,12 +131,12 @@ class LiveBackend:
         self.api_key = api_key
         self.timeout = timeout
 
-    def search(self, query: Query, page_size: int) -> SearchResult:
+    def search(self, query: Query) -> SearchResult:
         import urllib.error
         import urllib.parse
         import urllib.request
 
-        params = urllib.parse.urlencode({"q": query.rendered, "page_size": page_size})
+        params = urllib.parse.urlencode({"q": query.rendered, "page_size": PAGE_SIZE})
         separator = "&" if "?" in self.endpoint else "?"
         request = urllib.request.Request(f"{self.endpoint}{separator}{params}")
         if self.api_key:
@@ -155,4 +154,4 @@ class LiveBackend:
             result = parse_result(json.loads(body))
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed search response: {exc!r}", retryable=False) from exc
-        return SearchResult(hit_count=result.hit_count, snippets=result.snippets[:page_size])
+        return SearchResult(hit_count=result.hit_count, snippets=result.snippets[:PAGE_SIZE])

@@ -30,7 +30,7 @@ from .keywords import (
     load_keyword_overrides,
 )
 from .ioutil import atomic_write_bytes, atomic_write_json
-from .labeling import MAX_LABELS, label_edge, usr
+from .labeling import label_edge, usr
 from .network import EXPORT_FORMATS, build_network, export
 from .queries import build_query
 from .relations import Actor, detect_all
@@ -144,7 +144,7 @@ def cmd_extract(args) -> int:
             score = sr(a, b, item, gateway, args.measure)
         scores[item.pair] = score
         usr_scores[item.pair] = usr(contexts[a.id][0], contexts[b.id][0])
-        edge_labels[item.pair] = label_edge(item.l_ab, MAX_LABELS)
+        edge_labels[item.pair] = label_edge(item.l_ab)
 
     provenance = {
         "backend": args.backend,
@@ -312,6 +312,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command != "cache" and args.backend == "fixture" and not args.corpus:
             parser.error("argument --corpus: required with --backend fixture")
+        if args.command != "cache" and args.backend == "live" and args.corpus is not None:
+            parser.error("argument --corpus: not allowed with --backend live")
         if args.command == "extract" and args.keywords is not None and args.variant != "srwk":
             parser.error("argument --keywords: needs --variant srwk")
     except SystemExit as exc:

@@ -1,16 +1,16 @@
 """Single coordinator for query execution.
 
 Order of business for every query: cache first, then the budget gate, then the
-backend, asked for one result page of PAGE_SIZE snippets. Cache hits never
-touch the ledger. All cache and ledger mutations go through one lock, so
-QueryCache and BudgetLedger need none of their own: a cache store appends one
-record to the cache journal and a charge rewrites the small ledger sidecar,
-both O(1) bytes per query. The backend call itself runs outside the lock, so
-independent queries may execute concurrently, and a backend shared by several
-worker threads must be safe to call from all of them at once (FixtureBackend
-is: its phrase memo only ever gains equal entries). Two threads racing on the
-*same* uncached query can each spend budget; pipeline callers only fan out
-distinct queries.
+backend, which answers with one result page. Cache hits never touch the
+ledger. All cache and ledger mutations go through one lock, so QueryCache and
+BudgetLedger need none of their own: a cache store appends one record to the
+cache journal and a charge rewrites the small ledger sidecar, both O(1) bytes
+per query. The backend call itself runs outside the lock, so independent
+queries may execute concurrently, and a backend shared by several worker
+threads must be safe to call from all of them at once (FixtureBackend is: its
+phrase memo only ever gains equal entries). Two threads racing on the *same*
+uncached query can each spend budget; pipeline callers only fan out distinct
+queries.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .backends import SearchBackendPort, SearchResult
 from .budget import BudgetLedger
 from .cache import QueryCache
 from .queries import Query
-
-PAGE_SIZE = 10  # the cache is keyed by the query alone, so every cached answer must have this page size
 
 
 @dataclass
@@ -55,7 +53,7 @@ class SearchGateway:
                 self.stats.cache_hits += 1
                 return cached
             self.ledger.charge()
-        result = self.backend.search(query, PAGE_SIZE)
+        result = self.backend.search(query)
         with self._lock:
             self.cache.store(rendered, result)
             self.stats.backend_calls += 1

@@ -45,7 +45,6 @@ GENERIC_TOKENS = (
 
 _SOURCE_PRIORITY = ("url_domain", "url_path", "title")
 
-# How many labels the command line keeps per edge.
 MAX_LABELS = 5
 
 
@@ -86,8 +85,8 @@ def usr(l_a, l_b) -> UsrScore:
     return UsrScore(value=value, shared_domains=frozenset(shared))
 
 
-def label_edge(l_ab, max_labels: int) -> EdgeLabels:
-    """Rank candidate tokens for an edge by raw occurrence count.
+def label_edge(l_ab) -> EdgeLabels:
+    """The MAX_LABELS candidate tokens of an edge seen most often.
 
     Candidates per snippet: host labels other than the rightmost two, path
     segments split on non-alphanumerics, and title tokens. The generic filter
@@ -95,28 +94,25 @@ def label_edge(l_ab, max_labels: int) -> EdgeLabels:
     lexicographically. The source field records where the top-ranked token
     was seen most often.
     """
-    if max_labels < 1:
-        raise ValueError("max_labels must be >= 1")
     counts: dict = {}
     by_source: dict = {}
 
     def add(token: str, source: str) -> None:
-        if len(token) < MIN_TOKEN_LENGTH or token in GENERIC_TOKENS:
-            return
         counts[token] = counts.get(token, 0) + 1
         sources = by_source.setdefault(token, {})
         sources[source] = sources.get(source, 0) + 1
 
     for snippet in l_ab:
         for label in snippet.url.domains[2:]:
-            add(label, "url_domain")
+            if len(label) >= MIN_TOKEN_LENGTH and label not in GENERIC_TOKENS:
+                add(label, "url_domain")
         for segment in snippet.url.paths:
             for token in tokenize(segment, stopwords=GENERIC_TOKENS):
                 add(token, "url_path")
         for token in tokenize(snippet.title, stopwords=GENERIC_TOKENS):
             add(token, "title")
 
-    ranked = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))[:max_labels]
+    ranked = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))[:MAX_LABELS]
     if not ranked:
         return EdgeLabels(labels=(), source=None)
     top_sources = by_source[ranked[0][0]]

@@ -40,12 +40,6 @@ class SocialNetwork:
     provenance: dict
 
 
-@dataclass(frozen=True)
-class AdjacencyMatrix:
-    order: tuple[str, ...]
-    cells: tuple[tuple[int, ...], ...]
-
-
 def build_network(actors, evidence, scores, usr_scores=None, labels=None, *,
                   threshold: float, provenance: dict | None = None) -> SocialNetwork:
     """Assemble the network from detection evidence and per-pair annotations.
@@ -90,19 +84,6 @@ def build_network(actors, evidence, scores, usr_scores=None, labels=None, *,
         )
     nodes = tuple(sorted(actors, key=lambda actor: actor.id))
     return SocialNetwork(nodes=nodes, edges=tuple(edges), provenance=dict(provenance or {}))
-
-
-def to_matrix(network: SocialNetwork) -> AdjacencyMatrix:
-    """Symmetric 0/1 adjacency with a zero diagonal, rows in id order."""
-    order = tuple(sorted(actor.id for actor in network.nodes))
-    index = {actor_id: i for i, actor_id in enumerate(order)}
-    size = len(order)
-    grid = [[0] * size for _ in range(size)]
-    for edge in network.edges:
-        i, j = index[edge.pair[0]], index[edge.pair[1]]
-        grid[i][j] = 1
-        grid[j][i] = 1
-    return AdjacencyMatrix(order=order, cells=tuple(tuple(row) for row in grid))
 
 
 def export(network: SocialNetwork, fmt: str) -> bytes:

@@ -9,7 +9,6 @@ per pair is ever issued.
 
 from __future__ import annotations
 
-import re
 import threading
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -17,14 +16,12 @@ from itertools import combinations
 from .gateway import SearchGateway
 from .queries import build_query
 from .snippets import Snippet, contains_term, parse_snippets
-
-_SLUG = re.compile(r"[^0-9a-z]+")
+from .text import raw_tokens
 
 
 def slugify(name: str) -> str:
-    """Stable lowercase id for an actor name: runs of non-alphanumerics become '-'."""
-    slug = _SLUG.sub("-", name.lower()).strip("-")
-    return slug or "actor"
+    """Stable lowercase id for an actor name: its raw tokens joined by '-'."""
+    return "-".join(raw_tokens(name)) or "actor"
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ def sr(a: Actor, b: Actor, evidence: RelationEvidence, gateway: SearchGateway,
 
 def sr_with_keywords(a: Actor, kw_a: str, b: Actor, kw_b: str, gateway: SearchGateway,
                      measure: str = "jaccard") -> StrengthScore:
-    """Keyword-augmented strength.
+    """Keyword-augmented strength; all three queries are built before any is paid for.
 
     Every count comes from a keyword-narrowed query: |a n kw_a| and
     |b n kw_b| replace the singletons, and one four-phrase query supplies the
@@ -85,17 +85,15 @@ def sr_with_keywords(a: Actor, kw_a: str, b: Actor, kw_b: str, gateway: SearchGa
     to one canonical cache key; keywords_used records that canonical order.
     """
     fn = _measure_fn(measure)
-    if not kw_a.strip() or not kw_b.strip():
-        raise ValueError(f"keywords must be non-empty, got {kw_a!r} and {kw_b!r}")
     if b.id < a.id:
         a, kw_a, b, kw_b = b, kw_b, a, kw_a
-    count_a = gateway.execute(build_query([a.name, kw_a])).hit_count
-    count_b = gateway.execute(build_query([b.name, kw_b])).hit_count
-    count_both = gateway.execute(build_query([a.name, kw_a, b.name, kw_b])).hit_count
+    queries = [build_query([a.name, kw_a]), build_query([b.name, kw_b]),
+               build_query([a.name, kw_a, b.name, kw_b])]
+    count_a, count_b, count_both = (gateway.execute(query).hit_count for query in queries)
     triple = clamp(count_a, count_b, count_both)
     return StrengthScore(
         value=fn(triple),
         measure=measure,
         variant="srwk",
-        keywords_used=(kw_a.strip(), kw_b.strip()),
+        keywords_used=(queries[0].terms[1], queries[1].terms[1]),
     )

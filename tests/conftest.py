@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,34 @@ def regex_tokenize(text, stopwords=STOPWORDS):
         token for token in regex_raw_tokens(text)
         if len(token) >= MIN_TOKEN_LENGTH and token not in stopwords
     ]
+
+
+# The actor-id rule stated as a regex: lowercase, turn every run of characters
+# other than [0-9a-z] into "-", trim the dashes at either end.
+def regex_slugify(name):
+    return _NON_ALNUM.sub("-", name.lower()).strip("-") or "actor"
+
+
+# ------------------------------------------------------ adjacency matrix ----
+# A second view of a built network, for checking its edge set: a symmetric
+# 0/1 matrix with a zero diagonal, rows in id order.
+
+@dataclass(frozen=True)
+class AdjacencyMatrix:
+    order: tuple
+    cells: tuple
+
+
+def to_matrix(network):
+    order = tuple(sorted(actor.id for actor in network.nodes))
+    index = {actor_id: i for i, actor_id in enumerate(order)}
+    size = len(order)
+    grid = [[0] * size for _ in range(size)]
+    for edge in network.edges:
+        i, j = index[edge.pair[0]], index[edge.pair[1]]
+        grid[i][j] = 1
+        grid[j][i] = 1
+    return AdjacencyMatrix(order=order, cells=tuple(tuple(row) for row in grid))
 
 
 # --------------------------------------------------------------- helpers ----

@@ -8,14 +8,14 @@ verbose run shows one verdict per criterion either way.
 import random
 import time
 
-from conftest import make_gateway, mask_timestamps, read_json, scan_count
+from conftest import make_gateway, mask_timestamps, read_json, scan_count, to_matrix
 from corpusdata import ACTORS, no_cooccurrence_actors, no_cooccurrence_corpus, write_jsonl
 from snippetnet.cache import QueryCache
 from snippetnet.cli import main
 from snippetnet.corpus import load_corpus
 from snippetnet.errors import BudgetExhausted
 from snippetnet.labeling import label_edge, usr
-from snippetnet.network import build_network, to_matrix
+from snippetnet.network import build_network
 from snippetnet.relations import Actor, RelationEvidence, detect_all, detect_relation
 from snippetnet.snippets import Snippet, parse_url
 from snippetnet.strength import StrengthScore, clamp, dice, jaccard, overlap, sr
@@ -312,8 +312,7 @@ def test_criterion_10_usr_and_labeling():
         in_range = in_range and 0.0 <= forward.value <= 1.0
 
     documented = label_edge(
-        [snip("http://conf.example.com/papers/graph-mining"), snip("http://www.example.com/papers/2010")],
-        max_labels=3,
+        [snip("http://conf.example.com/papers/graph-mining"), snip("http://www.example.com/papers/2010")]
     )
     ok = (
         in_range

@@ -371,6 +371,24 @@ class TestExitCodes:
         assert not (tmp_path / "cache.json.ledger").exists()
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["extract", "keywords"])
+    def test_corpus_with_live_backend_is_rejected_before_any_file_is_read(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        # The live backend never reads a corpus, so naming one is a mistake;
+        # provenance would otherwise record a file the run never opened.
+        monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", "http://127.0.0.1:9/search")
+        for actors in (tmp_path / "absent.txt", DEMO / "actors.txt"):
+            code = main([
+                command, "--actors", str(actors), "--backend", "live",
+                "--corpus", str(DEMO / "corpus.jsonl"),
+                "--cache", str(tmp_path / "cache.json"), "--out", str(tmp_path / "out.json"),
+                *(["--threshold", "0.0"] if command == "extract" else []),
+            ])
+            assert code == 2
+            assert "argument --corpus: not allowed with --backend live" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_keywords_path_is_a_file_that_cannot_be_read(self, tmp_path, capsys):
         code, out = run_extract(
             tmp_path, DEMO / "actors.txt", DEMO / "corpus.jsonl", variant="srwk", keywords="",

@@ -9,7 +9,7 @@ import pytest
 
 import corpusdata
 from conftest import corpus_from_rows, make_gateway, scan_count, scan_matches
-from snippetnet.backends import ABSTRACT_LENGTH, FixtureBackend, LiveBackend
+from snippetnet.backends import ABSTRACT_LENGTH, PAGE_SIZE, FixtureBackend, LiveBackend
 from snippetnet.corpus import load_corpus
 from snippetnet.errors import BackendError, ConfigError
 from snippetnet.queries import build_query
@@ -50,10 +50,10 @@ def random_phrases(rng):
     return phrases
 
 
-def oracle_result(rows, phrases, page_size):
+def oracle_result(rows, phrases):
     ids = scan_matches(rows, phrases)
     url_by_id = {row["id"]: row["url"] for row in rows}
-    return len(ids), [url_by_id[doc_id] for doc_id in ids[:page_size]]
+    return len(ids), [url_by_id[doc_id] for doc_id in ids[:PAGE_SIZE]]
 
 
 class TestCorpusLoader:
@@ -120,7 +120,7 @@ class TestCorpusLoader:
         corpus = load_corpus(path)
         assert len(corpus) == 2
         assert corpus[0].body == rows[0]["body"]
-        result = FixtureBackend(corpus).search(build_query(["Alice Nguyen after"]), page_size=10)
+        result = FixtureBackend(corpus).search(build_query(["Alice Nguyen after"]))
         assert result.hit_count == 1
         assert result.snippets[0].url == "http://a.com/x"
 
@@ -163,7 +163,7 @@ class TestCorpusLoader:
 class TestFixtureSearch:
     def test_counts_against_scan_oracle_single_phrases(self, corpus20, corpus20_rows):
         for phrase in corpusdata.ACTORS + ["graph", "research", "no such thing at all"]:
-            result = FixtureBackend(corpus20).search(build_query([phrase]), page_size=10)
+            result = FixtureBackend(corpus20).search(build_query([phrase]))
             assert result.hit_count == scan_count(corpus20_rows, [phrase])
 
     def test_counts_against_scan_oracle_pairs(self, corpus20, corpus20_rows):
@@ -171,28 +171,28 @@ class TestFixtureSearch:
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
                 phrases = [names[i], names[j]]
-                result = FixtureBackend(corpus20).search(build_query(phrases), page_size=10)
+                result = FixtureBackend(corpus20).search(build_query(phrases))
                 assert result.hit_count == scan_count(corpus20_rows, phrases)
 
     def test_match_is_case_insensitive(self, corpus20):
-        upper = FixtureBackend(corpus20).search(build_query(["ALICE NGUYEN"]), page_size=10)
-        lower = FixtureBackend(corpus20).search(build_query(["alice nguyen"]), page_size=10)
+        upper = FixtureBackend(corpus20).search(build_query(["ALICE NGUYEN"]))
+        lower = FixtureBackend(corpus20).search(build_query(["alice nguyen"]))
         assert upper.hit_count == lower.hit_count == 4
 
     def test_url_text_counts_for_matching(self, corpus20, corpus20_rows):
         # "citylab" appears only in urls of docs 8 and 9
-        result = FixtureBackend(corpus20).search(build_query(["citylab"]), page_size=10)
+        result = FixtureBackend(corpus20).search(build_query(["citylab"]))
         assert result.hit_count == scan_count(corpus20_rows, ["citylab"]) == 2
 
     def test_snippets_are_first_page_in_ascending_id_order(self, corpus20, corpus20_rows):
-        result = FixtureBackend(corpus20).search(build_query(["research"]), page_size=5)
+        result = FixtureBackend(corpus20).search(build_query(["research"]))
         assert result.hit_count == 20
-        assert len(result.snippets) == 5
-        expected_urls = [row["url"] for row in corpus20_rows[:5]]
+        assert len(result.snippets) == PAGE_SIZE == 10
+        expected_urls = [row["url"] for row in corpus20_rows[:PAGE_SIZE]]
         assert [s.url for s in result.snippets] == expected_urls
 
     def test_abstract_is_body_prefix(self, corpus20):
-        result = FixtureBackend(corpus20).search(build_query(["Methods Seminar Notes"]), page_size=10)
+        result = FixtureBackend(corpus20).search(build_query(["Methods Seminar Notes"]))
         assert result.hit_count == 1
         snippet = result.snippets[0]
         long_body = corpus20[2].body
@@ -201,13 +201,13 @@ class TestFixtureSearch:
         assert "carol reyes" not in snippet.abstract.lower()
 
     def test_zero_hits_zero_snippets(self, corpus20):
-        result = FixtureBackend(corpus20).search(build_query(["xyzzy not present"]), page_size=10)
+        result = FixtureBackend(corpus20).search(build_query(["xyzzy not present"]))
         assert result.hit_count == 0
         assert result.snippets == ()
 
     def test_deterministic(self, corpus20):
         q = build_query(["Alice Nguyen"])
-        assert FixtureBackend(corpus20).search(q, 10) == FixtureBackend(corpus20).search(q, 10)
+        assert FixtureBackend(corpus20).search(q) == FixtureBackend(corpus20).search(q)
 
     def test_conjunction_shrinks_hits(self, corpus20, corpus20_rows):
         # adding a phrase can never add matches
@@ -216,18 +216,16 @@ class TestFixtureSearch:
         for _ in range(100):
             base = rng.sample(words, k=rng.randint(1, 2))
             extended = base + [rng.choice(words)]
-            few = FixtureBackend(corpus20).search(build_query(extended), 10).hit_count
-            many = FixtureBackend(corpus20).search(build_query(base), 10).hit_count
+            few = FixtureBackend(corpus20).search(build_query(extended)).hit_count
+            many = FixtureBackend(corpus20).search(build_query(base)).hit_count
             assert few <= many
             assert few == scan_count(corpus20_rows, extended)
 
     def test_snippet_count_never_exceeds_hit_count_or_page(self, corpus20):
+        # "research" has 20 hits, so its page is cut; the others fit on it.
         for phrase in ["research", "graph", "Erin Walsh", "absent phrase"]:
-            for page_size in (1, 3, 10, 50):
-                result = FixtureBackend(corpus20).search(build_query([phrase]), page_size)
-                assert len(result.snippets) <= min(result.hit_count, page_size)
-                if result.hit_count <= page_size:
-                    assert len(result.snippets) == result.hit_count
+            result = FixtureBackend(corpus20).search(build_query([phrase]))
+            assert len(result.snippets) == min(result.hit_count, PAGE_SIZE)
 
     def test_one_backend_answers_many_queries_like_the_scan_oracle(self):
         rows = index_rows()
@@ -235,9 +233,8 @@ class TestFixtureSearch:
         rng = random.Random(2024)
         for _ in range(300):
             phrases = random_phrases(rng)
-            page_size = rng.choice([1, 3, 10])
-            result = backend.search(build_query(phrases), page_size)
-            hit_count, urls = oracle_result(rows, phrases, page_size)
+            result = backend.search(build_query(phrases))
+            hit_count, urls = oracle_result(rows, phrases)
             assert result.hit_count == hit_count, phrases
             assert [s.url for s in result.snippets] == urls, phrases
 
@@ -259,7 +256,7 @@ class TestFixtureSearch:
         rng = random.Random(5)
         returned = 0
         for _ in range(200):
-            result = backend.search(build_query(random_phrases(rng)), rng.choice([1, 3, 10]))
+            result = backend.search(build_query(random_phrases(rng)))
             returned += len(result.snippets)
         # One read per document to build the index, one per snippet abstract.
         assert len(reads) <= len(corpus) + returned
@@ -272,8 +269,8 @@ class TestFixtureSearchThreads:
         rows = index_rows(seed=11, count=400)
         corpus = corpus_from_rows(rows)
         rng = random.Random(99)
-        cases = [(random_phrases(rng), rng.choice([1, 3, 10])) for _ in range(40)]
-        expected = [oracle_result(rows, phrases, page_size) for phrases, page_size in cases]
+        cases = [random_phrases(rng) for _ in range(40)]
+        expected = [oracle_result(rows, phrases) for phrases in cases]
         mismatches = []
         finished = []
 
@@ -282,10 +279,9 @@ class TestFixtureSearchThreads:
             random.Random(seed).shuffle(order)
             start.wait(timeout=60)
             for i in order:
-                phrases, page_size = cases[i]
-                result = backend.search(build_query(phrases), page_size)
+                result = backend.search(build_query(cases[i]))
                 if (result.hit_count, [s.url for s in result.snippets]) != expected[i]:
-                    mismatches.append((phrases, page_size))
+                    mismatches.append(cases[i])
             finished.append(seed)
 
         previous = sys.getswitchinterval()
@@ -349,7 +345,7 @@ class TestLiveBackend:
 
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         backend = LiveBackend("http://search.example/api", api_key="k123")
-        result = backend.search(build_query(["alice"]), page_size=10)
+        result = backend.search(build_query(["alice"]))
         assert result.hit_count == 3
         assert result.snippets[0].title == "T"
         assert "page_size=10" in captured["url"]
@@ -364,7 +360,7 @@ class TestLiveBackend:
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
         backend = LiveBackend("http://search.example/api")
         with pytest.raises(BackendError) as info:
-            backend.search(build_query(["alice"]), page_size=10)
+            backend.search(build_query(["alice"]))
         assert info.value.retryable is True
 
     def test_malformed_payload_is_not_retryable(self, monkeypatch):
@@ -381,7 +377,7 @@ class TestLiveBackend:
         monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout: FakeResponse())
         backend = LiveBackend("http://search.example/api")
         with pytest.raises(BackendError) as info:
-            backend.search(build_query(["alice"]), page_size=10)
+            backend.search(build_query(["alice"]))
         assert info.value.retryable is False
 
 

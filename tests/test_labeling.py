@@ -4,7 +4,7 @@ import pytest
 
 from corpusdata import ACTORS
 from snippetnet.keywords import fetch_actor_context
-from snippetnet.labeling import EdgeLabels, label_edge, registrable_domain, usr
+from snippetnet.labeling import GENERIC_TOKENS, MAX_LABELS, EdgeLabels, label_edge, registrable_domain, usr
 from snippetnet.relations import Actor
 from snippetnet.snippets import Snippet, parse_url
 
@@ -77,38 +77,57 @@ class TestLabelEdge:
     ]
 
     def test_path_tokens_ranked_by_count(self):
-        result = label_edge(self.EVIDENCE, max_labels=3)
-        assert result.labels == (("papers", 2), ("2010", 1), ("conf", 1))
+        result = label_edge(self.EVIDENCE)
+        assert result.labels == (("papers", 2), ("2010", 1), ("conf", 1), ("graph", 1), ("mining", 1))
         assert result.source == "url_path"
 
     def test_rightmost_two_host_labels_never_label(self):
-        result = label_edge([_snip("http://deep.example.com/x")], max_labels=5)
+        result = label_edge([_snip("http://deep.example.com/x")])
         assert all(token != "example" for token, _ in result.labels)
         assert ("deep", 1) in result.labels
 
     def test_title_tokens_participate(self):
-        result = label_edge([_snip("http://a.com/x", title="Quantum Chemistry")], max_labels=5)
+        result = label_edge([_snip("http://a.com/x", title="Quantum Chemistry")])
         assert dict(result.labels) == {"quantum": 1, "chemistry": 1}
         assert result.source == "title"
 
     def test_source_prefers_url_over_title_on_tie(self):
         snips = [_snip("http://a.com/quantum", title="quantum stuff")]
-        result = label_edge(snips, max_labels=1)
-        assert result.labels == (("quantum", 2),)
+        result = label_edge(snips)
+        assert result.labels == (("quantum", 2), ("stuff", 1))
         assert result.source == "url_path"
 
     def test_no_evidence_yields_empty_labels(self):
-        assert label_edge([], max_labels=3) == EdgeLabels(labels=(), source=None)
+        assert label_edge([]) == EdgeLabels(labels=(), source=None)
 
     def test_short_and_generic_tokens_dropped(self):
-        result = label_edge([_snip("http://a.com/to/www/index.html")], max_labels=5)
+        result = label_edge([_snip("http://a.com/to/www/index.html")])
         assert result.labels == ()
 
     def test_max_labels_truncates_stably(self):
-        all_three = label_edge(self.EVIDENCE, max_labels=3).labels
-        just_one = label_edge(self.EVIDENCE, max_labels=1).labels
-        assert all_three[:1] == just_one
+        # Equal counts break lexicographically, so the cut does not depend on
+        # the order in which candidates were seen.
+        words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf"]
+        rng = random.Random(7)
+        for _ in range(50):
+            title = " ".join(rng.sample(words, len(words)))
+            result = label_edge([_snip("http://a.com/x", title=title)]).labels
+            assert result == tuple((word, 1) for word in words[:MAX_LABELS])
+        # Fewer candidates than the cut: all are kept, a prefix of the longer ranking.
+        for k in range(1, MAX_LABELS + 1):
+            title = " ".join(reversed(words[:k]))
+            assert label_edge([_snip("http://a.com/x", title=title)]).labels == result[:k]
 
-    def test_max_labels_must_be_positive(self):
-        with pytest.raises(ValueError):
-            label_edge(self.EVIDENCE, max_labels=0)
+    def test_keeps_the_max_labels_heaviest_of_more_candidates(self):
+        words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf"]
+        # "alpha" is in all seven titles, "bravo" in six, ... "golf" in one.
+        snips = [_snip("http://a.com/x", title=" ".join(words[: i + 1])) for i in range(len(words))]
+        result = label_edge(snips)
+        assert len(words) > MAX_LABELS
+        assert result.labels == tuple((word, len(words) - i) for i, word in enumerate(words[:MAX_LABELS]))
+
+    @pytest.mark.parametrize("label", ["ab", "x", "www", "info", "the", "index"])
+    def test_short_or_generic_host_label_is_never_a_label(self, label):
+        assert len(label) < 3 or label in GENERIC_TOKENS
+        result = label_edge([_snip(f"http://{label}.keep.example.com/x")] * 3)
+        assert result.labels == (("keep", 3),)

@@ -26,22 +26,22 @@ from snippetnet.queries import build_query
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
-def corpus_answer(backend, q, page_size):
-    result = backend.search(build_query(re.findall(r'"([^"]*)"', q)), page_size)
+def corpus_answer(backend, q):
+    result = backend.search(build_query(re.findall(r'"([^"]*)"', q)))
     body = {"hit_count": result.hit_count, "snippets": [vars(s) for s in result.snippets]}
     return 200, json.dumps(body).encode("utf-8")
 
 
 @pytest.fixture
 def search_server():
-    """A loopback search service; set ``server.answer(q, page_size)`` to replace its answers."""
+    """A loopback search service; set ``server.answer(q)`` to replace its answers."""
     backend = FixtureBackend(load_corpus(DEMO / "corpus.jsonl"))
 
     class Handler(BaseHTTPRequestHandler):
         def do_GET(self):
             params = parse_qs(urlsplit(self.path).query)
             self.server.authorizations.append(self.headers.get("Authorization"))
-            status, body = self.server.answer(params["q"][0], int(params["page_size"][0]))
+            status, body = self.server.answer(params["q"][0])
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -52,7 +52,7 @@ def search_server():
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    server.answer = lambda q, page_size: corpus_answer(backend, q, page_size)
+    server.answer = lambda q: corpus_answer(backend, q)
     server.authorizations = []
     server.endpoint = f"http://127.0.0.1:{server.server_address[1]}/search"
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -114,7 +114,7 @@ class TestLoopback:
 
     def test_infinite_hit_count_is_exit_4(self, tmp_path, search_server, monkeypatch, capsys):
         monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", search_server.endpoint)
-        search_server.answer = lambda q, page_size: (200, b'{"hit_count": Infinity, "snippets": []}')
+        search_server.answer = lambda q: (200, b'{"hit_count": Infinity, "snippets": []}')
         code, out = extract(tmp_path, "live")
         assert code == 4
         err = capsys.readouterr().err
@@ -124,7 +124,7 @@ class TestLoopback:
 
     def test_server_error_is_exit_4(self, tmp_path, search_server, monkeypatch, capsys):
         monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", search_server.endpoint)
-        search_server.answer = lambda q, page_size: (503, b"{}")
+        search_server.answer = lambda q: (503, b"{}")
         code, out = extract(tmp_path, "live")
         assert code == 4
         assert "HTTP 503" in capsys.readouterr().err
@@ -179,7 +179,7 @@ class TestOneAnswerReader:
 
         monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout: FakeResponse())
         with pytest.raises(BackendError, match="malformed search response") as info:
-            LiveBackend("http://search.example/api").search(build_query(["alice"]), page_size=10)
+            LiveBackend("http://search.example/api").search(build_query(["alice"]))
         assert info.value.retryable is False
 
     @MALFORMED_ANSWERS

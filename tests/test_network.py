@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import to_matrix
 from snippetnet.labeling import EdgeLabels, UsrScore
 from snippetnet.network import (
     EMPTY_LABELS,
@@ -11,7 +12,6 @@ from snippetnet.network import (
     escape,
     export,
     quoteattr,
-    to_matrix,
 )
 from snippetnet.relations import Actor, RelationEvidence
 from snippetnet.snippets import Snippet, parse_url

@@ -96,7 +96,7 @@ class TestDetectAll:
     @pytest.mark.parametrize("parallelism", [2, 4, 8])
     def test_failure_stops_pairs_not_yet_started(self, parallelism):
         class DownBackend:
-            def search(self, query, page_size):
+            def search(self, query):
                 raise BackendError("engine down")
 
         actors = [Actor(f"Person {i}") for i in range(10)]

@@ -38,11 +38,11 @@ def counted(monkeypatch):
     counter = CountedSearch()
     search = FixtureBackend.search
 
-    def counting_search(backend, query, page_size):
+    def counting_search(backend, query):
         counter.calls += 1
         if counter.calls == counter.fail_at:
             raise BackendError("injected failure")
-        return search(backend, query, page_size)
+        return search(backend, query)
 
     monkeypatch.setattr(FixtureBackend, "search", counting_search)
     return counter

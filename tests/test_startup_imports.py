@@ -94,7 +94,7 @@ def fake_urlopen(request, timeout):
     return Response()
 
 urllib.request.urlopen = fake_urlopen
-result = LiveBackend("http://search.example/api").search(build_query(["alice"]), page_size=10)
+result = LiveBackend("http://search.example/api").search(build_query(["alice"]))
 print(json.dumps({{
     "loaded_early": loaded_early,
     "threaded_matches_serial": threaded == serial,

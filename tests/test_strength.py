@@ -130,8 +130,19 @@ class TestSrWithKeywords:
 
     def test_blank_keyword_rejected(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
-        with pytest.raises(ValueError, match="keywords must be non-empty"):
+        with pytest.raises(ValueError, match="blank phrase in query"):
             sr_with_keywords(a, " ", b, "graph", gateway20)
+
+    @pytest.mark.parametrize(
+        "kw_a, kw_b", [(" ", "graph"), ("graph", " "), ('x"y', "graph"), ("graph", 'x"y')],
+        ids=["blank-a", "blank-b", "quoted-a", "quoted-b"],
+    )
+    def test_rejected_keyword_pays_for_no_query(self, corpus20, kw_a, kw_b):
+        gateway = make_gateway(corpus20)
+        with pytest.raises(ValueError, match="blank phrase|double quote"):
+            sr_with_keywords(_actor("Alice Nguyen"), kw_a, _actor("Bob Santos"), kw_b, gateway)
+        assert gateway.stats.backend_calls == 0
+        assert len(gateway.cache) == 0
 
     def test_uses_exactly_three_queries_cold(self, corpus20):
         gateway = make_gateway(corpus20)

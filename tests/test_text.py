@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from conftest import regex_raw_tokens, regex_tokenize
+from conftest import regex_raw_tokens, regex_slugify, regex_tokenize
 from snippetnet.labeling import GENERIC_TOKENS
+from snippetnet.relations import slugify
 from snippetnet.text import STOPWORDS, raw_tokens, tokenize
 
 # Letters whose lowercase form is unusual or not ASCII: the Kelvin sign
@@ -50,3 +51,22 @@ class TestTokenize:
     )
     def test_examples(self, text, tokens):
         assert tokenize(text) == tokens
+
+
+class TestSlugify:
+    def test_equals_the_regex_on_fuzzed_names(self):
+        for name in _fuzzed_strings(seed=14, count=20_000):
+            assert slugify(name) == regex_slugify(name), repr(name)
+
+    @pytest.mark.parametrize(
+        "name,slug",
+        [
+            ("Alice Nguyen", "alice-nguyen"),
+            ("  O'Brien, Jr. ", "o-brien-jr"),
+            ("Ayşe Demir", "ay-e-demir"),  # a non-ASCII letter is a separator
+            ("\u212aim Lee", "kim-lee"),  # the Kelvin sign lowercases to ASCII k
+            ("ß", "actor"),  # no token left at all
+        ],
+    )
+    def test_examples(self, name, slug):
+        assert slugify(name) == slug
