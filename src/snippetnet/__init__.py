@@ -16,7 +16,7 @@ from .backends import FixtureBackend
 from .corpus import load_corpus
 from .errors import SnippetNetError
 from .gateway import SearchGateway
-from .labeling import label_edge, usr
+from .labeling import label_edge
 from .network import build_network, export
 from .relations import Actor, detect_all
 from .strength import sr
@@ -34,5 +34,4 @@ __all__ = [
     "label_edge",
     "load_corpus",
     "sr",
-    "usr",
 ]

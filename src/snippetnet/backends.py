@@ -5,21 +5,22 @@ it the reference every arithmetic claim is checked against. The live backend
 adapts a JSON-over-HTTP search service; engine counts are estimates, so it is
 explicitly outside those exactness guarantees. The live backend imports the
 web client (urllib, and with it http, email and ssl) on its first search, so
-a run on the fixture backend never loads it. ``parse_result`` is the one
-reader of a search answer, for live response bodies and cache records alike.
+a run on the fixture backend never loads it. An answer is read into parsed
+snippets once, where it enters: the fixture backend builds them from its
+documents, and ``parse_result``, the one reader of a search answer, from
+live response bodies and cache records alike.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
 
+from .corpus import FixtureDocument
 from .errors import BackendError
 from .queries import Query
-
-if TYPE_CHECKING:  # corpus imports this module, through snippets
-    from .corpus import FixtureDocument
+from .snippets import Snippet, parse_url
 
 # A snippet abstract is the first slice of the document body, mirroring the
 # short preview a result page shows under each hit.
@@ -28,37 +29,36 @@ PAGE_SIZE = 10  # one result page per query: the cache is keyed by the query alo
 
 
 @dataclass(frozen=True)
-class RawSnippet:
-    url: str
-    title: str
-    abstract: str
-
-
-@dataclass(frozen=True)
 class SearchResult:
     hit_count: int
-    snippets: tuple[RawSnippet, ...]
+    snippets: tuple[Snippet, ...]
 
 
 def parse_result(payload) -> SearchResult:
     """Read {"hit_count", "snippets": [{"url", "title", "abstract"}, ...]}.
 
     Coerces nothing: a field of another type raises TypeError or ValueError.
+    Of the first PAGE_SIZE snippets, each URL is parsed and the title and
+    abstract are trimmed; a snippet whose URL parse_url rejects is dropped,
+    and the hit count stands.
     """
-    hit_count, snippets = payload["hit_count"], payload["snippets"]
+    hit_count, answers = payload["hit_count"], payload["snippets"]
     # type() rather than isinstance: a JSON true is a bool, not a count.
     if type(hit_count) is not int or hit_count < 0:
         raise ValueError(f"hit_count must be an integer >= 0, got {hit_count!r}")
-    if not isinstance(snippets, list):
-        raise TypeError(f"snippets must be a list, got {snippets!r}")
-    return SearchResult(hit_count=hit_count, snippets=tuple(_raw_snippet(s) for s in snippets))
-
-
-def _raw_snippet(fields) -> RawSnippet:
-    url, title, abstract = (fields[key] for key in ("url", "title", "abstract"))
-    if not (isinstance(url, str) and isinstance(title, str) and isinstance(abstract, str)):
-        raise TypeError(f"snippet url, title and abstract must be strings, got {fields!r}")
-    return RawSnippet(url=url, title=title, abstract=abstract)
+    if not isinstance(answers, list):
+        raise TypeError(f"snippets must be a list, got {answers!r}")
+    snippets = []
+    for number, fields in enumerate(answers):
+        url, title, abstract = (fields[key] for key in ("url", "title", "abstract"))
+        if not (isinstance(url, str) and isinstance(title, str) and isinstance(abstract, str)):
+            raise TypeError(f"snippet url, title and abstract must be strings, got {fields!r}")
+        if number < PAGE_SIZE:
+            try:
+                snippets.append(Snippet(parse_url(url), title.strip(), abstract.strip()))
+            except ValueError:
+                pass
+    return SearchResult(hit_count=hit_count, snippets=tuple(snippets))
 
 
 class SearchBackendPort(Protocol):
@@ -106,11 +106,9 @@ class FixtureBackend:
         """
         smallest, *rest = sorted((self._matching(term.lower()) for term in query.terms), key=len)
         hits = smallest.intersection(*rest)
-        documents = self._documents
-        first_page = [documents[index] for index in sorted(hits)[:PAGE_SIZE]]
+        page = [self._documents[index] for index in sorted(hits)[:PAGE_SIZE]]
         snippets = tuple(
-            RawSnippet(url=doc.url, title=doc.title, abstract=doc.body[:ABSTRACT_LENGTH])
-            for doc in first_page
+            Snippet(parse_url(doc.url), doc.title.strip(), doc.body[:ABSTRACT_LENGTH].strip()) for doc in page
         )
         return SearchResult(hit_count=len(hits), snippets=snippets)
 
@@ -120,10 +118,9 @@ class LiveBackend:
 
     Sends GET <endpoint>?q=<rendered>&page_size=<PAGE_SIZE> (joined with &
     to an endpoint that carries its own query string) with an optional bearer
-    token, and reads the body with parse_result, keeping the first PAGE_SIZE
-    snippets. Transport and server failures raise BackendError; 5xx and
-    network errors are marked retryable, a body that parse_result rejects
-    is not.
+    token, and reads the body with parse_result. Transport and server
+    failures raise BackendError; 5xx and network errors are marked retryable,
+    a body that parse_result rejects is not.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 10.0):
@@ -151,7 +148,6 @@ class LiveBackend:
         except (urllib.error.URLError, OSError) as exc:
             raise BackendError(f"search endpoint unreachable: {exc}", retryable=True) from exc
         try:
-            result = parse_result(json.loads(body))
+            return parse_result(json.loads(body))
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed search response: {exc!r}", retryable=False) from exc
-        return SearchResult(hit_count=result.hit_count, snippets=result.snippets[:PAGE_SIZE])

@@ -2,21 +2,23 @@
 
 With a backing path the cache is a JSON Lines journal that only grows. Its
 first line is the format header ``{"snippetnet_cache": 2}``; every later line
-is one record ``{"fetched_at", "hit_count", "query", "snippets"}``. Each store
-appends one record and flushes it before returning, so a run interrupted at
-any query (budget exhaustion, a crash) keeps exactly the results it paid for,
-and a run of Q queries writes O(Q) bytes. In memory the cache maps each query
-to its SearchResult; ``fetched_at`` lives only in the file.
+is one record ``{"fetched_at", "hit_count", "query", "snippets"}``, its
+snippets written by ``snippets.snippet_record``. Each store appends one
+record and flushes it before returning, so a run interrupted at any query
+(budget exhaustion, a crash) keeps exactly the results it paid for, and a
+run of Q queries writes O(Q) bytes. In memory the cache maps each query to
+its SearchResult; ``fetched_at`` lives only in the file.
 
 Opening replays the journal; the last record for a query wins. A final
 segment without a trailing newline is a torn append: it is dropped and cut
 off before the next append. A complete line that is not a valid record raises
 ValueError. A valid record has a string query and a ``fetched_at``, and the
 rest of it is a search answer that ``backends.parse_result``, the reader the
-live backend uses too, accepts. ``_replay`` is the only record parser. A
-file that does not begin with the header, or with a cut-off piece of it,
-raises ValueError, and ``clear`` refuses it. Opening never writes: the file
-keeps its bytes whatever they are; only an append or ``clear`` changes it.
+live backend uses too, accepts; it reads the raw snippets that earlier
+versions stored into the same snippets. ``_replay`` is the only record
+parser. A file that does not begin with the header, or with a cut-off piece
+of it, raises ValueError, and ``clear`` refuses it. Opening never writes: the
+file keeps its bytes whatever they are; only an append or ``clear`` changes it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 
 from .backends import SearchResult, parse_result
 from .ioutil import atomic_write_bytes
+from .snippets import snippet_record
 
 HEADER = b'{"snippetnet_cache": 2}\n'
 
@@ -75,7 +78,7 @@ class QueryCache:
             record = {
                 "query": rendered,
                 "hit_count": result.hit_count,
-                "snippets": [vars(snippet) for snippet in result.snippets],
+                "snippets": [snippet_record(snippet) for snippet in result.snippets],
                 "fetched_at": fetched_at or utc_now_iso(),
             }
             self._append((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))

@@ -34,6 +34,7 @@ from .labeling import label_edge, usr
 from .network import EXPORT_FORMATS, build_network, export
 from .queries import build_query
 from .relations import Actor, detect_all
+from .snippets import snippet_record
 from .strength import MEASURES, sr, sr_with_keywords
 
 API_KEY_ENV = "SNIPPETNET_API_KEY"
@@ -51,7 +52,8 @@ def load_actors(path) -> list:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read actors file {path}: {exc}") from exc
     actors = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only: splitlines() would also split at U+2028, U+2029, U+0085.
+    for number, line in enumerate(text.split("\n"), start=1):
         name = line.strip()
         if not name or name.startswith("#"):
             continue
@@ -169,10 +171,7 @@ def cmd_extract(args) -> int:
                         "pair": list(item.pair),
                         "doubleton_count": item.doubleton_count,
                         "detected": item.detected,
-                        "snippets": [
-                            {"url": s.url.render(), "title": s.title, "abstract": s.abstract}
-                            for s in item.l_ab
-                        ],
+                        "snippets": [snippet_record(s) for s in item.l_ab],
                     },
                     sort_keys=True,
                 )

@@ -11,14 +11,13 @@ from .corpus import FixtureDocument
 from .gateway import SearchGateway
 from .queries import build_query
 from .relations import Actor
-from .snippets import parse_snippets
 from .text import raw_tokens, tokenize
 
 
 def fetch_actor_context(actor: Actor, gateway: SearchGateway):
-    """One singleton query: returns (parsed snippets, hit count)."""
+    """One singleton query: returns (snippets, hit count)."""
     result = gateway.execute(build_query([actor.name]))
-    return parse_snippets(result.snippets), result.hit_count
+    return result.snippets, result.hit_count
 
 
 def extract_keywords(l_a, corpus_doc_freq: dict, corpus_size: int, k: int) -> tuple:

@@ -19,12 +19,13 @@ class Query:
 def build_query(phrases: Iterable[str]) -> Query:
     """Trim each phrase and wrap the list in a Query.
 
-    Raises ValueError when the list is empty, when any phrase is blank after
-    trimming, or when a phrase holds a double quote: that would close the
-    quoted phrase early, so ['Ann" "Bo'] would render exactly like
-    ['Ann', 'Bo'] and share its cache entry. Phrases are kept in the order
-    given; callers that want one query per unordered pair must canonicalize
-    the order themselves.
+    Raises ValueError when the list is empty, or when a trimmed phrase is
+    blank, holds a double quote or holds a control character below U+0020.
+    A double quote would close the quoted phrase early, so ['Ann" "Bo'] would
+    render exactly like ['Ann', 'Bo'] and share its cache entry; most control
+    characters cannot be written in XML 1.0, so a GraphML export naming such
+    an actor would not parse. Phrases are kept in the order given; callers
+    that want one query per unordered pair must canonicalize the order.
     """
     given = list(phrases)
     if not given:
@@ -36,5 +37,7 @@ def build_query(phrases: Iterable[str]) -> Query:
             raise ValueError(f"blank phrase in query: {given!r}")
         if '"' in cleaned:
             raise ValueError(f"double quote in phrase {cleaned!r}")
+        if any(char < " " for char in cleaned):
+            raise ValueError(f"control character in phrase {cleaned!r}")
         trimmed.append(cleaned)
     return Query(terms=tuple(trimmed))

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .gateway import SearchGateway
 from .queries import build_query
-from .snippets import Snippet, contains_term, parse_snippets
+from .snippets import Snippet, contains_term
 from .text import raw_tokens
 
 
@@ -55,21 +55,17 @@ def detect_relation(a: Actor, b: Actor, gateway: SearchGateway) -> RelationEvide
     """Issue the pair query and keep the snippets where both names co-occur.
 
     The two actors are ordered by id before the query is built, so the same
-    unordered pair always renders to the same cache key. Snippets with URLs
-    that fail to parse are skipped.
+    unordered pair always renders to the same cache key.
     """
     if a.id == b.id:
         raise ValueError(f"cannot relate {a.id!r} to itself")
     first, second = sorted((a, b), key=lambda actor: actor.id)
     result = gateway.execute(build_query([first.name, second.name]))
-    kept = [
-        snippet for snippet in parse_snippets(result.snippets)
-        if contains_term(snippet, first.name) and contains_term(snippet, second.name)
-    ]
+    kept = tuple(s for s in result.snippets if contains_term(s, first.name) and contains_term(s, second.name))
     return RelationEvidence(
         pair=(first.id, second.id),
         doubleton_count=result.hit_count,
-        l_ab=tuple(kept),
+        l_ab=kept,
         detected=result.hit_count > 0 and len(kept) > 0,
     )
 

@@ -1,18 +1,20 @@
 """Snippet model: tokenized URL, trimmed title and abstract, and term matching.
 
+Snippet is the one snippet type, built where an answer enters the program
+(see backends); snippet_record is its one JSON form, for the cache journal
+and the evidence dump.
+
 A URL is read as scheme://labels/segments. Host labels are stored right to
 left, so domains[0] is always the top-level label no matter how deep the
 hostname goes; path segments keep their original order and case. Queries and
-fragments are dropped, the port is stripped, scheme and host are lowercased.
-Rendering reverses that exactly, which gives parse/render a fixed point on
-normalized URLs.
+fragments are dropped, the port is stripped, scheme and host are lowercased,
+and each label is trimmed. Rendering loses nothing that parsing keeps,
+parse_url(u.render()) == u, so the journal's rendered URLs replay exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .backends import RawSnippet
 
 
 @dataclass(frozen=True)
@@ -54,35 +56,20 @@ def parse_url(raw: str) -> UrlTokens:
     head, sep, maybe_port = host.rpartition(":")
     if sep and maybe_port.isdigit():
         host = head
-    labels = [label for label in host.split(".") if label]
+    # Labels are trimmed, so the rendered host reparses to the same labels.
+    labels = [label.strip() for label in host.split(".") if label.strip()]
     if not labels:
         raise ValueError(f"empty host in {raw!r}")
+    head, sep, maybe_port = labels[-1].rpartition(":")
+    if sep and maybe_port.isdigit():  # rendered, it would read as the port
+        raise ValueError(f"host still ends in a port in {raw!r}")
     segments = tuple(segment for segment in path.split("/") if segment)
     return UrlTokens(scheme=scheme, domains=tuple(reversed(labels)), paths=segments)
 
 
-def parse_snippet(raw: RawSnippet) -> Snippet:
-    """Parse the URL and trim surrounding whitespace off title and abstract."""
-    return Snippet(
-        url=parse_url(raw.url),
-        title=raw.title.strip(),
-        abstract=raw.abstract.strip(),
-    )
-
-
-def parse_snippets(raws) -> list[Snippet]:
-    """Parse each raw snippet, skipping those whose URL parse_url rejects.
-
-    Fixture corpora are validated at load time, so only live engines return
-    such URLs.
-    """
-    parsed = []
-    for raw in raws:
-        try:
-            parsed.append(parse_snippet(raw))
-        except ValueError:
-            continue
-    return parsed
+def snippet_record(snippet: Snippet) -> dict:
+    """The JSON form of a snippet, as the cache journal and the evidence dump write it."""
+    return {"url": snippet.url.render(), "title": snippet.title, "abstract": snippet.abstract}
 
 
 def contains_term(snippet: Snippet, term: str) -> bool:

@@ -3,18 +3,19 @@ import json
 import pytest
 
 from conftest import make_gateway
-from snippetnet.backends import RawSnippet, SearchResult
+from snippetnet.backends import SearchResult
 from snippetnet.budget import BudgetLedger
 from snippetnet import cache as cache_module
 from snippetnet.cache import QueryCache
 from snippetnet.errors import BudgetExhausted
 from snippetnet.queries import build_query
+from snippetnet.snippets import Snippet, parse_url
 
 
 def _result(hits=3):
     return SearchResult(
         hit_count=hits,
-        snippets=(RawSnippet(url="http://a.com/x", title="T", abstract="A"),),
+        snippets=(Snippet(url=parse_url("http://a.com/x"), title="T", abstract="A"),),
     )
 
 

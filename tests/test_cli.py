@@ -301,6 +301,27 @@ class TestExitCodes:
             ])
         assert written[1] == written[0]
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"], ids=["LS", "PS", "NEL"])
+    def test_actors_file_lines_end_at_newline_only(self, tmp_path, separator):
+        actors = tmp_path / "actors.txt"
+        actors.write_text(f"Alice Nguyen{separator}Bob Santos\r\nCarol Reyes\n", encoding="utf-8")
+        assert [actor.name for actor in cli.load_actors(actors)] == [f"Alice Nguyen{separator}Bob Santos", "Carol Reyes"]
+
+    @pytest.mark.parametrize("command", [["extract", "--threshold", "0.0", "--format", "graphml"], ["keywords"]],
+                             ids=["extract", "keywords"])
+    def test_actor_name_with_control_character(self, tmp_path, corpus20_file, capsys, command):
+        # XML 1.0 cannot hold U+0001, so a GraphML export naming this actor would not parse.
+        actors = tmp_path / "actors.txt"
+        actors.write_text("Bob Santos\nAlice\x01 Nguyen\n", encoding="utf-8")
+        code = main(command + [
+            "--actors", str(actors), "--corpus", str(corpus20_file),
+            "--cache", str(tmp_path / "cache.json"), "--out", str(tmp_path / "out.xml"),
+        ])
+        assert code == 2
+        assert f"{actors}: line 2: control character in phrase" in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
+        assert not (tmp_path / "out.xml").exists()
+
     @pytest.mark.parametrize("command", [["extract", "--threshold", "0.0"], ["keywords"]],
                              ids=["extract", "keywords"])
     def test_actor_name_with_double_quote(self, tmp_path, corpus20_file, capsys, command):
@@ -337,12 +358,13 @@ class TestExitCodes:
                 {"alice-nguyn": ["community"], "bob-santos": ["graph"], "zed": []},
                 "ids that name no actor in this run: alice-nguyn, zed",
             ),
+            ({"alice-nguyen": ["graph", "mi\x01ning"]}, "keyword terms for 'alice-nguyen': control character in phrase"),
         ],
         ids=[
             "not-a-term-list", "double-quote", "term-not-a-string", "keyword-set-term-not-a-string",
             "misspelt-term-key-and-blank-term", "misspelt-term-key-after-a-good-one", "keyword-set-entry-not-an-object",
             "blank-first-term", "blank-later-term", "double-quote-in-later-term", "keyword-set-blank-later-term",
-            "misspelt-actor-id",
+            "misspelt-actor-id", "control-character-in-later-term",
         ],
     )
     def test_bad_keywords_file_is_rejected_before_paying(self, tmp_path, capsys, overrides, message):

@@ -122,7 +122,7 @@ class TestCorpusLoader:
         assert corpus[0].body == rows[0]["body"]
         result = FixtureBackend(corpus).search(build_query(["Alice Nguyen after"]))
         assert result.hit_count == 1
-        assert result.snippets[0].url == "http://a.com/x"
+        assert result.snippets[0].url.render() == "http://a.com/x"
 
     def test_invalid_utf8_is_a_corpus_error_naming_the_line(self, tmp_path):
         path = tmp_path / "latin1.jsonl"
@@ -189,7 +189,7 @@ class TestFixtureSearch:
         assert result.hit_count == 20
         assert len(result.snippets) == PAGE_SIZE == 10
         expected_urls = [row["url"] for row in corpus20_rows[:PAGE_SIZE]]
-        assert [s.url for s in result.snippets] == expected_urls
+        assert [s.url.render() for s in result.snippets] == expected_urls
 
     def test_abstract_is_body_prefix(self, corpus20):
         result = FixtureBackend(corpus20).search(build_query(["Methods Seminar Notes"]))
@@ -236,7 +236,7 @@ class TestFixtureSearch:
             result = backend.search(build_query(phrases))
             hit_count, urls = oracle_result(rows, phrases)
             assert result.hit_count == hit_count, phrases
-            assert [s.url for s in result.snippets] == urls, phrases
+            assert [s.url.render() for s in result.snippets] == urls, phrases
 
     def test_documents_are_read_once_not_once_per_query(self, corpus20_rows):
         reads = []
@@ -280,7 +280,7 @@ class TestFixtureSearchThreads:
             start.wait(timeout=60)
             for i in order:
                 result = backend.search(build_query(cases[i]))
-                if (result.hit_count, [s.url for s in result.snippets]) != expected[i]:
+                if (result.hit_count, [s.url.render() for s in result.snippets]) != expected[i]:
                     mismatches.append(cases[i])
             finished.append(seed)
 

@@ -15,20 +15,21 @@ from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
-from conftest import read_json
+from conftest import mask_timestamps, read_json
 from snippetnet.backends import FixtureBackend, LiveBackend
 from snippetnet.cache import HEADER
 from snippetnet.cli import main
 from snippetnet.corpus import load_corpus
 from snippetnet.errors import BackendError
 from snippetnet.queries import build_query
+from snippetnet.snippets import parse_url, snippet_record
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def corpus_answer(backend, q):
     result = backend.search(build_query(re.findall(r'"([^"]*)"', q)))
-    body = {"hit_count": result.hit_count, "snippets": [vars(s) for s in result.snippets]}
+    body = {"hit_count": result.hit_count, "snippets": [snippet_record(s) for s in result.snippets]}
     return 200, json.dumps(body).encode("utf-8")
 
 
@@ -66,14 +67,15 @@ def search_server():
         assert not thread.is_alive()
 
 
-def extract(tmp_path, backend, out_name="network.json"):
+def extract(tmp_path, backend, out_name="network.json", *flags, actors=DEMO / "actors.txt",
+            corpus=DEMO / "corpus.jsonl", cache=None):
     argv = [
-        "extract", "--actors", str(DEMO / "actors.txt"), "--backend", backend,
-        "--cache", str(tmp_path / f"{backend}-cache.json"),
-        "--threshold", "0.2", "--out", str(tmp_path / out_name),
+        "extract", "--actors", str(actors), "--backend", backend,
+        "--cache", str(cache or tmp_path / f"{backend}-cache.json"),
+        "--threshold", "0.2", "--out", str(tmp_path / out_name), *flags,
     ]
     if backend == "fixture":
-        argv += ["--corpus", str(DEMO / "corpus.jsonl")]
+        argv += ["--corpus", str(corpus)]
     code = main(argv)
     return code, tmp_path / out_name
 
@@ -130,6 +132,86 @@ class TestLoopback:
         assert "HTTP 503" in capsys.readouterr().err
         assert len(search_server.authorizations) == 1
         assert not out.exists()
+
+
+def written(out):
+    """The network and evidence bytes of a run, timestamps masked."""
+    return [mask_timestamps(Path(path).read_text(encoding="utf-8")) for path in (out, f"{out}.evidence.jsonl")]
+
+
+def journal_records(path):
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()[1:]]
+
+
+class TestSnippetsParsedOnceWhereTheyEnter:
+    def test_unparseable_url_is_dropped_from_the_page_and_the_journal(self, tmp_path, search_server, monkeypatch):
+        def names(q):
+            return " and ".join(re.findall(r'"([^"]*)"', q))
+
+        def twelve_snippets(q):
+            snippets = [
+                {"url": f"HTTP://H{i}.Example.org:8080/p/{i}?s=1", "title": f" {names(q)} ", "abstract": f"  page {i}  "}
+                for i in range(12)
+            ]
+            snippets[2]["url"] = "not-a-url"
+            return 200, json.dumps({"hit_count": 500, "snippets": snippets}).encode("utf-8")
+
+        monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", search_server.endpoint)
+        search_server.answer = twelve_snippets
+        code, out = extract(tmp_path, "live", "network.json", "--dump-evidence")
+        assert code == 0
+        records = journal_records(tmp_path / "live-cache.json")
+        assert len(records) == 21  # 15 pairs and 6 singletons
+        for record in records:
+            assert record["hit_count"] == 500
+            assert record["snippets"] == [
+                {"url": f"http://h{i}.example.org/p/{i}", "title": names(record["query"]), "abstract": f"page {i}"}
+                for i in (0, 1, 3, 4, 5, 6, 7, 8, 9)
+            ]
+        evidence = [json.loads(line) for line in (tmp_path / "network.json.evidence.jsonl").read_text().splitlines()]
+        assert [len(item["snippets"]) for item in evidence] == [9] * 15
+
+        first = written(out)
+        code, rerun = extract(tmp_path, "live", "rerun.json", "--dump-evidence")
+        assert code == 0
+        assert read_json(f"{rerun}.report.json")["backend_calls"] == 0
+        assert written(rerun) == first
+        assert len(search_server.authorizations) == 21
+
+    def test_journal_of_raw_answers_replays_like_a_fresh_run(self, tmp_path):
+        # Earlier versions journaled each answer as the backend gave it: URL
+        # unnormalised, title and abstract untrimmed. Such a cache is still
+        # read by parse_result, so it must replay to the bytes of a fresh run.
+        docs = [
+            {"id": 1, "url": "HTTP://Ex.COM:8080/a?b=1", "title": " Alice Nguyen with Bob Santos ",
+             "body": "  Alice Nguyen and Bob Santos wrote a paper.  "},
+            {"id": 2, "url": "http://b.org/x/", "title": "Bob Santos", "body": "Bob Santos alone. "},
+            {"id": 3, "url": "https://C.net/y//z#top", "title": "Alice Nguyen ", "body": "\tAlice Nguyen at home"},
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+        actors = tmp_path / "actors.txt"
+        actors.write_text("Alice Nguyen\nBob Santos\n", encoding="utf-8")
+        fresh_cache, old_cache = tmp_path / "fresh-cache.json", tmp_path / "old-cache.json"
+        code, fresh = extract(tmp_path, "fixture", "fresh.json", "--dump-evidence",
+                              actors=actors, corpus=corpus, cache=fresh_cache)
+        assert code == 0
+
+        by_url = {parse_url(doc["url"]).render(): doc for doc in docs}
+        lines = [HEADER]
+        for record in journal_records(fresh_cache):
+            raw = [by_url[s["url"]] for s in record["snippets"]]
+            record["snippets"] = [{"url": d["url"], "title": d["title"], "abstract": d["body"]} for d in raw]
+            lines.append(json.dumps(record, sort_keys=True).encode("utf-8") + b"\n")
+        old_cache.write_bytes(b"".join(lines))
+        assert b"HTTP://Ex.COM:8080/a?b=1" in old_cache.read_bytes()
+
+        code, replayed = extract(tmp_path, "fixture", "replayed.json", "--dump-evidence",
+                                 actors=actors, corpus=corpus, cache=old_cache)
+        assert code == 0
+        assert read_json(f"{replayed}.report.json")["backend_calls"] == 0
+        assert written(replayed) == written(fresh)
+        assert len(read_json(fresh)["edges"]) == 1
 
 
 GOOD_ANSWER = {"hit_count": 3, "snippets": [{"url": "http://a.com/x", "title": "T", "abstract": "A"}]}

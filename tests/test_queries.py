@@ -36,6 +36,14 @@ class TestBuildQuery:
         with pytest.raises(ValueError, match="double quote in phrase"):
             build_query(phrases)
 
+    @pytest.mark.parametrize("phrases", [["Alice\x01 Nguyen"], ["Ann", "B\to"], ["x\x1fy"], ["a\nb"]])
+    def test_control_character_in_phrase_rejected(self, phrases):
+        with pytest.raises(ValueError, match="control character in phrase"):
+            build_query(phrases)
+
+    def test_control_characters_around_a_phrase_are_trimmed(self):
+        assert build_query(["\tAlice Nguyen\n"]).terms == ("Alice Nguyen",)
+
     def test_every_phrase_appears_quoted(self):
         rng = random.Random(20260818)
         alphabet = "abcdefghij XYZ.'-"

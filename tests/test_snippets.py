@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
-from snippetnet.backends import RawSnippet
-from snippetnet.snippets import Snippet, contains_term, parse_snippet, parse_url
+from snippetnet.backends import FixtureBackend, parse_result
+from snippetnet.corpus import FixtureDocument
+from snippetnet.queries import build_query
+from snippetnet.snippets import Snippet, contains_term, parse_url, snippet_record
 
 
 class TestParseUrl:
@@ -67,16 +71,70 @@ class TestParseUrl:
 
 
 class TestParseSnippet:
+    """A snippet is parsed once, where the answer enters: parse_result or the fixture backend."""
+
     def test_builds_snippet_with_parsed_url(self):
-        raw = RawSnippet(url="http://a.com/x", title="  Title  ", abstract=" body text ")
-        snip = parse_snippet(raw)
-        assert snip.url.domains == ("com", "a")
-        assert snip.title == "Title"
-        assert snip.abstract == "body text"
+        answer = {"hit_count": 1, "snippets": [{"url": "http://a.com/x", "title": "  Title  ", "abstract": " body text "}]}
+        backend = FixtureBackend((FixtureDocument(1, "http://a.com/x", "  Title  ", " body text "),))
+        for result in (parse_result(answer), backend.search(build_query(["body"]))):
+            (snip,) = result.snippets
+            assert snip.url.domains == ("com", "a")
+            assert snip.title == "Title"
+            assert snip.abstract == "body text"
 
     def test_rejects_bad_url(self):
-        with pytest.raises(ValueError):
-            parse_snippet(RawSnippet(url="not-a-url", title="t", abstract="a"))
+        # The page is cut to its first 10 snippets before a bad URL drops one.
+        answers = [{"url": f"http://h{i}.com/p", "title": "t", "abstract": "a"} for i in range(12)]
+        answers[2]["url"] = "not-a-url"
+        result = parse_result({"hit_count": 40, "snippets": answers})
+        assert result.hit_count == 40
+        assert [snippet_record(s) for s in result.snippets] == answers[:2] + answers[3:10]
+
+    def test_record_renders_the_parsed_url(self):
+        snip = Snippet(url=parse_url("HTTP://Ex.COM:8080/a?b=1"), title="T", abstract="A")
+        assert snippet_record(snip) == {"url": "http://ex.com/a", "title": "T", "abstract": "A"}
+
+
+# Every character class that moves a URL boundary: port colons, digits, spaces
+# (ASCII and not), userinfo, label dots, path slashes, query and fragment
+# marks, brackets, upper case and non-ASCII letters.
+URL_ALPHABET = "aZ:::0123456789   @..//?#[]\u00c9\u00e9\u0130\u00df\u212a\u00a0\u0663"
+
+
+def random_url(rng):
+    scheme = "".join(rng.choice("hTtP: /") for _ in range(rng.randint(0, 5)))
+    rest = "".join(rng.choice(URL_ALPHABET) for _ in range(rng.randint(0, 16)))
+    return f"{scheme}://{rest}"
+
+
+class TestRenderIsLossless:
+    """The cache journal holds rendered URLs, so rendering must lose nothing parse_url keeps."""
+
+    def test_second_port_is_refused_and_spaces_around_labels_are_trimmed(self):
+        with pytest.raises(ValueError, match="port"):
+            parse_url("http://a:80:90/x")
+        assert parse_url("http://h.com :80/x").domains == ("com", "h")
+        assert parse_url("http://h. com").domains == ("com", "h")
+
+    def test_seeded_urls_reparse_to_themselves(self):
+        rng = random.Random(0x5EED)
+        candidates = ["http://a:80:90/x", "http://h.com :80/x"]
+        candidates += [random_url(rng) for _ in range(20_000)]
+        parsed, failures = 0, []
+        for raw in candidates:
+            try:
+                tokens = parse_url(raw)
+            except ValueError:
+                continue
+            parsed += 1
+            try:
+                again = parse_url(tokens.render())
+            except ValueError:
+                again = None
+            if again != tokens:
+                failures.append(raw)
+        assert parsed > 10_000
+        assert failures == []
 
 
 class TestContainsTerm:
