@@ -3,16 +3,27 @@
 Search engines meter queries per client per day, so the ledger counts what was
 issued today (UTC) and refuses the first call past the limit. Usage can be
 persisted to a sidecar file; the limit itself always comes from configuration.
+
+The sidecar holds one compact JSON object padded with spaces to RECORD_WIDTH
+and ended by a newline. A ledger's first save replaces the file atomically;
+every later save whose record has the same length overwrites it in place, with
+one write at offset 0 that never changes the file's length, so a process cut
+off during a charge leaves the old record or the new one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import BudgetExhausted
-from .ioutil import atomic_write_json
+from .ioutil import atomic_write_bytes
+
+# Characters of a sidecar record before its newline; trailing spaces are JSON
+# whitespace, so readers parse the padded record unchanged.
+RECORD_WIDTH = 127
 
 
 def utc_day_key() -> str:
@@ -59,6 +70,7 @@ class BudgetLedger:
         self.day_key = day_key if day_key is not None else today_fn()
         self.used_today = used_today
         self.total_issued = total_issued
+        self._saved_length = None  # bytes of the record this ledger last wrote
 
     @classmethod
     def open(cls, daily_limit: int, path, today_fn=utc_day_key) -> "BudgetLedger":
@@ -107,4 +119,14 @@ class BudgetLedger:
             "used_today": self.used_today,
             "total_issued": self.total_issued,
         }
-        atomic_write_json(self.path, state)
+        # ASCII-only JSON, so the padded text is as long as its bytes.
+        record = (json.dumps(state, sort_keys=True).ljust(RECORD_WIDTH) + "\n").encode("ascii")
+        if len(record) == self._saved_length:
+            fd = os.open(self.path, os.O_WRONLY)
+            try:
+                os.pwrite(fd, record, 0)
+            finally:
+                os.close(fd)
+        else:
+            atomic_write_bytes(self.path, record)
+            self._saved_length = len(record)

@@ -4,13 +4,13 @@ Order of business for every query: cache first, then the budget gate, then the
 backend, which answers with one result page. Cache hits never touch the
 ledger. All cache and ledger mutations go through one lock, so QueryCache and
 BudgetLedger need none of their own: a cache store appends one record to the
-cache journal and a charge rewrites the small ledger sidecar, both O(1) bytes
-per query. The backend call itself runs outside the lock, so independent
-queries may execute concurrently, and a backend shared by several worker
-threads must be safe to call from all of them at once (FixtureBackend is: its
-phrase memo only ever gains equal entries). Two threads racing on the *same*
-uncached query can each spend budget; pipeline callers only fan out distinct
-queries.
+cache journal and a charge overwrites the fixed-width ledger record in place,
+both O(1) bytes and no new file per query. The backend call itself runs
+outside the lock, so independent queries may execute concurrently, and a
+backend shared by several worker threads must be safe to call from all of
+them at once (FixtureBackend is: its phrase memo only ever gains equal
+entries). Two threads racing on the *same* uncached query can each spend
+budget; pipeline callers only fan out distinct queries.
 """
 
 from __future__ import annotations

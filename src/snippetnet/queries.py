@@ -20,12 +20,14 @@ def build_query(phrases: Iterable[str]) -> Query:
     """Trim each phrase and wrap the list in a Query.
 
     Raises ValueError when the list is empty, or when a trimmed phrase is
-    blank, holds a double quote or holds a control character below U+0020.
-    A double quote would close the quoted phrase early, so ['Ann" "Bo'] would
-    render exactly like ['Ann', 'Bo'] and share its cache entry; most control
-    characters cannot be written in XML 1.0, so a GraphML export naming such
-    an actor would not parse. Phrases are kept in the order given; callers
-    that want one query per unordered pair must canonicalize the order.
+    blank, holds a double quote, a control character below U+0020, a lone
+    surrogate (U+D800 to U+DFFF) or U+FFFE or U+FFFF. A double quote would
+    close the quoted phrase early, so ['Ann" "Bo'] would render exactly like
+    ['Ann', 'Bo'] and share its cache entry; XML 1.0 cannot hold most control
+    characters nor any of the others, so a GraphML export naming such an
+    actor would not parse, and a lone surrogate has no UTF-8 form, so a live
+    query could not be sent. Phrases are kept in the order given; callers that
+    want one query per unordered pair must canonicalize the order.
     """
     given = list(phrases)
     if not given:
@@ -37,7 +39,13 @@ def build_query(phrases: Iterable[str]) -> Query:
             raise ValueError(f"blank phrase in query: {given!r}")
         if '"' in cleaned:
             raise ValueError(f"double quote in phrase {cleaned!r}")
-        if any(char < " " for char in cleaned):
+        if min(cleaned) < " ":
             raise ValueError(f"control character in phrase {cleaned!r}")
+        # min and max run in C, so the usual phrase, all below U+D800, is
+        # checked without a loop in Python.
+        if max(cleaned) >= "\ud800" and any(
+            "\ud800" <= char <= "\udfff" or char in "\ufffe\uffff" for char in cleaned
+        ):
+            raise ValueError(f"lone surrogate or noncharacter in phrase {cleaned!r}")
         trimmed.append(cleaned)
     return Query(terms=tuple(trimmed))

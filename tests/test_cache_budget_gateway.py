@@ -4,10 +4,12 @@ import pytest
 
 from conftest import make_gateway
 from snippetnet.backends import SearchResult
-from snippetnet.budget import BudgetLedger
+from snippetnet import budget as budget_module
+from snippetnet.budget import RECORD_WIDTH, BudgetLedger, read_ledger_state
 from snippetnet import cache as cache_module
 from snippetnet.cache import QueryCache
 from snippetnet.errors import BudgetExhausted
+from snippetnet.ioutil import json_bytes
 from snippetnet.queries import build_query
 from snippetnet.snippets import Snippet, parse_url
 
@@ -185,6 +187,74 @@ class TestBudgetLedger:
         reloaded = BudgetLedger.open(2, path, today_fn=lambda: days[0])
         assert reloaded.used_today == 0
         assert reloaded.total_issued == 1
+
+    def test_every_charge_leaves_one_fixed_width_record(self, tmp_path):
+        path = tmp_path / "ledger.json"
+        ledger = BudgetLedger.open(20, path, today_fn=lambda: "2026-08-18")
+        for _ in range(12):  # 9 -> 10 changes the digits, not the width
+            ledger.charge()
+            data = path.read_bytes()
+            assert len(data) == RECORD_WIDTH + 1
+            assert data.endswith(b"\n") and data.count(b"\n") == 1
+            assert read_ledger_state(path) == {
+                "day_key": ledger.day_key, "used_today": ledger.used_today, "total_issued": ledger.total_issued,
+            }
+
+    @staticmethod
+    def _count_atomic_writes(monkeypatch):
+        replaced = []
+
+        def counting(path, data):
+            replaced.append(data)
+            atomic_write_bytes(path, data)
+
+        atomic_write_bytes = budget_module.atomic_write_bytes
+        monkeypatch.setattr(budget_module, "atomic_write_bytes", counting)
+        return replaced
+
+    def test_old_indented_sidecar_is_replaced_once_then_overwritten_in_place(self, tmp_path, monkeypatch):
+        path = tmp_path / "ledger.json"
+        path.write_bytes(json_bytes({"day_key": "2026-08-18", "used_today": 3, "total_issued": 40}))
+        replaced = self._count_atomic_writes(monkeypatch)
+        ledger = BudgetLedger.open(100, path, today_fn=lambda: "2026-08-18")
+        ledger.charge()
+        inode = path.stat().st_ino
+        for _ in range(5):
+            ledger.charge()
+        assert len(replaced) == 1
+        assert path.stat().st_ino == inode  # a rename would give a new inode
+        assert len(path.read_bytes()) == RECORD_WIDTH + 1
+        assert read_ledger_state(path) == {"day_key": "2026-08-18", "used_today": 9, "total_issued": 46}
+        assert [p.name for p in tmp_path.iterdir()] == ["ledger.json"]
+
+    def test_day_roll_to_a_shorter_count_keeps_the_file_valid(self, tmp_path, monkeypatch):
+        path = tmp_path / "ledger.json"
+        days = ["2026-08-18"]
+        replaced = self._count_atomic_writes(monkeypatch)
+        ledger = BudgetLedger.open(1000, path, today_fn=lambda: days[0])
+        for _ in range(150):
+            ledger.charge()
+        days[0] = "2026-08-19"
+        ledger.charge()
+        assert len(replaced) == 1
+        assert len(path.read_bytes()) == RECORD_WIDTH + 1
+        assert read_ledger_state(path) == {"day_key": "2026-08-19", "used_today": 1, "total_issued": 151}
+        reloaded = BudgetLedger.open(1000, path, today_fn=lambda: days[0])
+        assert (reloaded.used_today, reloaded.total_issued) == (1, 151)
+
+    def test_record_wider_than_the_width_is_replaced_atomically(self, tmp_path, monkeypatch):
+        path = tmp_path / "ledger.json"
+        huge = 10 ** 130
+        path.write_bytes(json_bytes({"day_key": "2026-08-18", "used_today": 0, "total_issued": huge}))
+        replaced = self._count_atomic_writes(monkeypatch)
+        ledger = BudgetLedger.open(10, path, today_fn=lambda: "2026-08-18")
+        ledger.charge()
+        assert len(replaced) == 1
+        assert len(replaced[0]) > RECORD_WIDTH + 1
+        assert read_ledger_state(path) == {"day_key": "2026-08-18", "used_today": 1, "total_issued": huge + 1}
+        ledger.charge()
+        assert len(replaced) == 1
+        assert read_ledger_state(path) == {"day_key": "2026-08-18", "used_today": 2, "total_issued": huge + 2}
 
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(ValueError):

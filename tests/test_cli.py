@@ -322,6 +322,21 @@ class TestExitCodes:
         assert not (tmp_path / "cache.json").exists()
         assert not (tmp_path / "out.xml").exists()
 
+    @pytest.mark.parametrize("char", ["\uffff", "\ufffe"], ids=["U+FFFF", "U+FFFE"])
+    def test_actor_name_with_noncharacter(self, tmp_path, corpus20_file, capsys, char):
+        # XML 1.0 cannot hold U+FFFE or U+FFFF either, although UTF-8 can.
+        actors = tmp_path / "actors.txt"
+        actors.write_text(f"Bob Santos\nAlice{char} Nguyen\n", encoding="utf-8")
+        code = main([
+            "extract", "--threshold", "0.0", "--format", "graphml",
+            "--actors", str(actors), "--corpus", str(corpus20_file),
+            "--cache", str(tmp_path / "cache.json"), "--out", str(tmp_path / "out.xml"),
+        ])
+        assert code == 2
+        assert f"{actors}: line 2: lone surrogate or noncharacter in phrase" in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
+        assert not (tmp_path / "out.xml").exists()
+
     @pytest.mark.parametrize("command", [["extract", "--threshold", "0.0"], ["keywords"]],
                              ids=["extract", "keywords"])
     def test_actor_name_with_double_quote(self, tmp_path, corpus20_file, capsys, command):
@@ -359,12 +374,13 @@ class TestExitCodes:
                 "ids that name no actor in this run: alice-nguyn, zed",
             ),
             ({"alice-nguyen": ["graph", "mi\x01ning"]}, "keyword terms for 'alice-nguyen': control character in phrase"),
+            ({"alice-nguyen": ["\ud800x"]}, "keyword terms for 'alice-nguyen': lone surrogate or noncharacter in phrase"),
         ],
         ids=[
             "not-a-term-list", "double-quote", "term-not-a-string", "keyword-set-term-not-a-string",
             "misspelt-term-key-and-blank-term", "misspelt-term-key-after-a-good-one", "keyword-set-entry-not-an-object",
             "blank-first-term", "blank-later-term", "double-quote-in-later-term", "keyword-set-blank-later-term",
-            "misspelt-actor-id", "control-character-in-later-term",
+            "misspelt-actor-id", "control-character-in-later-term", "lone-surrogate",
         ],
     )
     def test_bad_keywords_file_is_rejected_before_paying(self, tmp_path, capsys, overrides, message):
@@ -483,6 +499,29 @@ class TestExitCodes:
         assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in written} == {
             p.name: mode for p in written
         }
+
+    def test_a_cold_run_replaces_four_files_not_one_per_query(self, tmp_path, monkeypatch):
+        # Output, evidence, report and the ledger's first record; every later
+        # charge overwrites the ledger record in place.
+        from snippetnet import budget, cache, ioutil
+
+        replaced = []
+
+        def counting(path, data):
+            replaced.append(Path(path).name)
+            atomic_write_bytes(path, data)
+
+        atomic_write_bytes = ioutil.atomic_write_bytes
+        for module in (ioutil, cli, budget, cache):
+            monkeypatch.setattr(module, "atomic_write_bytes", counting)
+        code, out = run_extract(tmp_path, DEMO / "actors.txt", DEMO / "corpus.jsonl", threshold="0.2",
+                                dump_evidence=True)
+        assert code == 0
+        assert read_json(str(out) + ".report.json")["backend_calls"] == 19
+        assert sorted(replaced) == sorted([
+            "cache.json.ledger", "network.json", "network.json.evidence.jsonl", "network.json.report.json",
+        ])
+        assert len((tmp_path / "cache.json.ledger").read_bytes()) == budget.RECORD_WIDTH + 1
 
 
 class TestCacheJournal:

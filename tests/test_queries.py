@@ -41,6 +41,29 @@ class TestBuildQuery:
         with pytest.raises(ValueError, match="control character in phrase"):
             build_query(phrases)
 
+    @pytest.mark.parametrize("phrases", [["Alice\uffff Nguyen"], ["a\ufffe"], ["\ud800x"], ["Ann", "B\udfffo"]])
+    def test_surrogate_or_noncharacter_in_phrase_rejected(self, phrases):
+        # XML 1.0 cannot hold these, and a lone surrogate has no UTF-8 encoding.
+        with pytest.raises(ValueError, match="lone surrogate or noncharacter in phrase"):
+            build_query(phrases)
+
+    @pytest.mark.parametrize(
+        "code_point",
+        [0x1F, 0x20, 0x7F, 0xE9, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xE000, 0xFFFD, 0xFFFE, 0xFFFF,
+         0x10000, 0x1F600, 0x10FFFF],
+        ids=lambda code_point: f"U+{code_point:04X}",
+    )
+    def test_a_phrase_is_accepted_exactly_when_xml_can_hold_it(self, code_point):
+        # The XML 1.0 Char production, less the tab, newline and carriage
+        # return that the control-character rule refuses as well.
+        xml_char = 0x20 <= code_point <= 0xD7FF or 0xE000 <= code_point <= 0xFFFD or 0x10000 <= code_point
+        phrase = f"a{chr(code_point)}b"
+        if xml_char:
+            assert build_query([phrase]).terms == (phrase,)
+        else:
+            with pytest.raises(ValueError):
+                build_query([phrase])
+
     def test_control_characters_around_a_phrase_are_trimmed(self):
         assert build_query(["\tAlice Nguyen\n"]).terms == ("Alice Nguyen",)
 
