@@ -1,7 +1,9 @@
 """Search backends behind one port.
 
-The fixture backend scans a local corpus and returns exact counts, which makes
-it the reference every arithmetic claim is checked against. The live backend
+A backend is any object with search(query) -> SearchResult: it runs one
+query and returns the hit count and at most PAGE_SIZE snippets. The fixture
+backend scans a local corpus and returns exact counts, which makes it the
+reference every arithmetic claim is checked against. The live backend
 adapts a JSON-over-HTTP search service; engine counts are estimates, so it is
 explicitly outside those exactness guarantees. The live backend imports the
 web client (urllib, and with it http, email and ssl) on its first search, so
@@ -14,8 +16,7 @@ live response bodies and cache records alike.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Protocol
+from collections import namedtuple
 
 from .corpus import FixtureDocument
 from .errors import BackendError
@@ -27,11 +28,7 @@ from .snippets import Snippet, parse_url
 ABSTRACT_LENGTH = 200
 PAGE_SIZE = 10  # one result page per query: the cache is keyed by the query alone
 
-
-@dataclass(frozen=True)
-class SearchResult:
-    hit_count: int
-    snippets: tuple[Snippet, ...]
+SearchResult = namedtuple("SearchResult", "hit_count snippets")  # snippets: a tuple of Snippet
 
 
 def parse_result(payload) -> SearchResult:
@@ -59,11 +56,6 @@ def parse_result(payload) -> SearchResult:
             except ValueError:
                 pass
     return SearchResult(hit_count=hit_count, snippets=tuple(snippets))
-
-
-class SearchBackendPort(Protocol):
-    def search(self, query: Query) -> SearchResult:
-        """Run one query, returning a hit count and at most PAGE_SIZE snippets."""
 
 
 class FixtureBackend:

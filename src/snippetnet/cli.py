@@ -118,11 +118,11 @@ def cmd_extract(args) -> int:
     # stage the plain singletons, scoring the keyword queries (none for sr,
     # whose singletons the context stage already cached).
     evidence = detect_all(actors, gateway, parallelism=args.parallelism)
-    doubleton_calls = gateway.stats.backend_calls
+    doubleton_calls = gateway.backend_calls
     detected = [item for item in evidence if item.detected]
     involved = sorted({actor_id for item in detected for actor_id in item.pair})
     contexts = {actor_id: fetch_actor_context(by_id[actor_id], gateway) for actor_id in involved}
-    singleton_calls = gateway.stats.backend_calls - doubleton_calls
+    singleton_calls = gateway.backend_calls - doubleton_calls
 
     keywords_by_actor: dict = {}
     if overrides is not None:
@@ -178,7 +178,7 @@ def cmd_extract(args) -> int:
             )
         atomic_write_bytes(_evidence_path(args.out), ("\n".join(lines) + "\n").encode("utf-8"))
 
-    total_calls = gateway.stats.backend_calls
+    total_calls = gateway.backend_calls
     bound = 3 * len(actors) * len(actors)
     report = {
         "actors": len(actors),
@@ -189,7 +189,7 @@ def cmd_extract(args) -> int:
         "singleton_queries": singleton_calls,
         "keyword_queries": total_calls - doubleton_calls - singleton_calls,
         "backend_calls": total_calls,
-        "cache_hits": gateway.stats.cache_hits,
+        "cache_hits": gateway.cache_hits,
         "ledger": gateway.ledger.snapshot(),
         "bound_check": {
             "total_backend_calls": total_calls,
@@ -202,7 +202,7 @@ def cmd_extract(args) -> int:
     atomic_write_json(_report_path(args.out), report)
     print(
         f"wrote {args.out}: {len(network.edges)} edges over {len(actors)} actors "
-        f"({total_calls} backend calls, {gateway.stats.cache_hits} cache hits)"
+        f"({total_calls} backend calls, {gateway.cache_hits} cache hits)"
     )
     return 0
 

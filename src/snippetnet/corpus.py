@@ -3,19 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import ConfigError
 from .snippets import parse_url
 
-
-@dataclass(frozen=True)
-class FixtureDocument:
-    doc_id: int
-    url: str
-    title: str
-    body: str
+FixtureDocument = namedtuple("FixtureDocument", "doc_id url title body")
 
 
 def load_corpus(path) -> tuple[FixtureDocument, ...]:

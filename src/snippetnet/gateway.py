@@ -10,33 +10,30 @@ outside the lock, so independent queries may execute concurrently, and a
 backend shared by several worker threads must be safe to call from all of
 them at once (FixtureBackend is: its phrase memo only ever gains equal
 entries). Two threads racing on the *same* uncached query can each spend
-budget; pipeline callers only fan out distinct queries.
+budget; pipeline callers only fan out distinct queries. The backend is any
+object with search(query) -> SearchResult (see backends). The gateway counts
+what it served in two ints, backend_calls and cache_hits, each bumped under
+the lock.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
-from .backends import SearchBackendPort, SearchResult
+from .backends import SearchResult
 from .budget import BudgetLedger
 from .cache import QueryCache
 from .queries import Query
 
 
-@dataclass
-class GatewayStats:
-    backend_calls: int = 0
-    cache_hits: int = 0
-
-
 class SearchGateway:
-    def __init__(self, backend: SearchBackendPort, cache: QueryCache | None = None,
+    def __init__(self, backend, cache: QueryCache | None = None,
                  ledger: BudgetLedger | None = None):
         self.backend = backend
         self.cache = cache if cache is not None else QueryCache()
         self.ledger = ledger if ledger is not None else BudgetLedger(daily_limit=1_000_000)
-        self.stats = GatewayStats()
+        self.backend_calls = 0
+        self.cache_hits = 0
         self._lock = threading.Lock()
 
     def execute(self, query: Query) -> SearchResult:
@@ -50,11 +47,11 @@ class SearchGateway:
         with self._lock:
             cached = self.cache.lookup(rendered)
             if cached is not None:
-                self.stats.cache_hits += 1
+                self.cache_hits += 1
                 return cached
             self.ledger.charge()
         result = self.backend.search(query)
         with self._lock:
             self.cache.store(rendered, result)
-            self.stats.backend_calls += 1
+            self.backend_calls += 1
         return result

@@ -9,7 +9,7 @@ what an edge is about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .snippets import UrlTokens
 from .text import MIN_TOKEN_LENGTH, STOPWORDS, tokenize
@@ -47,22 +47,26 @@ _SOURCE_PRIORITY = ("url_domain", "url_path", "title")
 
 MAX_LABELS = 5
 
+UsrScore = namedtuple("UsrScore", "value shared_domains")
 
-@dataclass(frozen=True)
-class UsrScore:
-    value: float
-    shared_domains: frozenset
+# labels: (token, weight) pairs, heaviest first; source: where the top label came from.
+EdgeLabels = namedtuple("EdgeLabels", "labels source", defaults=(None,))
 
 
-@dataclass(frozen=True)
-class EdgeLabels:
-    labels: tuple  # (token, weight) pairs, heaviest first
-    source: str | None = None  # provenance of the top label
+def _is_ipv4(domains: tuple[str, ...]) -> bool:
+    """A dotted-quad host: four labels of ASCII digits, which name no domain."""
+    return len(domains) == 4 and all(label.isascii() and label.isdigit() for label in domains)
 
 
 def registrable_domain(url: UrlTokens) -> str:
-    """The two rightmost host labels, or three when those two are a public suffix."""
+    """The two rightmost host labels, or three when those two are a public suffix.
+
+    An IPv4 host is its own registrable domain: 10.20.0.1 and 192.168.0.1
+    share no domain, although both end in "0.1".
+    """
     domains = url.domains
+    if _is_ipv4(domains):
+        return ".".join(reversed(domains))
     if len(domains) == 1:
         return domains[0]
     two = f"{domains[1]}.{domains[0]}"
@@ -88,11 +92,11 @@ def usr(l_a, l_b) -> UsrScore:
 def label_edge(l_ab) -> EdgeLabels:
     """The MAX_LABELS candidate tokens of an edge seen most often.
 
-    Candidates per snippet: host labels other than the rightmost two, path
-    segments split on non-alphanumerics, and title tokens. The generic filter
-    and the minimum token length apply to all three streams. Ties break
-    lexicographically. The source field records where the top-ranked token
-    was seen most often.
+    Candidates per snippet: host labels other than the rightmost two (none of
+    an IPv4 host), path segments split on non-alphanumerics, and title
+    tokens. The generic filter and the minimum token length apply to all
+    three streams. Ties break lexicographically. The source field records
+    where the top-ranked token was seen most often.
     """
     counts: dict = {}
     by_source: dict = {}
@@ -103,7 +107,8 @@ def label_edge(l_ab) -> EdgeLabels:
         sources[source] = sources.get(source, 0) + 1
 
     for snippet in l_ab:
-        for label in snippet.url.domains[2:]:
+        domains = snippet.url.domains
+        for label in () if _is_ipv4(domains) else domains[2:]:
             if len(label) >= MIN_TOKEN_LENGTH and label not in GENERIC_TOKENS:
                 add(label, "url_domain")
         for segment in snippet.url.paths:

@@ -11,33 +11,21 @@ urllib.request, and with it a whole web client that no export needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ioutil import json_bytes
 from .labeling import EdgeLabels, UsrScore
-from .relations import Actor
-from .strength import StrengthScore
 
 EXPORT_FORMATS = ("dot", "graphml", "json")
 
 EMPTY_USR = UsrScore(value=0.0, shared_domains=frozenset())
 EMPTY_LABELS = EdgeLabels(labels=(), source=None)
 
+# weight is a StrengthScore, usr a UsrScore, labels an EdgeLabels.
+Edge = namedtuple("Edge", "pair weight usr labels evidence_size")
 
-@dataclass(frozen=True)
-class Edge:
-    pair: tuple[str, str]
-    weight: StrengthScore
-    usr: UsrScore
-    labels: EdgeLabels
-    evidence_size: int
-
-
-@dataclass(frozen=True)
-class SocialNetwork:
-    nodes: tuple[Actor, ...]
-    edges: tuple[Edge, ...]
-    provenance: dict
+# nodes: Actors by id; edges: Edges by pair; provenance: a dict, so a network is not hashable.
+SocialNetwork = namedtuple("SocialNetwork", "nodes edges provenance")
 
 
 def build_network(actors, evidence, scores, usr_scores=None, labels=None, *,

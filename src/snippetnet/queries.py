@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections import namedtuple
+from collections.abc import Iterable
 
 
-@dataclass(frozen=True)
-class Query:
-    terms: tuple[str, ...]
+class Query(namedtuple("Query", "terms")):
+    __slots__ = ()
 
     @property
     def rendered(self) -> str:

@@ -5,12 +5,20 @@ one returned snippet mentions both names in its title or abstract. The second
 condition is what separates a genuine co-mention from two names that merely
 share a page count, and it costs nothing extra: only the one doubleton query
 per pair is ever issued.
+
+Actor, RelationEvidence and the package's other records are named tuples:
+immutable, equal and hashed by value, and cheap to define, which keeps the
+start-up of every command short. Like any tuple they iterate, unpack and
+order, and a record equals a plain tuple with the same items. Actor trims
+its name and derives its id in __new__, and RelationEvidence checks its pair
+order and detected flag there; _make and _replace bypass __new__ and its
+checks, so nothing in the package calls them.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations
 
 from .gateway import SearchGateway
@@ -24,31 +32,28 @@ def slugify(name: str) -> str:
     return "-".join(raw_tokens(name)) or "actor"
 
 
-@dataclass(frozen=True)
-class Actor:
-    name: str
-    id: str = field(init=False)
+class Actor(namedtuple("Actor", "name id")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        cleaned = self.name.strip()
+    def __new__(cls, name: str):
+        cleaned = name.strip()
         if not cleaned:
             raise ValueError("actor name must be non-empty")
-        object.__setattr__(self, "name", cleaned)
-        object.__setattr__(self, "id", slugify(cleaned))
+        return super().__new__(cls, cleaned, slugify(cleaned))
+
+    def __getnewargs__(self):  # copy and pickle rebuild an Actor from its name alone
+        return (self.name,)
 
 
-@dataclass(frozen=True)
-class RelationEvidence:
-    pair: tuple[str, str]
-    doubleton_count: int
-    l_ab: tuple[Snippet, ...]
-    detected: bool
+class RelationEvidence(namedtuple("RelationEvidence", "pair doubleton_count l_ab detected")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.pair[0] >= self.pair[1]:
-            raise ValueError(f"pair must be ordered (id_min, id_max), got {self.pair}")
-        if self.detected != (self.doubleton_count > 0 and len(self.l_ab) > 0):
+    def __new__(cls, pair: tuple[str, str], doubleton_count: int, l_ab: tuple[Snippet, ...], detected: bool):
+        if pair[0] >= pair[1]:
+            raise ValueError(f"pair must be ordered (id_min, id_max), got {pair}")
+        if detected != (doubleton_count > 0 and len(l_ab) > 0):
             raise ValueError("detected must equal (doubleton_count > 0 and l_ab non-empty)")
+        return super().__new__(cls, pair, doubleton_count, l_ab, detected)
 
 
 def detect_relation(a: Actor, b: Actor, gateway: SearchGateway) -> RelationEvidence:

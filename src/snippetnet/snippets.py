@@ -14,14 +14,11 @@ parse_url(u.render()) == u, so the journal's rendered URLs replay exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class UrlTokens:
-    scheme: str
-    domains: tuple[str, ...]
-    paths: tuple[str, ...]
+class UrlTokens(namedtuple("UrlTokens", "scheme domains paths")):
+    __slots__ = ()
 
     def render(self) -> str:
         host = ".".join(reversed(self.domains))
@@ -29,11 +26,7 @@ class UrlTokens:
         return f"{self.scheme}://{host}{tail}"
 
 
-@dataclass(frozen=True)
-class Snippet:
-    url: UrlTokens
-    title: str
-    abstract: str
+Snippet = namedtuple("Snippet", "url title abstract")
 
 
 def parse_url(raw: str) -> UrlTokens:

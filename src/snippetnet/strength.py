@@ -1,55 +1,44 @@
 """Relation strength from singleton and doubleton hit counts.
 
-Three set-similarity measures over the counts |a|, |b|, |a n b|, each mapping
-to [0, 1] and returning 0.0 when its denominator is zero. Counts are clamped
-first so the intersection never exceeds either side; live engines report
-estimates that can violate that, fixture counts never do.
+Three set-similarity measures, each taking the counts |a|, |b|, |a n b| as
+three ints, mapping to [0, 1] and returning 0.0 when its denominator is zero.
+Counts are clamped first: clamp returns the same three ints, ready to unpack
+into a measure, with the intersection cut so it never exceeds either side;
+live engines report estimates that can violate that, fixture counts never do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .gateway import SearchGateway
 from .queries import build_query
 from .relations import Actor, RelationEvidence
 
 
-@dataclass(frozen=True)
-class HitCountTriple:
-    singleton_a: int
-    singleton_b: int
-    doubleton: int
+def clamp(singleton_a: int, singleton_b: int, doubleton: int) -> tuple[int, int, int]:
+    return singleton_a, singleton_b, min(doubleton, singleton_a, singleton_b)
 
 
-def clamp(singleton_a: int, singleton_b: int, doubleton: int) -> HitCountTriple:
-    return HitCountTriple(singleton_a, singleton_b, min(doubleton, singleton_a, singleton_b))
+def jaccard(singleton_a: int, singleton_b: int, doubleton: int) -> float:
+    denominator = singleton_a + singleton_b - doubleton
+    return doubleton / denominator if denominator > 0 else 0.0
 
 
-def jaccard(counts: HitCountTriple) -> float:
-    denominator = counts.singleton_a + counts.singleton_b - counts.doubleton
-    return counts.doubleton / denominator if denominator > 0 else 0.0
+def dice(singleton_a: int, singleton_b: int, doubleton: int) -> float:
+    denominator = singleton_a + singleton_b
+    return 2 * doubleton / denominator if denominator > 0 else 0.0
 
 
-def dice(counts: HitCountTriple) -> float:
-    denominator = counts.singleton_a + counts.singleton_b
-    return 2 * counts.doubleton / denominator if denominator > 0 else 0.0
-
-
-def overlap(counts: HitCountTriple) -> float:
-    denominator = min(counts.singleton_a, counts.singleton_b)
-    return counts.doubleton / denominator if denominator > 0 else 0.0
+def overlap(singleton_a: int, singleton_b: int, doubleton: int) -> float:
+    denominator = min(singleton_a, singleton_b)
+    return doubleton / denominator if denominator > 0 else 0.0
 
 
 MEASURES = {"jaccard": jaccard, "dice": dice, "overlap": overlap}
 
-
-@dataclass(frozen=True)
-class StrengthScore:
-    value: float
-    measure: str
-    variant: str
-    keywords_used: tuple[str, str] | None = None
+# keywords_used is None for sr, and the two keywords in pair order for srwk.
+StrengthScore = namedtuple("StrengthScore", "value measure variant keywords_used", defaults=(None,))
 
 
 def _measure_fn(measure: str):
@@ -71,8 +60,8 @@ def sr(a: Actor, b: Actor, evidence: RelationEvidence, gateway: SearchGateway,
         raise ValueError(f"pair {evidence.pair} was not detected; nothing to score")
     count_a = gateway.execute(build_query([a.name])).hit_count
     count_b = gateway.execute(build_query([b.name])).hit_count
-    triple = clamp(count_a, count_b, evidence.doubleton_count)
-    return StrengthScore(value=fn(triple), measure=measure, variant="sr")
+    return StrengthScore(value=fn(*clamp(count_a, count_b, evidence.doubleton_count)),
+                         measure=measure, variant="sr")
 
 
 def sr_with_keywords(a: Actor, kw_a: str, b: Actor, kw_b: str, gateway: SearchGateway,
@@ -90,9 +79,8 @@ def sr_with_keywords(a: Actor, kw_a: str, b: Actor, kw_b: str, gateway: SearchGa
     queries = [build_query([a.name, kw_a]), build_query([b.name, kw_b]),
                build_query([a.name, kw_a, b.name, kw_b])]
     count_a, count_b, count_both = (gateway.execute(query).hit_count for query in queries)
-    triple = clamp(count_a, count_b, count_both)
     return StrengthScore(
-        value=fn(triple),
+        value=fn(*clamp(count_a, count_b, count_both)),
         measure=measure,
         variant="srwk",
         keywords_used=(queries[0].terms[1], queries[1].terms[1]),

@@ -124,10 +124,10 @@ def test_criterion_04_clamp_and_range_invariants():
         sa, sb = rng.randint(0, 100_000), rng.randint(0, 100_000)
         d = rng.randint(0, 150_000)
         counts, swapped = clamp(sa, sb, d), clamp(sb, sa, d)
-        j, s, o = jaccard(counts), dice(counts), overlap(counts)
+        j, s, o = jaccard(*counts), dice(*counts), overlap(*counts)
         if not (0.0 <= j <= s <= o <= 1.0):
             violations += 1
-        elif (j, s, o) != (jaccard(swapped), dice(swapped), overlap(swapped)):
+        elif (j, s, o) != (jaccard(*swapped), dice(*swapped), overlap(*swapped)):
             violations += 1
     _report(4, violations == 0, f"{trials} random triples, {violations} invariant violations")
 
@@ -199,7 +199,7 @@ def test_criterion_07_budget_enforcement(tmp_path):
     except BudgetExhausted:
         raised = True
     persisted = QueryCache.open(cache_path)
-    ok = raised and gateway.stats.backend_calls == 10 and len(persisted) == 10
+    ok = raised and gateway.backend_calls == 10 and len(persisted) == 10
     _report(
         7, ok,
         f"11th uncached query raised BudgetExhausted; {len(persisted)} cache entries persisted",

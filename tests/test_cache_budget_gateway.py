@@ -269,8 +269,8 @@ class TestGatewayExecute:
         second = gateway.execute(q)
         assert first == second
         assert first.hit_count == 4
-        assert gateway.stats.backend_calls == 1
-        assert gateway.stats.cache_hits == 1
+        assert gateway.backend_calls == 1
+        assert gateway.cache_hits == 1
         assert gateway.ledger.used_today == 1
 
     def test_cache_hit_never_touches_budget(self, corpus20):
@@ -297,8 +297,8 @@ class TestGatewayExecute:
         second = make_gateway(corpus20, cache_path=cache_path)
         result = second.execute(q)
         assert result.hit_count == 3
-        assert second.stats.backend_calls == 0
-        assert second.stats.cache_hits == 1
+        assert second.backend_calls == 0
+        assert second.cache_hits == 1
 
     def test_exhaustion_leaves_no_partial_cache_entry(self, corpus20, tmp_path):
         cache_path = tmp_path / "cache.json"

@@ -25,10 +25,19 @@ class TestRegistrableDomain:
             ("http://news.bbc.co.uk/world", "bbc.co.uk"),
             ("http://localhost/x", "localhost"),
             ("http://lab.uni.example", "uni.example"),
+            ("http://10.20.0.1/x", "10.20.0.1"),
+            ("http://192.168.0.1:8080/y", "192.168.0.1"),
+            ("http://1.2.3.example.com", "example.com"),
         ],
     )
     def test_known_values(self, url, expected):
         assert registrable_domain(parse_url(url)) == expected
+
+    def test_ipv4_hosts_share_no_domain_by_their_last_two_octets(self):
+        score = usr([_snip("http://10.20.0.1/x")], [_snip("http://192.168.0.1/y")])
+        assert score.value == 0.0
+        assert score.shared_domains == frozenset()
+        assert usr([_snip("http://10.20.0.1/x")], [_snip("http://10.20.0.1/z")]).value == 1.0
 
 
 class TestUsr:
@@ -85,6 +94,11 @@ class TestLabelEdge:
         result = label_edge([_snip("http://deep.example.com/x")])
         assert all(token != "example" for token, _ in result.labels)
         assert ("deep", 1) in result.labels
+
+    def test_ipv4_host_labels_never_label(self):
+        result = label_edge([_snip("http://192.168.100.200/paper", title="Graph mining")])
+        assert dict(result.labels) == {"paper": 1, "graph": 1, "mining": 1}
+        assert result.labels[0] == ("graph", 1)
 
     def test_title_tokens_participate(self):
         result = label_edge([_snip("http://a.com/x", title="Quantum Chemistry")])

@@ -58,7 +58,7 @@ class TestDetectRelation:
         forward = detect_relation(a, b, gateway20)
         backward = detect_relation(b, a, gateway20)
         assert forward == backward
-        assert gateway20.stats.backend_calls == 1  # same rendered query
+        assert gateway20.backend_calls == 1  # same rendered query
 
     def test_self_pair_rejected(self, gateway20):
         alice = _actor("Alice Nguyen")
@@ -120,8 +120,8 @@ class TestDetectAll:
         second = make_gateway(corpus20, cache_path=cache_path)
         warm = detect_all(ACTOR_OBJS, second)
         assert cold == warm
-        assert second.stats.backend_calls == 0
-        assert second.stats.cache_hits == 15
+        assert second.backend_calls == 0
+        assert second.cache_hits == 15
 
     def test_duplicate_ids_rejected(self, gateway20):
         actors = [Actor(name="Alice Nguyen"), Actor(name="Alice-Nguyen")]

@@ -3,7 +3,9 @@
 A run on the fixture backend never talks to the network and, at the default
 --parallelism 1, never starts a thread pool, so importing the command line
 must not load the web client, the hashing behind `secrets`, or
-concurrent.futures and the logging it pulls in. The modules are compared
+concurrent.futures and the logging it pulls in. The records are named
+tuples, so it loads neither dataclasses, nor the inspect module that
+dataclasses pulls in, nor typing. The modules are compared
 with those of a bare interpreter, so whatever a machine's `site` preloads
 does not count.
 """
@@ -26,6 +28,9 @@ NOT_AT_STARTUP = (
     "concurrent.futures",
     "logging",
     "xml.sax.saxutils",
+    "dataclasses",
+    "inspect",
+    "typing",
 )
 
 

@@ -6,7 +6,6 @@ from conftest import make_gateway
 from corpusdata import ACTORS
 from snippetnet.relations import Actor, detect_relation
 from snippetnet.strength import (
-    HitCountTriple,
     MEASURES,
     clamp,
     dice,
@@ -25,30 +24,29 @@ def _actor(name):
 
 class TestMeasures:
     def test_known_values(self):
-        counts = HitCountTriple(100, 50, 10)
-        assert jaccard(counts) == pytest.approx(0.07142857142857142, abs=1e-12)
-        assert dice(counts) == pytest.approx(0.13333333333333333, abs=1e-12)
-        assert overlap(counts) == pytest.approx(0.2, abs=1e-12)
+        assert jaccard(100, 50, 10) == pytest.approx(0.07142857142857142, abs=1e-12)
+        assert dice(100, 50, 10) == pytest.approx(0.13333333333333333, abs=1e-12)
+        assert overlap(100, 50, 10) == pytest.approx(0.2, abs=1e-12)
 
     def test_identical_sets_score_one(self):
-        counts = HitCountTriple(9, 9, 9)
+        counts = (9, 9, 9)
         for fn in MEASURES.values():
-            assert fn(counts) == 1.0
+            assert fn(*counts) == 1.0
 
     def test_disjoint_sets_score_zero(self):
-        counts = HitCountTriple(9, 4, 0)
+        counts = (9, 4, 0)
         for fn in MEASURES.values():
-            assert fn(counts) == 0.0
+            assert fn(*counts) == 0.0
 
     def test_zero_denominator_yields_zero(self):
-        counts = HitCountTriple(0, 0, 0)
+        counts = (0, 0, 0)
         for fn in MEASURES.values():
-            assert fn(counts) == 0.0
+            assert fn(*counts) == 0.0
 
     def test_clamp_bounds_doubleton_by_both_singletons(self):
-        assert clamp(5, 8, 9).doubleton == 5
-        assert clamp(8, 5, 9).doubleton == 5
-        assert clamp(5, 8, 3).doubleton == 3
+        assert clamp(5, 8, 9) == (5, 8, 5)
+        assert clamp(8, 5, 9) == (8, 5, 5)
+        assert clamp(5, 8, 3) == (5, 8, 3)
 
     def test_properties_hold_on_random_counts(self):
         rng = random.Random(20260818)
@@ -57,9 +55,9 @@ class TestMeasures:
             d = rng.randint(0, 15_000)
             counts = clamp(sa, sb, d)
             swapped = clamp(sb, sa, d)
-            j, s, o = jaccard(counts), dice(counts), overlap(counts)
+            j, s, o = jaccard(*counts), dice(*counts), overlap(*counts)
             assert 0.0 <= j <= s <= o <= 1.0
-            assert (j, s, o) == (jaccard(swapped), dice(swapped), overlap(swapped))
+            assert (j, s, o) == (jaccard(*swapped), dice(*swapped), overlap(*swapped))
 
 
 class TestSr:
@@ -90,9 +88,9 @@ class TestSr:
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
         ev = detect_relation(a, b, gateway20)
         sr(a, b, ev, gateway20)
-        calls_after_first = gateway20.stats.backend_calls
+        calls_after_first = gateway20.backend_calls
         sr(a, b, ev, gateway20)
-        assert gateway20.stats.backend_calls == calls_after_first
+        assert gateway20.backend_calls == calls_after_first
 
     def test_unknown_measure_rejected(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
@@ -126,7 +124,7 @@ class TestSrWithKeywords:
         backward = sr_with_keywords(b, "network", a, "graph", g2)
         assert forward == backward
         assert forward.keywords_used == ("graph", "network")
-        assert g1.stats.backend_calls == g2.stats.backend_calls == 3
+        assert g1.backend_calls == g2.backend_calls == 3
 
     def test_blank_keyword_rejected(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
@@ -141,14 +139,14 @@ class TestSrWithKeywords:
         gateway = make_gateway(corpus20)
         with pytest.raises(ValueError, match="blank phrase|double quote"):
             sr_with_keywords(_actor("Alice Nguyen"), kw_a, _actor("Bob Santos"), kw_b, gateway)
-        assert gateway.stats.backend_calls == 0
+        assert gateway.backend_calls == 0
         assert len(gateway.cache) == 0
 
     def test_uses_exactly_three_queries_cold(self, corpus20):
         gateway = make_gateway(corpus20)
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
         sr_with_keywords(a, "graph", b, "graph", gateway)
-        assert gateway.stats.backend_calls == 3
+        assert gateway.backend_calls == 3
         assert len(gateway.cache) == 3
         for rendered in (
             '"Alice Nguyen" "graph"',
