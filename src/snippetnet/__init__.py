@@ -8,18 +8,20 @@ hierarchies of their evidence, and assembles everything into an exportable
 undirected graph -- all under an explicit per-day query budget with a
 persistent, resumable cache.
 
-The package exports what the README's library example uses; everything else
-lives in its submodule (snippetnet.network, snippetnet.strength, ...).
+The package exports what the README's library example uses, plus
+SnippetNetError; everything else lives in its submodule (snippetnet.network,
+snippetnet.strength, ...). The pipeline itself is snippetnet.cli.extract,
+the one the command line runs. It is imported from snippetnet.cli, not
+re-exported here: a package that imported its own command-line module would
+make `python -m snippetnet.cli` run a second copy of it.
 """
 
 from .backends import FixtureBackend
 from .corpus import load_corpus
 from .errors import SnippetNetError
 from .gateway import SearchGateway
-from .labeling import label_edge
-from .network import build_network, export
-from .relations import Actor, detect_all
-from .strength import sr
+from .network import export
+from .relations import Actor
 
 __version__ = "0.1.0"
 
@@ -28,10 +30,6 @@ __all__ = [
     "FixtureBackend",
     "SearchGateway",
     "SnippetNetError",
-    "build_network",
-    "detect_all",
     "export",
-    "label_edge",
     "load_corpus",
-    "sr",
 ]

@@ -1,11 +1,14 @@
-"""Command-line interface.
+"""Command-line interface, and extract, the one pipeline behind it.
 
-Three subcommands: extract runs the whole pipeline (detect, score, label,
-build, export), keywords writes per-actor keyword sets, cache inspects or
-clears the persistent query cache. Every flag is checked by the argument
-parser, before any file is read. Exit codes: 0 success, 2 bad flags or
-input files, 3 query budget exhausted (cache is preserved, rerun to resume),
-4 backend failure.
+extract runs every stage (detect, fetch contexts, choose srwk keywords,
+score, annotate, build), for the extract subcommand and for library code,
+which imports it from here: the package itself does not import this module.
+cmd_extract reads the input files, opens the cache and ledger, calls extract
+and writes the network, evidence and report. keywords writes per-actor
+keyword sets, cache inspects or clears the persistent query cache. Every
+flag is checked by the argument parser, before any file is read. Exit codes:
+0 success, 2 bad flags or input files, 3 query budget exhausted (cache is
+preserved, rerun to resume), 4 backend failure.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .strength import MEASURES, sr, sr_with_keywords
 
 API_KEY_ENV = "SNIPPETNET_API_KEY"
 API_ENDPOINT_ENV = "SNIPPETNET_API_ENDPOINT"
+VARIANTS = ("sr", "srwk")
 
 
 def _ledger_path(cache_path) -> Path:
@@ -51,7 +55,7 @@ def load_actors(path) -> list:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read actors file {path}: {exc}") from exc
-    actors = []
+    found: dict = {}  # actor id -> (line number, Actor)
     # Lines end at "\n" only: splitlines() would also split at U+2028, U+2029, U+0085.
     for number, line in enumerate(text.split("\n"), start=1):
         name = line.strip()
@@ -61,11 +65,13 @@ def load_actors(path) -> list:
             build_query([name])  # every query about this actor must render unambiguously
         except ValueError as exc:
             raise ConfigError(f"{path}: line {number}: {exc}") from exc
-        actors.append(Actor(name))
-    ids = [actor.id for actor in actors]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"{path}: actor names collapse to duplicate ids")
-    return actors
+        actor = Actor(name)
+        if actor.id in found:
+            raise ConfigError(
+                f"{path}: lines {found[actor.id][0]} and {number}: names collapse to the same id {actor.id!r}"
+            )
+        found[actor.id] = number, actor
+    return [actor for _, actor in found.values()]
 
 
 def _open_state(args):
@@ -97,12 +103,60 @@ def _rank_keywords(contexts: dict, corpus, k: int) -> dict:
     }
 
 
-def _keyword_overrides(path, actors) -> dict:
-    """The first term per actor in the override file, checked before any query is paid."""
-    try:
-        return load_keyword_overrides(path, [actor.id for actor in actors])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read keywords file {path}: {exc}") from exc
+def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keywords=None,
+            corpus=(), parallelism=1, provenance=None):
+    """Run the pipeline over actors; returns (network, evidence, stage_counts).
+
+    keywords maps an actor id to the keyword srwk narrows its queries with;
+    None lets srwk pick each actor's top tf-idf term against corpus.
+    stage_counts holds this call's paid queries by stage: doubleton_queries
+    (detection), singleton_queries (contexts of actors in a detected pair)
+    and keyword_queries (srwk scoring; 0 for sr).
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if keywords is not None and variant != "srwk":
+        raise ValueError("keywords need variant 'srwk'")
+    by_id = {actor.id: actor for actor in actors}
+    paid_before = gateway.backend_calls
+    evidence = detect_all(actors, gateway, parallelism=parallelism)
+    paid_detecting = gateway.backend_calls
+    detected = [item for item in evidence if item.detected]
+    involved = sorted({actor_id for item in detected for actor_id in item.pair})
+    contexts = {actor_id: fetch_actor_context(by_id[actor_id], gateway) for actor_id in involved}
+    paid_contexts = gateway.backend_calls
+
+    if keywords is None and variant == "srwk":
+        ranked = _rank_keywords(contexts, corpus, 1)
+        keywords = {actor_id: terms[0][0] for actor_id, terms in ranked.items() if terms}
+    keywords = keywords or {}
+
+    scores: dict = {}
+    usr_scores: dict = {}
+    edge_labels: dict = {}
+    for item in detected:
+        a, b = by_id[item.pair[0]], by_id[item.pair[1]]
+        kw_a, kw_b = keywords.get(a.id), keywords.get(b.id)
+        if kw_a and kw_b:
+            score = sr_with_keywords(a, kw_a, b, kw_b, gateway, measure)
+        else:
+            # srwk falls back to the plain score when an actor has no
+            # keyword; the variant field on the score says which one ran.
+            score = sr(a, b, item, gateway, measure)
+        scores[item.pair] = score
+        usr_scores[item.pair] = usr(contexts[a.id][0], contexts[b.id][0])
+        edge_labels[item.pair] = label_edge(item.l_ab)
+
+    network = build_network(
+        actors, evidence, scores, usr_scores, edge_labels,
+        threshold=threshold, provenance=provenance,
+    )
+    stage_counts = {
+        "doubleton_queries": paid_detecting - paid_before,
+        "singleton_queries": paid_contexts - paid_detecting,
+        "keyword_queries": gateway.backend_calls - paid_contexts,
+    }
+    return network, evidence, stage_counts
 
 
 def cmd_extract(args) -> int:
@@ -110,44 +164,13 @@ def cmd_extract(args) -> int:
     actors = load_actors(args.actors)
     if len(actors) < 2:
         raise ConfigError("need at least two actors")
-    overrides = _keyword_overrides(args.keywords, actors) if args.keywords is not None else None
+    keywords = None  # or the first term per actor of the override file, checked before any query
+    if args.keywords is not None:
+        try:
+            keywords = load_keyword_overrides(args.keywords, [actor.id for actor in actors])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read keywords file {args.keywords}: {exc}") from exc
     gateway, corpus = _open_state(args)
-    by_id = {actor.id: actor for actor in actors}
-
-    # Paid queries per stage: detection issues the pair queries, the context
-    # stage the plain singletons, scoring the keyword queries (none for sr,
-    # whose singletons the context stage already cached).
-    evidence = detect_all(actors, gateway, parallelism=args.parallelism)
-    doubleton_calls = gateway.backend_calls
-    detected = [item for item in evidence if item.detected]
-    involved = sorted({actor_id for item in detected for actor_id in item.pair})
-    contexts = {actor_id: fetch_actor_context(by_id[actor_id], gateway) for actor_id in involved}
-    singleton_calls = gateway.backend_calls - doubleton_calls
-
-    keywords_by_actor: dict = {}
-    if overrides is not None:
-        keywords_by_actor = overrides
-    elif args.variant == "srwk":
-        ranked = _rank_keywords(contexts, corpus, 1)
-        keywords_by_actor = {actor_id: terms[0][0] for actor_id, terms in ranked.items() if terms}
-
-    scores: dict = {}
-    usr_scores: dict = {}
-    edge_labels: dict = {}
-    for item in detected:
-        a, b = by_id[item.pair[0]], by_id[item.pair[1]]
-        kw_a = keywords_by_actor.get(a.id)
-        kw_b = keywords_by_actor.get(b.id)
-        if args.variant == "srwk" and kw_a and kw_b:
-            score = sr_with_keywords(a, kw_a, b, kw_b, gateway, args.measure)
-        else:
-            # srwk falls back to the plain score when an actor yielded no
-            # keyword; the variant field on the score says which one ran.
-            score = sr(a, b, item, gateway, args.measure)
-        scores[item.pair] = score
-        usr_scores[item.pair] = usr(contexts[a.id][0], contexts[b.id][0])
-        edge_labels[item.pair] = label_edge(item.l_ab)
-
     provenance = {
         "backend": args.backend,
         "corpus": Path(args.corpus).name if args.corpus else None,
@@ -156,38 +179,29 @@ def cmd_extract(args) -> int:
         "threshold": args.threshold,
         "generated_at": utc_now_iso(),
     }
-    network = build_network(
-        actors, evidence, scores, usr_scores, edge_labels,
-        threshold=args.threshold, provenance=provenance,
+    network, evidence, stage_counts = extract(
+        actors, gateway, threshold=args.threshold, measure=args.measure, variant=args.variant,
+        keywords=keywords, corpus=corpus, parallelism=args.parallelism, provenance=provenance,
     )
     atomic_write_bytes(args.out, export(network, args.format))
 
     if args.dump_evidence:
-        lines = []
-        for item in evidence:
-            lines.append(
-                json.dumps(
-                    {
-                        "pair": list(item.pair),
-                        "doubleton_count": item.doubleton_count,
-                        "detected": item.detected,
-                        "snippets": [snippet_record(s) for s in item.l_ab],
-                    },
-                    sort_keys=True,
-                )
-            )
-        atomic_write_bytes(_evidence_path(args.out), ("\n".join(lines) + "\n").encode("utf-8"))
+        lines = [
+            json.dumps({"pair": list(item.pair), "doubleton_count": item.doubleton_count,
+                        "detected": item.detected, "snippets": [snippet_record(s) for s in item.l_ab]},
+                       sort_keys=True)
+            for item in evidence
+        ]
+        atomic_write_bytes(f"{args.out}.evidence.jsonl", ("\n".join(lines) + "\n").encode("utf-8"))
 
     total_calls = gateway.backend_calls
     bound = 3 * len(actors) * len(actors)
     report = {
         "actors": len(actors),
         "pairs": len(evidence),
-        "detected": len(detected),
+        "detected": sum(item.detected for item in evidence),
         "edges": len(network.edges),
-        "doubleton_queries": doubleton_calls,
-        "singleton_queries": singleton_calls,
-        "keyword_queries": total_calls - doubleton_calls - singleton_calls,
+        **stage_counts,
         "backend_calls": total_calls,
         "cache_hits": gateway.cache_hits,
         "ledger": gateway.ledger.snapshot(),
@@ -199,20 +213,12 @@ def cmd_extract(args) -> int:
         "started_at": started,
         "finished_at": utc_now_iso(),
     }
-    atomic_write_json(_report_path(args.out), report)
+    atomic_write_json(f"{args.out}.report.json", report)
     print(
         f"wrote {args.out}: {len(network.edges)} edges over {len(actors)} actors "
         f"({total_calls} backend calls, {gateway.cache_hits} cache hits)"
     )
     return 0
-
-
-def _report_path(output) -> str:
-    return str(output) + ".report.json"
-
-
-def _evidence_path(output) -> str:
-    return str(output) + ".evidence.jsonl"
 
 
 def cmd_keywords(args) -> int:
@@ -281,18 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    extract = sub.add_parser("extract", help="run the full extraction pipeline")
-    _add_gateway_args(extract)
-    extract.add_argument("--measure", choices=sorted(MEASURES), default="jaccard")
-    extract.add_argument("--variant", choices=("sr", "srwk"), default="sr")
-    extract.add_argument("--threshold", type=fraction, required=True,
-                         help="minimum strength for an edge, in [0, 1]")
-    extract.add_argument("--out", required=True, help="network output path")
-    extract.add_argument("--format", choices=EXPORT_FORMATS, default="json")
-    extract.add_argument("--keywords", help="per-actor keyword override file (JSON); needs --variant srwk")
-    extract.add_argument("--parallelism", type=positive_int, default=1)
-    extract.add_argument("--dump-evidence", action="store_true",
-                         help="also write per-pair evidence as JSON Lines")
+    extract_parser = sub.add_parser("extract", help="run the full extraction pipeline")
+    _add_gateway_args(extract_parser)
+    extract_parser.add_argument("--measure", choices=sorted(MEASURES), default="jaccard")
+    extract_parser.add_argument("--variant", choices=VARIANTS, default="sr")
+    extract_parser.add_argument("--threshold", type=fraction, required=True,
+                                help="minimum strength for an edge, in [0, 1]")
+    extract_parser.add_argument("--out", required=True, help="network output path")
+    extract_parser.add_argument("--format", choices=EXPORT_FORMATS, default="json")
+    extract_parser.add_argument("--keywords", help="per-actor keyword override file (JSON); needs --variant srwk")
+    extract_parser.add_argument("--parallelism", type=positive_int, default=1)
+    extract_parser.add_argument("--dump-evidence", action="store_true",
+                                help="also write per-pair evidence as JSON Lines")
 
     keywords = sub.add_parser("keywords", help="write per-actor keyword sets")
     _add_gateway_args(keywords)

@@ -14,12 +14,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .ioutil import json_bytes
-from .labeling import EdgeLabels, UsrScore
 
 EXPORT_FORMATS = ("dot", "graphml", "json")
-
-EMPTY_USR = UsrScore(value=0.0, shared_domains=frozenset())
-EMPTY_LABELS = EdgeLabels(labels=(), source=None)
 
 # weight is a StrengthScore, usr a UsrScore, labels an EdgeLabels.
 Edge = namedtuple("Edge", "pair weight usr labels evidence_size")
@@ -28,15 +24,16 @@ Edge = namedtuple("Edge", "pair weight usr labels evidence_size")
 SocialNetwork = namedtuple("SocialNetwork", "nodes edges provenance")
 
 
-def build_network(actors, evidence, scores, usr_scores=None, labels=None, *,
+def build_network(actors, evidence, scores, usr_scores, labels, *,
                   threshold: float, provenance: dict | None = None) -> SocialNetwork:
     """Assemble the network from detection evidence and per-pair annotations.
 
-    Every detected pair must have a StrengthScore in scores (ValueError
-    otherwise); pairs scoring below the threshold are dropped, undetected
-    pairs are never edges. usr_scores and labels are optional per-pair maps;
-    absent entries get empty placeholders. The threshold has no default on
-    purpose: it is part of what a network claims.
+    scores, usr_scores and labels map each detected pair to its
+    StrengthScore, UsrScore and EdgeLabels; a detected pair missing from any
+    of them is a ValueError. Pairs scoring below the threshold are dropped,
+    undetected pairs are never edges. The threshold has no default on
+    purpose: it is part of what a network claims. snippetnet.cli.extract
+    computes all three maps and calls this.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -44,8 +41,6 @@ def build_network(actors, evidence, scores, usr_scores=None, labels=None, *,
     ids = {actor.id for actor in actors}
     if len(ids) != len(actors):
         raise ValueError("actor ids must be unique")
-    usr_scores = usr_scores or {}
-    labels = labels or {}
     edges = []
     seen = set()
     for item in sorted(evidence, key=lambda ev: ev.pair):
@@ -56,20 +51,13 @@ def build_network(actors, evidence, scores, usr_scores=None, labels=None, *,
             raise ValueError(f"evidence pair {item.pair} references unknown actors")
         if not item.detected:
             continue
-        score = scores.get(item.pair) if scores else None
-        if score is None:
-            raise ValueError(f"detected pair {item.pair} has no strength score")
+        for what, by_pair in (("strength score", scores), ("usr score", usr_scores), ("labels", labels)):
+            if item.pair not in by_pair:
+                raise ValueError(f"detected pair {item.pair} has no {what}")
+        score = scores[item.pair]
         if score.value < threshold:
             continue
-        edges.append(
-            Edge(
-                pair=item.pair,
-                weight=score,
-                usr=usr_scores.get(item.pair, EMPTY_USR),
-                labels=labels.get(item.pair, EMPTY_LABELS),
-                evidence_size=len(item.l_ab),
-            )
-        )
+        edges.append(Edge(item.pair, score, usr_scores[item.pair], labels[item.pair], len(item.l_ab)))
     nodes = tuple(sorted(actors, key=lambda actor: actor.id))
     return SocialNetwork(nodes=nodes, edges=tuple(edges), provenance=dict(provenance or {}))
 

@@ -6,10 +6,11 @@ and the evidence dump.
 
 A URL is read as scheme://labels/segments. Host labels are stored right to
 left, so domains[0] is always the top-level label no matter how deep the
-hostname goes; path segments keep their original order and case. Queries and
-fragments are dropped, the port is stripped, scheme and host are lowercased,
-and each label is trimmed. Rendering loses nothing that parsing keeps,
-parse_url(u.render()) == u, so the journal's rendered URLs replay exactly.
+hostname goes; path segments keep their original order and case. Queries,
+fragments, userinfo and the port are dropped, scheme and host are
+lowercased, and each label is trimmed; a bracketed IPv6 host is one label.
+Rendering loses nothing that parsing keeps, parse_url(u.render()) == u, so
+the journal's rendered URLs replay exactly.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ def parse_url(raw: str) -> UrlTokens:
     """Split a URL into scheme, right-to-left host labels, and path segments.
 
     Raises ValueError on a missing '://' separator or an empty scheme or host.
-    Userinfo, if present, stays inside the host labels verbatim; empty path
-    segments (from doubled or trailing slashes) are dropped.
+    Userinfo (everything up to the host's last '@') and the port are
+    dropped; a host that reads [...] (an IPv6 address) stays one label;
+    empty path segments (from doubled or trailing slashes) are dropped.
     """
     if "://" not in raw:
         raise ValueError(f"no scheme separator in {raw!r}")
@@ -45,12 +47,15 @@ def parse_url(raw: str) -> UrlTokens:
     for cut in ("#", "?"):
         rest = rest.split(cut, 1)[0]
     host, _, path = rest.partition("/")
-    host = host.strip().lower()
+    host = host.rpartition("@")[2].strip().lower()
     head, sep, maybe_port = host.rpartition(":")
     if sep and maybe_port.isdigit():
         host = head
     # Labels are trimmed, so the rendered host reparses to the same labels.
     labels = [label.strip() for label in host.split(".") if label.strip()]
+    joined = ".".join(labels)
+    if joined.startswith("[") and joined.endswith("]"):  # checked as rendered, so it reparses alike
+        labels = [joined]
     if not labels:
         raise ValueError(f"empty host in {raw!r}")
     head, sep, maybe_port = labels[-1].rpartition(":")

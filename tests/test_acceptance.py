@@ -11,7 +11,7 @@ import time
 from conftest import make_gateway, mask_timestamps, read_json, scan_count, to_matrix
 from corpusdata import ACTORS, no_cooccurrence_actors, no_cooccurrence_corpus, write_jsonl
 from snippetnet.cache import QueryCache
-from snippetnet.cli import main
+from snippetnet.cli import extract, main
 from snippetnet.corpus import load_corpus
 from snippetnet.errors import BudgetExhausted
 from snippetnet.labeling import label_edge, usr
@@ -135,17 +135,7 @@ def test_criterion_04_clamp_and_range_invariants():
 def test_criterion_05_threshold_monotonicity(corpus20):
     actors = [_actor(name) for name in ACTORS]
     gateway = make_gateway(corpus20)
-    evidence = detect_all(actors, gateway)
-    by_id = {a.id: a for a in actors}
-    scores = {
-        item.pair: sr(by_id[item.pair[0]], by_id[item.pair[1]], item, gateway)
-        for item in evidence
-        if item.detected
-    }
-    nets = [
-        build_network(actors, evidence, scores, threshold=t)
-        for t in (0.0, 0.2, 0.5, 1.0)
-    ]
+    nets = [extract(actors, gateway, threshold=t)[0] for t in (0.0, 0.2, 0.5, 1.0)]
     edge_sets = [{e.pair for e in net.edges} for net in nets]
     nested = all(edge_sets[i + 1] <= edge_sets[i] for i in range(len(nets) - 1))
     constant_nodes = len({tuple(n.id for n in net.nodes) for net in nets}) == 1
@@ -211,6 +201,7 @@ def test_criterion_08_matrix_consistency():
     networks = 0
     consistent = True
     snip = Snippet(url=parse_url("http://a.com/x"), title="both names here", abstract="")
+    no_usr, no_labels = usr([], []), label_edge([])
     for _ in range(100):
         n = rng.randint(2, 8)
         actors = [Actor(name=f"Person {chr(65 + i)}") for i in range(n)]
@@ -231,7 +222,8 @@ def test_criterion_08_matrix_consistency():
                 )
                 if detected:
                     scores[pair] = StrengthScore(value=rng.random(), measure="jaccard", variant="sr")
-        net = build_network(actors, evidence, scores, threshold=0.0)
+        usr_scores, labels = dict.fromkeys(scores, no_usr), dict.fromkeys(scores, no_labels)
+        net = build_network(actors, evidence, scores, usr_scores, labels, threshold=0.0)
         matrix = to_matrix(net)
         networks += 1
         size = len(matrix.order)
@@ -268,7 +260,7 @@ URL_ROUND_TRIPS = [
     ("https://news.bbc.co.uk/world/asia", "https://news.bbc.co.uk/world/asia"),
     ("http://deep.sub.domain.example.org/x", "http://deep.sub.domain.example.org/x"),
     ("ftp://files.example.net/pub/data.txt", "ftp://files.example.net/pub/data.txt"),
-    ("http://user@example.com/a", "http://user@example.com/a"),
+    ("http://user@example.com/a", "http://example.com/a"),
     ("http://example.com/papers/graph-mining", "http://example.com/papers/graph-mining"),
     ("http://example.com/%7Euser/page", "http://example.com/%7Euser/page"),
     ("http://trailing.dot.example.com./a", "http://trailing.dot.example.com/a"),

@@ -322,6 +322,15 @@ class TestExitCodes:
         assert not (tmp_path / "cache.json").exists()
         assert not (tmp_path / "out.xml").exists()
 
+    def test_actor_names_that_collapse_to_one_id_are_named(self, tmp_path, corpus20_file, capsys):
+        actors = tmp_path / "actors.txt"
+        actors.write_text("Ann Lee\n# a comment\nBob Santos\nAnn-Lee\n", encoding="utf-8")
+        code, out = run_extract(tmp_path, actors, corpus20_file)
+        assert code == 2
+        assert f"{actors}: lines 1 and 4: names collapse to the same id 'ann-lee'" in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
+        assert not out.exists()
+
     @pytest.mark.parametrize("char", ["\uffff", "\ufffe"], ids=["U+FFFF", "U+FFFE"])
     def test_actor_name_with_noncharacter(self, tmp_path, corpus20_file, capsys, char):
         # XML 1.0 cannot hold U+FFFE or U+FFFF either, although UTF-8 can.

@@ -12,6 +12,7 @@ To regenerate after an intended output change:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -20,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import mask_timestamps
-from snippetnet.cli import main
+from conftest import mask_timestamps, read_json
+from snippetnet import FixtureBackend, SearchGateway, export, load_corpus
+from snippetnet.cli import extract, load_actors, main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO = ROOT / "demo"
@@ -91,6 +93,30 @@ def test_srwk_output_does_not_depend_on_the_hash_seed(seed, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert_matches_golden("srwk-json", written_files(tmp_path))
+
+
+@pytest.mark.parametrize("case, variant", [("sr-dot", "sr"), ("srwk-json", "srwk")])
+def test_library_extract_is_the_command_line_pipeline(case, variant, tmp_path):
+    # extract, called as the README's library example calls it, gives the
+    # golden network and the stage counts the command's report gives.
+    corpus = load_corpus(DEMO / "corpus.jsonl")
+    gateway = SearchGateway(FixtureBackend(corpus))
+    network, evidence, stage_counts = extract(
+        load_actors(DEMO / "actors.txt"), gateway, threshold=0.2, variant=variant, corpus=corpus,
+    )
+    if case == "sr-dot":
+        assert export(network, "dot").decode("utf-8") == (GOLDEN / case / "network.dot").read_text(encoding="utf-8")
+    else:
+        golden = read_json(GOLDEN / case / "network.json")
+        written = json.loads(export(network, "json"))
+        assert (written["nodes"], written["edges"]) == (golden["nodes"], golden["edges"])
+    assert len(evidence) == 15
+
+    run_case(case, tmp_path)
+    report = read_json(tmp_path / f"{CASES[case][1]}.report.json")
+    assert stage_counts == {key: report[key] for key in stage_counts}
+    assert sorted(stage_counts) == ["doubleton_queries", "keyword_queries", "singleton_queries"]
+    assert sum(stage_counts.values()) == gateway.backend_calls == report["backend_calls"]
 
 
 def regenerate() -> None:

@@ -4,15 +4,8 @@ import random
 import pytest
 
 from conftest import to_matrix
-from snippetnet.labeling import EdgeLabels, UsrScore
-from snippetnet.network import (
-    EMPTY_LABELS,
-    EMPTY_USR,
-    build_network,
-    escape,
-    export,
-    quoteattr,
-)
+from snippetnet.labeling import EdgeLabels, UsrScore, label_edge, usr
+from snippetnet.network import build_network, escape, export, quoteattr
 from snippetnet.relations import Actor, RelationEvidence
 from snippetnet.snippets import Snippet, parse_url
 from snippetnet.strength import StrengthScore
@@ -40,6 +33,15 @@ def _score(value, measure="jaccard"):
     return StrengthScore(value=value, measure=measure, variant="sr")
 
 
+NO_USR = usr([], [])
+NO_LABELS = label_edge([])
+
+
+def _blank(scores):
+    """usr and label maps that give every scored pair the values of no evidence."""
+    return dict.fromkeys(scores, NO_USR), dict.fromkeys(scores, NO_LABELS)
+
+
 def _three_actor_inputs():
     evidence = [_evidence(A, B, 2), _evidence(A, C, 0), _evidence(B, C, 1)]
     scores = {
@@ -52,7 +54,7 @@ def _three_actor_inputs():
 class TestBuildNetwork:
     def test_nodes_keep_isolates_and_sort_by_id(self):
         evidence, scores = _three_actor_inputs()
-        net = build_network([C, A, B], evidence, scores, threshold=0.0)
+        net = build_network([C, A, B], evidence, scores, *_blank(scores), threshold=0.0)
         assert [n.id for n in net.nodes] == ["alice-nguyen", "bob-santos", "carol-reyes"]
         assert [e.pair for e in net.edges] == [
             ("alice-nguyen", "bob-santos"),
@@ -61,37 +63,45 @@ class TestBuildNetwork:
 
     def test_threshold_drops_weak_edges_not_nodes(self):
         evidence, scores = _three_actor_inputs()
-        net = build_network([A, B, C], evidence, scores, threshold=0.3)
+        net = build_network([A, B, C], evidence, scores, *_blank(scores), threshold=0.3)
         assert len(net.nodes) == 3
         assert [e.pair for e in net.edges] == [("alice-nguyen", "bob-santos")]
 
     def test_undetected_pairs_never_become_edges(self):
         evidence, scores = _three_actor_inputs()
         scores[("alice-nguyen", "carol-reyes")] = _score(1.0)
-        net = build_network([A, B, C], evidence, scores, threshold=0.0)
+        net = build_network([A, B, C], evidence, scores, *_blank(scores), threshold=0.0)
         assert ("alice-nguyen", "carol-reyes") not in [e.pair for e in net.edges]
 
     def test_detected_pair_without_score_is_an_error(self):
         evidence, scores = _three_actor_inputs()
         del scores[("bob-santos", "carol-reyes")]
         with pytest.raises(ValueError, match="has no strength score"):
-            build_network([A, B, C], evidence, scores, threshold=0.0)
+            build_network([A, B, C], evidence, scores, *_blank(scores), threshold=0.0)
 
-    def test_annotations_attach_and_default(self):
+    def test_annotations_attach_and_are_required(self):
         evidence, scores = _three_actor_inputs()
-        pair = ("alice-nguyen", "bob-santos")
-        usr_scores = {pair: UsrScore(value=0.5, shared_domains=frozenset({"a.com"}))}
-        labels = {pair: EdgeLabels(labels=(("graph", 3),), source="title")}
+        pair, other = ("alice-nguyen", "bob-santos"), ("bob-santos", "carol-reyes")
+        usr_scores, labels = _blank(scores)
+        usr_scores[pair] = UsrScore(value=0.5, shared_domains=frozenset({"a.com"}))
+        labels[pair] = EdgeLabels(labels=(("graph", 3),), source="title")
         net = build_network([A, B, C], evidence, scores, usr_scores, labels, threshold=0.0)
         by_pair = {e.pair: e for e in net.edges}
         assert by_pair[pair].usr.value == 0.5
         assert by_pair[pair].labels.labels == (("graph", 3),)
-        assert by_pair[("bob-santos", "carol-reyes")].usr == EMPTY_USR
-        assert by_pair[("bob-santos", "carol-reyes")].labels == EMPTY_LABELS
+        assert by_pair[other].usr == NO_USR
+        assert by_pair[other].labels == NO_LABELS
+        del usr_scores[other]
+        with pytest.raises(ValueError, match="has no usr score"):
+            build_network([A, B, C], evidence, scores, usr_scores, labels, threshold=0.0)
+        usr_scores[other] = NO_USR
+        del labels[other]
+        with pytest.raises(ValueError, match="has no labels"):
+            build_network([A, B, C], evidence, scores, usr_scores, labels, threshold=0.0)
 
     def test_evidence_size_carried_onto_edge(self):
         evidence, scores = _three_actor_inputs()
-        net = build_network([A, B, C], evidence, scores, threshold=0.0)
+        net = build_network([A, B, C], evidence, scores, *_blank(scores), threshold=0.0)
         assert {e.pair: e.evidence_size for e in net.edges} == {
             ("alice-nguyen", "bob-santos"): 2,
             ("bob-santos", "carol-reyes"): 1,
@@ -100,24 +110,24 @@ class TestBuildNetwork:
     def test_duplicate_evidence_rejected(self):
         evidence, scores = _three_actor_inputs()
         with pytest.raises(ValueError):
-            build_network([A, B, C], evidence + [evidence[0]], scores, threshold=0.0)
+            build_network([A, B, C], evidence + [evidence[0]], scores, *_blank(scores), threshold=0.0)
 
     def test_unknown_endpoint_rejected(self):
         evidence, scores = _three_actor_inputs()
         with pytest.raises(ValueError):
-            build_network([A, B], evidence, scores, threshold=0.0)
+            build_network([A, B], evidence, scores, *_blank(scores), threshold=0.0)
 
     def test_threshold_out_of_range_rejected(self):
         evidence, scores = _three_actor_inputs()
         for bad in (-0.1, 1.5):
             with pytest.raises(ValueError):
-                build_network([A, B, C], evidence, scores, threshold=bad)
+                build_network([A, B, C], evidence, scores, *_blank(scores), threshold=bad)
 
 
 class TestToMatrix:
     def test_three_actor_matrix(self):
         evidence, scores = _three_actor_inputs()
-        matrix = to_matrix(build_network([A, B, C], evidence, scores, threshold=0.0))
+        matrix = to_matrix(build_network([A, B, C], evidence, scores, *_blank(scores), threshold=0.0))
         assert matrix.order == ("alice-nguyen", "bob-santos", "carol-reyes")
         assert matrix.cells == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
 
@@ -134,7 +144,7 @@ class TestToMatrix:
                     evidence.append(ev)
                     if ev.detected:
                         scores[ev.pair] = _score(rng.random())
-            net = build_network(actors, evidence, scores, threshold=0.0)
+            net = build_network(actors, evidence, scores, *_blank(scores), threshold=0.0)
             matrix = to_matrix(net)
             size = len(matrix.order)
             edge_pairs = {e.pair for e in net.edges}
@@ -155,8 +165,9 @@ class TestExports:
     def _network(self):
         evidence, scores = _three_actor_inputs()
         pair = ("alice-nguyen", "bob-santos")
-        usr_scores = {pair: UsrScore(value=1 / 3, shared_domains=frozenset({"netsci.org"}))}
-        labels = {pair: EdgeLabels(labels=(("graph", 2), ("mining", 1)), source="title")}
+        usr_scores, labels = _blank(scores)
+        usr_scores[pair] = UsrScore(value=1 / 3, shared_domains=frozenset({"netsci.org"}))
+        labels[pair] = EdgeLabels(labels=(("graph", 2), ("mining", 1)), source="title")
         return build_network(
             [A, B, C], evidence, scores, usr_scores, labels,
             threshold=0.0, provenance={"backend": "fixture", "threshold": 0.0},
@@ -171,7 +182,7 @@ class TestExports:
 
     def test_dot_escapes_quotes(self):
         actor = Actor(name='Joe "Quote" Smith')
-        net = build_network([actor], [], {}, threshold=0.0)
+        net = build_network([actor], [], {}, {}, {}, threshold=0.0)
         text = export(net, "dot").decode("utf-8")
         assert '[label="Joe \\"Quote\\" Smith"];' in text
 
@@ -184,7 +195,7 @@ class TestExports:
 
     def test_graphml_escapes_markup(self):
         actor = Actor(name="Tom & Co <x>")
-        net = build_network([actor], [], {}, threshold=0.0)
+        net = build_network([actor], [], {}, {}, {}, threshold=0.0)
         text = export(net, "graphml").decode("utf-8")
         assert "Tom &amp; Co &lt;x&gt;" in text
 
@@ -239,7 +250,7 @@ class TestExports:
                 value=0.25, measure="jaccard", variant="srwk", keywords_used=("graph", "mining"),
             )
         }
-        net = build_network([A, B], evidence, scores, threshold=0.0)
+        net = build_network([A, B], evidence, scores, *_blank(scores), threshold=0.0)
         weight = json.loads(export(net, "json"))["edges"][0]["weight"]
         assert weight == {
             "value": 0.25, "measure": "jaccard", "variant": "srwk", "keywords_used": ["graph", "mining"],

@@ -1,5 +1,6 @@
 """The README's "Quick start" and "Library use" blocks run as written and print
-what the README shows, and the "Library use" imports name the whole public API."""
+what the README shows, and the "Library use" imports name the whole public API:
+the package's exports, plus the pipeline, snippetnet.cli.extract."""
 
 import ast
 import re
@@ -43,10 +44,13 @@ def test_library_use_block_runs(monkeypatch, capsys):
 
 
 def test_public_api_is_the_library_use_imports():
-    imported = [
-        alias.name
+    imports = [
+        (node.module, alias.name)
         for node in ast.walk(ast.parse(_library_use_block()))
-        if isinstance(node, ast.ImportFrom) and node.module == "snippetnet"
+        if isinstance(node, ast.ImportFrom)
         for alias in node.names
     ]
-    assert sorted(snippetnet.__all__) == sorted(imported + ["SnippetNetError"])
+    from_package = [name for module, name in imports if module == "snippetnet"]
+    others = [(module, name) for module, name in imports if module != "snippetnet"]
+    assert sorted(snippetnet.__all__) == sorted(from_package + ["SnippetNetError"])
+    assert others == [("snippetnet.cli", "extract")]

@@ -56,6 +56,14 @@ def test_importing_the_cli_loads_no_web_client_hashing_or_thread_pool():
     assert unwanted == []
 
 
+def test_importing_the_package_does_not_load_the_cli():
+    # Were snippetnet.cli loaded by the package, `python -m snippetnet.cli`
+    # would find it in sys.modules and run a second copy of it.
+    added = loaded_modules("import snippetnet")
+    assert "snippetnet" in added
+    assert "snippetnet.cli" not in added
+
+
 # Runs after the lean import, so the thread pool and urllib are first
 # imported by the code that needs them; urlopen is replaced before the first
 # live search, as the LiveBackend tests do by dotted path.
