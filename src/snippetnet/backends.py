@@ -62,31 +62,27 @@ class FixtureBackend:
     """Deterministic, exact search over an in-memory corpus.
 
     The corpus is the documents load_corpus returns, in ascending id order.
-    Each document is lowercased once, when the backend is built. Each distinct
-    phrase is then scanned for once, the first time a query asks for it, and
-    its set of matching document positions is remembered, so a query costs
-    one set intersection once its phrases have been seen.
+    Each document is lowercased once, when the backend is built. The set of
+    document positions matching a phrase is remembered once known. A query
+    intersects the known sets of its phrases, smallest first, and checks each
+    phrase not yet known only inside the documents that survive. Only when no
+    phrase of a query is known is its first phrase scanned for over the whole
+    corpus and remembered. So a keyword phrase, always asked for next to its
+    actor's name, is only ever checked inside the documents naming the actor.
 
     Safe to share between threads: the gateway calls search outside its lock.
-    The only shared mutable state is the phrase memo, and two threads that
-    fill the same phrase at once both store equal sets; a single dict get or
-    set is atomic under the interpreter lock, so no reader sees a partial
-    entry.
+    The only shared mutable state is the phrase memo, which threads only add
+    to. Each phrase is read from it once per query, so a phrase another
+    thread adds meanwhile is either used or checked, never skipped; two
+    threads that scan the same phrase at once both store equal sets, and a
+    single dict get or set is atomic under the interpreter lock, so no reader
+    sees a partial entry.
     """
 
     def __init__(self, documents: tuple[FixtureDocument, ...]):
         self._documents = documents
         self._haystacks = [f"{doc.title}\n{doc.body}\n{doc.url}".lower() for doc in documents]
         self._positions: dict[str, frozenset[int]] = {}
-
-    def _matching(self, phrase: str) -> frozenset[int]:
-        positions = self._positions.get(phrase)
-        if positions is None:
-            positions = frozenset(
-                index for index, haystack in enumerate(self._haystacks) if phrase in haystack
-            )
-            self._positions[phrase] = positions
-        return positions
 
     def search(self, query: Query) -> SearchResult:
         """Exact conjunctive search over the fixture corpus.
@@ -96,9 +92,26 @@ class FixtureBackend:
         hit_count is the exact number of matches; snippets are the first
         PAGE_SIZE matches in corpus order, which is ascending document id.
         """
-        smallest, *rest = sorted((self._matching(term.lower()) for term in query.terms), key=len)
+        haystacks = self._haystacks
+        known, unseen = [], []
+        for term in query.terms:
+            phrase = term.lower()
+            positions = self._positions.get(phrase)
+            if positions is None:
+                unseen.append(phrase)
+            else:
+                known.append(positions)
+        if not known:
+            phrase = unseen.pop(0)
+            positions = frozenset(index for index, haystack in enumerate(haystacks) if phrase in haystack)
+            self._positions[phrase] = positions
+            known.append(positions)
+        smallest, *rest = sorted(known, key=len)
         hits = smallest.intersection(*rest)
-        page = [self._documents[index] for index in sorted(hits)[:PAGE_SIZE]]
+        for phrase in unseen:
+            hits = [index for index in hits if phrase in haystacks[index]]
+        hits = sorted(hits)
+        page = [self._documents[index] for index in hits[:PAGE_SIZE]]
         snippets = tuple(
             Snippet(parse_url(doc.url), doc.title.strip(), doc.body[:ABSTRACT_LENGTH].strip()) for doc in page
         )

@@ -46,6 +46,7 @@ class QueryCache:
         # Length of the journal's valid prefix when a torn append follows it;
         # the next append cuts the file back to it first.
         self._torn_at: int | None = None
+        self._directory_made = False
 
     @classmethod
     def open(cls, path) -> "QueryCache":
@@ -92,14 +93,22 @@ class QueryCache:
             self._torn_at = None
 
     def _append(self, line: bytes) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "ab") as handle:
+        # The directory is made once per cache, and no descriptor is kept
+        # between stores: each append opens, writes all of line and closes.
+        if not self._directory_made:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._directory_made = True
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
             if self._torn_at is not None:
-                handle.truncate(self._torn_at)
+                os.ftruncate(fd, self._torn_at)
                 self._torn_at = None
-            if handle.seek(0, os.SEEK_END) == 0:
+            if os.lseek(fd, 0, os.SEEK_END) == 0:
                 line = HEADER + line
-            handle.write(line)
+            while line:
+                line = line[os.write(fd, line):]
+        finally:
+            os.close(fd)
 
 
 def _check_header(data: bytes, path) -> None:

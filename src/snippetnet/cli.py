@@ -108,7 +108,9 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
     """Run the pipeline over actors; returns (network, evidence, stage_counts).
 
     keywords maps an actor id to the keyword srwk narrows its queries with;
-    None lets srwk pick each actor's top tf-idf term against corpus.
+    None lets srwk pick each actor's top tf-idf term against corpus. Every id
+    must name one of actors and every keyword be a string build_query
+    accepts, or ValueError is raised before any query is paid.
     stage_counts holds this call's paid queries by stage: doubleton_queries
     (detection), singleton_queries (contexts of actors in a detected pair)
     and keyword_queries (srwk scoring; 0 for sr).
@@ -118,6 +120,17 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
     if keywords is not None and variant != "srwk":
         raise ValueError("keywords need variant 'srwk'")
     by_id = {actor.id: actor for actor in actors}
+    if keywords is not None:
+        unknown = sorted(set(keywords) - set(by_id))
+        if unknown:
+            raise ValueError(f"keywords name no actor of this call: {', '.join(unknown)}")
+        for actor_id, term in keywords.items():
+            if not isinstance(term, str):
+                raise ValueError(f"keyword of {actor_id!r} must be a string, got {term!r}")
+            try:
+                build_query([term])
+            except ValueError as exc:
+                raise ValueError(f"keyword of {actor_id!r}: {exc}") from exc
     paid_before = gateway.backend_calls
     evidence = detect_all(actors, gateway, parallelism=parallelism)
     paid_detecting = gateway.backend_calls

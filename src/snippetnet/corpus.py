@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import json
 from collections import namedtuple
 from pathlib import Path
@@ -10,6 +11,8 @@ from .errors import ConfigError
 from .snippets import parse_url
 
 FixtureDocument = namedtuple("FixtureDocument", "doc_id url title body")
+
+_decode_json = json.JSONDecoder().decode
 
 
 def load_corpus(path) -> tuple[FixtureDocument, ...]:
@@ -20,20 +23,27 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
     snippet built from the corpus is dropped as unparseable. Raises
     ConfigError naming the file and line on any malformed row, and on an
     empty file.
+
+    Each line is UTF-8, and one byte order mark at its start is skipped; a
+    line in another encoding, UTF-16 or UTF-32 too, is malformed.
     """
     source = Path(path)
     docs = []
     last_id = None
     # Split the raw bytes at b"\n" only: str.splitlines() also breaks at
     # U+2028, U+2029 and U+0085, which json.dumps(ensure_ascii=False) leaves
-    # raw inside strings. Decoding per line also puts a line number on bad UTF-8.
+    # raw inside strings. Decoding per line also puts a line number on bad
+    # UTF-8, and reading line by line holds one line, not the file, at a time.
     with source.open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
+            if line.startswith(codecs.BOM_UTF8):
+                line = line[len(codecs.BOM_UTF8):]
             try:
-                row = json.loads(line)
+                # surrogatepass, as json.loads reads bytes: an encoded lone surrogate loads.
+                row = _decode_json(line.decode("utf-8", "surrogatepass"))
             except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 raise ConfigError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):

@@ -44,15 +44,14 @@ def parse_url(raw: str) -> UrlTokens:
     scheme = scheme.strip().lower()
     if not scheme:
         raise ValueError(f"empty scheme in {raw!r}")
-    for cut in ("#", "?"):
-        rest = rest.split(cut, 1)[0]
+    rest = rest.split("#", 1)[0].split("?", 1)[0]
     host, _, path = rest.partition("/")
     host = host.rpartition("@")[2].strip().lower()
     head, sep, maybe_port = host.rpartition(":")
     if sep and maybe_port.isdigit():
         host = head
     # Labels are trimmed, so the rendered host reparses to the same labels.
-    labels = [label.strip() for label in host.split(".") if label.strip()]
+    labels = [label for label in map(str.strip, host.split(".")) if label]
     joined = ".".join(labels)
     if joined.startswith("[") and joined.endswith("]"):  # checked as rendered, so it reparses alike
         labels = [joined]
@@ -61,8 +60,8 @@ def parse_url(raw: str) -> UrlTokens:
     head, sep, maybe_port = labels[-1].rpartition(":")
     if sep and maybe_port.isdigit():  # rendered, it would read as the port
         raise ValueError(f"host still ends in a port in {raw!r}")
-    segments = tuple(segment for segment in path.split("/") if segment)
-    return UrlTokens(scheme=scheme, domains=tuple(reversed(labels)), paths=segments)
+    labels.reverse()
+    return UrlTokens(scheme, tuple(labels), tuple([segment for segment in path.split("/") if segment]))
 
 
 def snippet_record(snippet: Snippet) -> dict:

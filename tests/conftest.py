@@ -12,6 +12,7 @@ from snippetnet.cache import QueryCache
 from snippetnet.corpus import FixtureDocument
 from snippetnet.gateway import SearchGateway
 from snippetnet.relations import Actor
+from snippetnet.snippets import UrlTokens
 from snippetnet.text import MIN_TOKEN_LENGTH, STOPWORDS
 
 
@@ -54,6 +55,35 @@ def regex_tokenize(text, stopwords=STOPWORDS):
 # other than [0-9a-z] into "-", trim the dashes at either end.
 def regex_slugify(name):
     return _NON_ALNUM.sub("-", name.lower()).strip("-") or "actor"
+
+
+# The URL grammar as the straightforward loop states it: cut at "#" then "?",
+# strip each label as it is tested and again as it is kept.
+def reference_parse_url(raw):
+    if "://" not in raw:
+        raise ValueError(f"no scheme separator in {raw!r}")
+    scheme, _, rest = raw.partition("://")
+    scheme = scheme.strip().lower()
+    if not scheme:
+        raise ValueError(f"empty scheme in {raw!r}")
+    for cut in ("#", "?"):
+        rest = rest.split(cut, 1)[0]
+    host, _, path = rest.partition("/")
+    host = host.rpartition("@")[2].strip().lower()
+    head, sep, maybe_port = host.rpartition(":")
+    if sep and maybe_port.isdigit():
+        host = head
+    labels = [label.strip() for label in host.split(".") if label.strip()]
+    joined = ".".join(labels)
+    if joined.startswith("[") and joined.endswith("]"):
+        labels = [joined]
+    if not labels:
+        raise ValueError(f"empty host in {raw!r}")
+    head, sep, maybe_port = labels[-1].rpartition(":")
+    if sep and maybe_port.isdigit():
+        raise ValueError(f"host still ends in a port in {raw!r}")
+    segments = tuple(segment for segment in path.split("/") if segment)
+    return UrlTokens(scheme=scheme, domains=tuple(reversed(labels)), paths=segments)
 
 
 # ------------------------------------------------------ adjacency matrix ----

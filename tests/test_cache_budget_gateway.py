@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,21 @@ class TestQueryCache:
         assert entry["hit_count"] == 2
         assert entry["snippets"] == [{"url": "http://a.com/x", "title": "T", "abstract": "A"}]
         assert entry["fetched_at"] == "2026-08-18T00:00:00+00:00"
+
+    def test_stores_make_the_directory_once(self, tmp_path, monkeypatch):
+        made = []
+
+        def mkdir(directory, *args, mkdir=Path.mkdir, **kwargs):
+            made.append(directory)
+            mkdir(directory, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        path = tmp_path / "new" / "cache.json"
+        cache = QueryCache(path)
+        for number in range(50):
+            cache.store(f'"q{number}"', _result(number))
+        assert made == [path.parent]
+        assert len(QueryCache.open(path)) == 50
 
     def test_open_missing_file_is_empty(self, tmp_path):
         cache = QueryCache.open(tmp_path / "absent.json")

@@ -10,10 +10,14 @@ import pytest
 import corpusdata
 from conftest import corpus_from_rows, make_gateway, scan_count, scan_matches
 from snippetnet.backends import ABSTRACT_LENGTH, PAGE_SIZE, FixtureBackend, LiveBackend
+from snippetnet.cli import extract, load_actors, main
 from snippetnet.corpus import load_corpus
 from snippetnet.errors import BackendError, ConfigError
+from snippetnet.gateway import SearchGateway
 from snippetnet.queries import build_query
 from snippetnet.relations import Actor, detect_all
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 # Names where one is a prefix of another ("Ana Santoso 1" occurs inside
 # "Ana Santoso 12"), so substring matching must not be mistaken for word matching.
@@ -132,6 +136,27 @@ class TestCorpusLoader:
         )
         with pytest.raises(ConfigError, match=r":2: invalid JSON"):
             load_corpus(path)
+
+    def test_byte_order_mark_at_the_start_of_a_line_is_skipped(self, tmp_path, corpus20_rows):
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        corpusdata.write_jsonl(plain, corpus20_rows)
+        lines = plain.read_bytes().split(b"\n")
+        lines[0] = b"\xef\xbb\xbf" + lines[0]
+        lines[2] = b"\xef\xbb\xbf" + lines[2]
+        marked.write_bytes(b"\n".join(lines))
+        assert load_corpus(marked) == load_corpus(plain)
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32"])
+    def test_line_in_another_unicode_encoding_is_exit_2_naming_it(self, tmp_path, capsys, encoding):
+        corpus, actors = tmp_path / "wide.jsonl", tmp_path / "actors.txt"
+        row = {"id": 1, "url": "http://a.com/x", "title": "Alice Nguyen", "body": "Bob Santos"}
+        corpus.write_bytes(json.dumps(row).encode(encoding))
+        actors.write_text("Alice Nguyen\nBob Santos\n", encoding="utf-8")
+        code = main(["extract", "--actors", str(actors), "--corpus", str(corpus), "--threshold", "0",
+                     "--cache", str(tmp_path / "cache.json"), "--out", str(tmp_path / "net.json")])
+        assert code == 2
+        assert f"{corpus}:1: invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
 
     @pytest.mark.parametrize(
         "field, value",
@@ -260,6 +285,32 @@ class TestFixtureSearch:
             returned += len(result.snippets)
         # One read per document to build the index, one per snippet abstract.
         assert len(reads) <= len(corpus) + returned
+
+    def test_a_cold_srwk_run_scans_the_corpus_at_most_once_per_actor_name_and_never_for_a_keyword(self):
+        # A phrase is scanned for over the whole corpus only on a miss of the
+        # phrase memo; every later query checks it inside known matches.
+        class RecordingMemo(dict):
+            def __setitem__(self, phrase, positions):
+                scanned.append(phrase)
+                super().__setitem__(phrase, positions)
+
+        scanned, asked = [], []
+        corpus = load_corpus(DEMO / "corpus.jsonl")
+        backend = FixtureBackend(corpus)
+        backend._positions = RecordingMemo()
+
+        def search(query, search=backend.search):
+            asked.extend(query.terms)
+            return search(query)
+
+        backend.search = search
+        actors = load_actors(DEMO / "actors.txt")
+        _, _, counts = extract(actors, SearchGateway(backend), threshold=0.2, variant="srwk", corpus=corpus)
+        names = {actor.name.lower() for actor in actors}
+        keywords = {term.lower() for term in asked} - names
+        assert counts["keyword_queries"] > 0 and keywords
+        assert len(scanned) == len(set(scanned))
+        assert set(scanned) <= names
 
 
 class TestFixtureSearchThreads:

@@ -119,6 +119,25 @@ def test_library_extract_is_the_command_line_pipeline(case, variant, tmp_path):
     assert sum(stage_counts.values()) == gateway.backend_calls == report["backend_calls"]
 
 
+@pytest.mark.parametrize(
+    "keywords, message",
+    [
+        ({"alice-nguyen": 'x"y', "bob-santos": "graph"}, "double quote"),
+        ({"alice-nguyen": "graph", "nobody": "graph"}, "nobody"),
+        ({"alice-nguyen": "  "}, "blank phrase"),
+        ({"alice-nguyen": 7}, "must be a string"),
+    ],
+    ids=["double-quote", "unknown-id", "blank", "not-a-string"],
+)
+def test_library_extract_checks_keywords_before_any_query(keywords, message):
+    corpus = load_corpus(DEMO / "corpus.jsonl")
+    gateway = SearchGateway(FixtureBackend(corpus))
+    with pytest.raises(ValueError, match=message):
+        extract(load_actors(DEMO / "actors.txt"), gateway, threshold=0.2, variant="srwk",
+                keywords=keywords, corpus=corpus)
+    assert gateway.backend_calls == 0
+
+
 def regenerate() -> None:
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as scratch:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import reference_parse_url
 from snippetnet.backends import FixtureBackend, parse_result
 from snippetnet.corpus import FixtureDocument
 from snippetnet.queries import build_query
@@ -152,6 +153,22 @@ class TestRenderIsLossless:
                 failures.append(raw)
         assert parsed > 10_000
         assert failures == []
+
+
+def outcome(parse, raw):
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_parse_url_agrees_with_the_reference_on_seeded_strings():
+    rng = random.Random(0x0DD5EED)
+    candidates = ["", "example.com/a", "http//x", "://h", "http://", "http://[::1]:80/x?q#f"]
+    candidates += [random_url(rng) for _ in range(20_000)]
+    outcomes = {raw: outcome(parse_url, raw) for raw in candidates}
+    assert sum(isinstance(result, tuple) for result in outcomes.values()) > 10_000
+    assert [raw for raw, result in outcomes.items() if result != outcome(reference_parse_url, raw)] == []
 
 
 class TestContainsTerm:
