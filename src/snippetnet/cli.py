@@ -108,18 +108,32 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
     """Run the pipeline over actors; returns (network, evidence, stage_counts).
 
     keywords maps an actor id to the keyword srwk narrows its queries with;
-    None lets srwk pick each actor's top tf-idf term against corpus. Every id
-    must name one of actors and every keyword be a string build_query
-    accepts, or ValueError is raised before any query is paid.
+    None lets srwk pick each actor's top tf-idf term against corpus.
+    Every argument is checked before any query is paid, and the stages
+    behind this do not check again: ValueError for fewer than two actors or
+    two with one id, an unknown variant or measure, a threshold outside
+    [0, 1], parallelism below 1, keywords without srwk, and a keyword id
+    naming no actor or a term build_query refuses.
     stage_counts holds this call's paid queries by stage: doubleton_queries
     (detection), singleton_queries (contexts of actors in a detected pair)
     and keyword_queries (srwk scoring; 0 for sr).
     """
+    actors = list(actors)
+    if len(actors) < 2:
+        raise ValueError("need at least two actors")
+    by_id = {actor.id: actor for actor in actors}
+    if len(by_id) != len(actors):
+        raise ValueError(f"actor ids must be unique, got {sorted(actor.id for actor in actors)}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}; expected one of {sorted(MEASURES)}")
+    if not 0.0 <= threshold <= 1.0:  # false for NaN too
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     if keywords is not None and variant != "srwk":
         raise ValueError("keywords need variant 'srwk'")
-    by_id = {actor.id: actor for actor in actors}
     if keywords is not None:
         unknown = sorted(set(keywords) - set(by_id))
         if unknown:

@@ -32,8 +32,6 @@ def extract_keywords(l_a, corpus_doc_freq: dict, corpus_size: int, k: int) -> tu
     plain tf. Ties break lexicographically, so rankings are total and
     increasing k never reorders earlier entries.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     tf: dict = {}
     for snippet in l_a:
         for token in tokenize(f"{snippet.title} {snippet.abstract}"):
@@ -66,8 +64,6 @@ def classify_attribute(term: str) -> str:
     whitespace. A bare '@' or a word like a place name or a topic is
     flexible: it can change between contexts without the person changing.
     """
-    if not term:
-        raise ValueError("term must be non-empty")
     if term.count("@") == 1 and not any(ch.isspace() for ch in term):
         local, _, domain = term.partition("@")
         if local and domain:

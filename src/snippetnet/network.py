@@ -29,31 +29,16 @@ def build_network(actors, evidence, scores, usr_scores, labels, *,
     """Assemble the network from detection evidence and per-pair annotations.
 
     scores, usr_scores and labels map each detected pair to its
-    StrengthScore, UsrScore and EdgeLabels; a detected pair missing from any
-    of them is a ValueError. Pairs scoring below the threshold are dropped,
-    undetected pairs are never edges. The threshold has no default on
-    purpose: it is part of what a network claims. snippetnet.cli.extract
-    computes all three maps and calls this.
+    StrengthScore, UsrScore and EdgeLabels. Pairs scoring below the
+    threshold are dropped, undetected pairs are never edges. The threshold
+    has no default on purpose: it is part of what a network claims.
+    snippetnet.cli.extract checks the threshold, computes all three maps
+    from its own evidence and calls this.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    actors = list(actors)
-    ids = {actor.id for actor in actors}
-    if len(ids) != len(actors):
-        raise ValueError("actor ids must be unique")
     edges = []
-    seen = set()
     for item in sorted(evidence, key=lambda ev: ev.pair):
-        if item.pair in seen:
-            raise ValueError(f"duplicate evidence for pair {item.pair}")
-        seen.add(item.pair)
-        if item.pair[0] not in ids or item.pair[1] not in ids:
-            raise ValueError(f"evidence pair {item.pair} references unknown actors")
         if not item.detected:
             continue
-        for what, by_pair in (("strength score", scores), ("usr score", usr_scores), ("labels", labels)):
-            if item.pair not in by_pair:
-                raise ValueError(f"detected pair {item.pair} has no {what}")
         score = scores[item.pair]
         if score.value < threshold:
             continue

@@ -86,14 +86,6 @@ def detect_all(actors, gateway: SearchGateway, parallelism: int = 1) -> list[Rel
     has failed no further pair starts; only the pairs already in flight, at
     most `parallelism` of them, still pay for their query.
     """
-    actors = list(actors)
-    if len(actors) < 2:
-        raise ValueError("need at least two actors")
-    ids = [actor.id for actor in actors]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"actor ids must be unique, got {sorted(ids)}")
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
     ordered = sorted(actors, key=lambda actor: actor.id)
     pairs = list(combinations(ordered, 2))
     if parallelism == 1:

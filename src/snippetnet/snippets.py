@@ -75,7 +75,5 @@ def contains_term(snippet: Snippet, term: str) -> bool:
     The URL is deliberately not searched: a name embedded in a hostname is
     not the kind of mention relation evidence is built on.
     """
-    if not term.strip():
-        raise ValueError("term must be non-empty")
     needle = term.lower()
     return needle in snippet.title.lower() or needle in snippet.abstract.lower()

@@ -41,26 +41,15 @@ MEASURES = {"jaccard": jaccard, "dice": dice, "overlap": overlap}
 StrengthScore = namedtuple("StrengthScore", "value measure variant keywords_used", defaults=(None,))
 
 
-def _measure_fn(measure: str):
-    try:
-        return MEASURES[measure]
-    except KeyError:
-        raise ValueError(f"unknown measure {measure!r}; expected one of {sorted(MEASURES)}") from None
-
-
 def sr(a: Actor, b: Actor, evidence: RelationEvidence, gateway: SearchGateway,
        measure: str = "jaccard") -> StrengthScore:
     """Plain strength: two cache-first singleton fetches plus the evidence doubleton.
 
-    Raises ValueError when the evidence says the pair failed detection;
-    scoring an undetected pair would manufacture a relation out of nothing.
+    Only a detected pair has a strength; snippetnet.cli.extract scores no other.
     """
-    fn = _measure_fn(measure)
-    if not evidence.detected:
-        raise ValueError(f"pair {evidence.pair} was not detected; nothing to score")
     count_a = gateway.execute(build_query([a.name])).hit_count
     count_b = gateway.execute(build_query([b.name])).hit_count
-    return StrengthScore(value=fn(*clamp(count_a, count_b, evidence.doubleton_count)),
+    return StrengthScore(value=MEASURES[measure](*clamp(count_a, count_b, evidence.doubleton_count)),
                          measure=measure, variant="sr")
 
 
@@ -73,14 +62,13 @@ def sr_with_keywords(a: Actor, kw_a: str, b: Actor, kw_b: str, gateway: SearchGa
     joint count. The pair is put in id order first so the joint query renders
     to one canonical cache key; keywords_used records that canonical order.
     """
-    fn = _measure_fn(measure)
     if b.id < a.id:
         a, kw_a, b, kw_b = b, kw_b, a, kw_a
     queries = [build_query([a.name, kw_a]), build_query([b.name, kw_b]),
                build_query([a.name, kw_a, b.name, kw_b])]
     count_a, count_b, count_both = (gateway.execute(query).hit_count for query in queries)
     return StrengthScore(
-        value=fn(*clamp(count_a, count_b, count_both)),
+        value=MEASURES[measure](*clamp(count_a, count_b, count_both)),
         measure=measure,
         variant="srwk",
         keywords_used=(queries[0].terms[1], queries[1].terms[1]),

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from conftest import mask_timestamps, read_json
-from snippetnet import FixtureBackend, SearchGateway, export, load_corpus
+from snippetnet import Actor, FixtureBackend, SearchGateway, export, load_corpus
 from snippetnet.cli import extract, load_actors, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,22 +119,40 @@ def test_library_extract_is_the_command_line_pipeline(case, variant, tmp_path):
     assert sum(stage_counts.values()) == gateway.backend_calls == report["backend_calls"]
 
 
-@pytest.mark.parametrize(
-    "keywords, message",
-    [
-        ({"alice-nguyen": 'x"y', "bob-santos": "graph"}, "double quote"),
-        ({"alice-nguyen": "graph", "nobody": "graph"}, "nobody"),
-        ({"alice-nguyen": "  "}, "blank phrase"),
-        ({"alice-nguyen": 7}, "must be a string"),
-    ],
-    ids=["double-quote", "unknown-id", "blank", "not-a-string"],
-)
-def test_library_extract_checks_keywords_before_any_query(keywords, message):
+def test_library_extract_reads_an_iterator_of_actors_once():
     corpus = load_corpus(DEMO / "corpus.jsonl")
     gateway = SearchGateway(FixtureBackend(corpus))
+    network, evidence, _ = extract(iter(load_actors(DEMO / "actors.txt")), gateway, threshold=0.2, corpus=corpus)
+    assert export(network, "dot").decode("utf-8") == (GOLDEN / "sr-dot" / "network.dot").read_text(encoding="utf-8")
+    assert len(evidence) == 15
+
+
+# One case per argument extract checks; each must be refused before the first paid query.
+@pytest.mark.parametrize(
+    "names, arguments, message",
+    [
+        (None, {"variant": "srwk", "keywords": {"alice-nguyen": 'x"y', "bob-santos": "graph"}}, "double quote"),
+        (None, {"variant": "srwk", "keywords": {"alice-nguyen": "graph", "nobody": "graph"}}, "nobody"),
+        (None, {"variant": "srwk", "keywords": {"alice-nguyen": "  "}}, "blank phrase"),
+        (None, {"variant": "srwk", "keywords": {"alice-nguyen": 7}}, "must be a string"),
+        (None, {"threshold": 1.5}, r"threshold must be in \[0, 1\], got 1.5"),
+        (None, {"threshold": -0.1}, r"threshold must be in \[0, 1\], got -0.1"),
+        (None, {"threshold": float("nan")}, r"threshold must be in \[0, 1\], got nan"),
+        (None, {"measure": "cosine"}, "unknown measure 'cosine'"),
+        (None, {"variant": "srw"}, "unknown variant 'srw'"),
+        (None, {"parallelism": 0}, "parallelism must be >= 1"),
+        (["Alice Nguyen"], {}, "need at least two actors"),
+        (["Alice Nguyen", "Alice-Nguyen"], {}, "actor ids must be unique"),
+    ],
+    ids=["double-quote", "unknown-id", "blank", "not-a-string", "threshold-above-1", "threshold-below-0",
+         "threshold-nan", "unknown-measure", "unknown-variant", "parallelism-0", "one-actor", "duplicate-ids"],
+)
+def test_library_extract_checks_keywords_before_any_query(names, arguments, message):
+    corpus = load_corpus(DEMO / "corpus.jsonl")
+    gateway = SearchGateway(FixtureBackend(corpus))
+    actors = load_actors(DEMO / "actors.txt") if names is None else [Actor(name) for name in names]
     with pytest.raises(ValueError, match=message):
-        extract(load_actors(DEMO / "actors.txt"), gateway, threshold=0.2, variant="srwk",
-                keywords=keywords, corpus=corpus)
+        extract(actors, gateway, **{"threshold": 0.2, "corpus": corpus, **arguments})
     assert gateway.backend_calls == 0
 
 

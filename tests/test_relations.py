@@ -127,7 +127,3 @@ class TestDetectAll:
         actors = [Actor(name="Alice Nguyen"), Actor(name="Alice-Nguyen")]
         with pytest.raises(ValueError):
             detect_all(actors, gateway20)
-
-    def test_needs_at_least_two_actors(self, gateway20):
-        with pytest.raises(ValueError):
-            detect_all([_actor("Alice Nguyen")], gateway20)

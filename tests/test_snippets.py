@@ -187,7 +187,3 @@ class TestContainsTerm:
     def test_url_text_is_not_searched(self):
         snip = Snippet(url=parse_url("http://alice.com/alice"), title="t", abstract="a")
         assert not contains_term(snip, "alice")
-
-    def test_empty_term_rejected(self):
-        with pytest.raises(ValueError):
-            contains_term(self._snip(title="x"), "  ")
