@@ -150,7 +150,7 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
     paid_detecting = gateway.backend_calls
     detected = [item for item in evidence if item.detected]
     involved = sorted({actor_id for item in detected for actor_id in item.pair})
-    contexts = {actor_id: fetch_actor_context(by_id[actor_id], gateway) for actor_id in involved}
+    contexts = fetch_actor_context((by_id[actor_id] for actor_id in involved), gateway, parallelism)
     paid_contexts = gateway.backend_calls
 
     if keywords is None and variant == "srwk":
@@ -158,21 +158,16 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
         keywords = {actor_id: terms[0][0] for actor_id, terms in ranked.items() if terms}
     keywords = keywords or {}
 
-    scores: dict = {}
-    usr_scores: dict = {}
-    edge_labels: dict = {}
-    for item in detected:
-        a, b = by_id[item.pair[0]], by_id[item.pair[1]]
-        kw_a, kw_b = keywords.get(a.id), keywords.get(b.id)
-        if kw_a and kw_b:
-            score = sr_with_keywords(a, kw_a, b, kw_b, gateway, measure)
-        else:
-            # srwk falls back to the plain score when an actor has no
-            # keyword; the variant field on the score says which one ran.
-            score = sr(a, b, item, gateway, measure)
-        scores[item.pair] = score
-        usr_scores[item.pair] = usr(contexts[a.id][0], contexts[b.id][0])
-        edge_labels[item.pair] = label_edge(item.l_ab)
+    # srwk falls back to the plain score when an actor has no keyword; the
+    # variant field on the score says which one ran.
+    narrowed = [(by_id[a], keywords[a], by_id[b], keywords[b])
+                for a, b in (item.pair for item in detected) if keywords.get(a) and keywords.get(b)]
+    scored = sr_with_keywords(narrowed, gateway, measure, parallelism)
+    scores = {(a.id, b.id): score for (a, _, b, _), score in zip(narrowed, scored)}
+    plain = [(by_id[item.pair[0]], by_id[item.pair[1]], item) for item in detected if item.pair not in scores]
+    scores.update((item.pair, score) for (_, _, item), score in zip(plain, sr(plain, gateway, measure)))
+    usr_scores = {item.pair: usr(contexts[item.pair[0]][0], contexts[item.pair[1]][0]) for item in detected}
+    edge_labels = {item.pair: label_edge(item.l_ab) for item in detected}
 
     network = build_network(
         actors, evidence, scores, usr_scores, edge_labels,
@@ -253,7 +248,7 @@ def cmd_keywords(args) -> int:
     if not actors:
         raise ConfigError("actors file lists nobody")
     gateway, corpus = _open_state(args)
-    contexts = {actor.id: fetch_actor_context(actor, gateway) for actor in actors}
+    contexts = fetch_actor_context(actors, gateway)
     ranked = _rank_keywords(contexts, corpus, args.top_k)
     payload = {
         actor.id: {

@@ -9,11 +9,10 @@ both O(1) bytes and no new file per query. The backend call itself runs
 outside the lock, so independent queries may execute concurrently, and a
 backend shared by several worker threads must be safe to call from all of
 them at once (FixtureBackend is: its phrase memo only ever gains equal
-entries). Two threads racing on the *same* uncached query can each spend
-budget; pipeline callers only fan out distinct queries. The backend is any
-object with search(query) -> SearchResult (see backends). The gateway counts
-what it served in two ints, backend_calls and cache_hits, each bumped under
-the lock.
+entries). execute_all is the one fan-out: only distinct queries go to its
+threads, so no two threads ever pay for one query. The backend is any object
+with search(query) -> SearchResult (see backends). The gateway counts what it
+served in two ints, backend_calls and cache_hits, each bumped under the lock.
 """
 
 from __future__ import annotations
@@ -55,3 +54,48 @@ class SearchGateway:
             self.cache.store(rendered, result)
             self.backend_calls += 1
         return result
+
+    def execute_all(self, queries, parallelism: int = 1) -> list[SearchResult]:
+        """Serve every query through execute; results in the order asked.
+
+        Distinct queries start in first-asked order on at most parallelism
+        threads, the calling one among them, so at 1 no thread starts; each
+        repeat then hits the cache on the calling thread. Once a query fails
+        or the calling thread is interrupted, no further query starts; those
+        in flight, at most parallelism, still pay. Raises the error of the
+        earliest failed query in the order asked.
+        """
+        queries = list(queries)
+        distinct = list(dict.fromkeys(queries))
+        served, errors, stop = {}, {}, threading.Event()
+        todo = enumerate(distinct)  # shared; its next() is atomic under the interpreter lock
+
+        def work():
+            for index, query in todo:
+                if stop.is_set():
+                    return
+                try:
+                    served[query] = self.execute(query)
+                except BaseException as exc:  # raised again in the calling thread, below
+                    errors[index] = exc
+                    stop.set()
+
+        threads = []
+        try:
+            for _ in range(min(parallelism, len(distinct)) - 1):
+                thread = threading.Thread(target=work)
+                thread.start()
+                threads.append(thread)
+            work()
+        except BaseException:  # the calling thread was interrupted: start no further query
+            stop.set()
+            raise
+        finally:
+            for thread in threads:
+                thread.join()
+        try:
+            if errors:
+                raise errors[min(errors)]
+        finally:
+            errors.clear()  # each error's traceback holds work's frame, and through it this dict
+        return [served.pop(query, None) or self.execute(query) for query in queries]

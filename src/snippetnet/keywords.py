@@ -10,14 +10,14 @@ from pathlib import Path
 from .corpus import FixtureDocument
 from .gateway import SearchGateway
 from .queries import build_query
-from .relations import Actor
 from .text import raw_tokens, tokenize
 
 
-def fetch_actor_context(actor: Actor, gateway: SearchGateway):
-    """One singleton query: returns (snippets, hit count)."""
-    result = gateway.execute(build_query([actor.name]))
-    return result.snippets, result.hit_count
+def fetch_actor_context(actors, gateway: SearchGateway, parallelism: int = 1) -> dict:
+    """One singleton query per actor, through gateway.execute_all: {actor id: (snippets, hit count)}."""
+    actors = list(actors)
+    results = gateway.execute_all((build_query([actor.name]) for actor in actors), parallelism)
+    return {actor.id: (result.snippets, result.hit_count) for actor, result in zip(actors, results)}
 
 
 def extract_keywords(l_a, corpus_doc_freq: dict, corpus_size: int, k: int) -> tuple:

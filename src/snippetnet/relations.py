@@ -17,7 +17,6 @@ checks, so nothing in the package calls them.
 
 from __future__ import annotations
 
-import threading
 from collections import namedtuple
 from itertools import combinations
 
@@ -59,52 +58,29 @@ class RelationEvidence(namedtuple("RelationEvidence", "pair doubleton_count l_ab
 def detect_relation(a: Actor, b: Actor, gateway: SearchGateway) -> RelationEvidence:
     """Issue the pair query and keep the snippets where both names co-occur.
 
-    The two actors are ordered by id before the query is built, so the same
-    unordered pair always renders to the same cache key.
+    The pair is put in id order before the query is built, as detect_all
+    does, so the same unordered pair always renders to the same cache key.
     """
     if a.id == b.id:
         raise ValueError(f"cannot relate {a.id!r} to itself")
-    first, second = sorted((a, b), key=lambda actor: actor.id)
-    result = gateway.execute(build_query([first.name, second.name]))
-    kept = tuple(s for s in result.snippets if contains_term(s, first.name) and contains_term(s, second.name))
-    return RelationEvidence(
-        pair=(first.id, second.id),
-        doubleton_count=result.hit_count,
-        l_ab=kept,
-        detected=result.hit_count > 0 and len(kept) > 0,
-    )
+    return detect_all([a, b], gateway)[0]
 
 
 def detect_all(actors, gateway: SearchGateway, parallelism: int = 1) -> list[RelationEvidence]:
     """Evidence for every unordered pair: exactly n(n-1)/2 entries.
 
     Pairs are visited in lexicographic (id_min, id_max) order and the result
-    list keeps that order even when queries fan out across threads. Negative
-    evidence is retained so callers can tell "checked, unrelated" apart from
-    "never checked". On error nothing partial is returned; completed queries
-    stay in the cache, so a rerun resumes where this one stopped. Once a pair
-    has failed no further pair starts; only the pairs already in flight, at
-    most `parallelism` of them, still pay for their query.
+    list keeps that order; their queries go through gateway.execute_all, so
+    they fan out over up to `parallelism` threads, and a failed query stops
+    every pair not yet started. Negative evidence is retained so callers can
+    tell "checked, unrelated" apart from "never checked". On error nothing
+    partial is returned; completed queries stay in the cache, so a rerun
+    resumes where this one stopped.
     """
-    ordered = sorted(actors, key=lambda actor: actor.id)
-    pairs = list(combinations(ordered, 2))
-    if parallelism == 1:
-        return [detect_relation(a, b, gateway) for a, b in pairs]
-    from concurrent.futures import ThreadPoolExecutor
-
-    failed = threading.Event()
-
-    def detect_unless_failed(a, b):
-        if failed.is_set():
-            return None
-        try:
-            return detect_relation(a, b, gateway)
-        except BaseException:
-            failed.set()
-            raise
-
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [pool.submit(detect_unless_failed, a, b) for a, b in pairs]
-        # A pair skipped after a failure gives None, but then the failed
-        # pair's future raises before the list is complete.
-        return [future.result() for future in futures]
+    pairs = list(combinations(sorted(actors, key=lambda actor: actor.id), 2))
+    results = gateway.execute_all((build_query([a.name, b.name]) for a, b in pairs), parallelism)
+    evidence = []
+    for (a, b), result in zip(pairs, results):
+        kept = tuple(s for s in result.snippets if contains_term(s, a.name) and contains_term(s, b.name))
+        evidence.append(RelationEvidence((a.id, b.id), result.hit_count, kept, result.hit_count > 0 and len(kept) > 0))
+    return evidence

@@ -13,7 +13,6 @@ from collections import namedtuple
 
 from .gateway import SearchGateway
 from .queries import build_query
-from .relations import Actor, RelationEvidence
 
 
 def clamp(singleton_a: int, singleton_b: int, doubleton: int) -> tuple[int, int, int]:
@@ -41,35 +40,36 @@ MEASURES = {"jaccard": jaccard, "dice": dice, "overlap": overlap}
 StrengthScore = namedtuple("StrengthScore", "value measure variant keywords_used", defaults=(None,))
 
 
-def sr(a: Actor, b: Actor, evidence: RelationEvidence, gateway: SearchGateway,
-       measure: str = "jaccard") -> StrengthScore:
-    """Plain strength: two cache-first singleton fetches plus the evidence doubleton.
+def sr(pairs, gateway: SearchGateway, measure: str = "jaccard") -> list[StrengthScore]:
+    """Plain strength of each (a, b, evidence): two singleton counts and the evidence doubleton.
 
-    Only a detected pair has a strength; snippetnet.cli.extract scores no other.
+    Only a detected pair has a strength; snippetnet.cli.extract scores no
+    other, after its contexts stage has cached every involved actor's
+    singleton, so the one gateway.execute_all here runs inline.
     """
-    count_a = gateway.execute(build_query([a.name])).hit_count
-    count_b = gateway.execute(build_query([b.name])).hit_count
-    return StrengthScore(value=MEASURES[measure](*clamp(count_a, count_b, evidence.doubleton_count)),
-                         measure=measure, variant="sr")
+    pairs = list(pairs)
+    singletons = (build_query([actor.name]) for a, b, _ in pairs for actor in (a, b))
+    counts = iter([result.hit_count for result in gateway.execute_all(singletons)])
+    return [StrengthScore(value=MEASURES[measure](*clamp(next(counts), next(counts), evidence.doubleton_count)),
+                          measure=measure, variant="sr") for _, _, evidence in pairs]
 
 
-def sr_with_keywords(a: Actor, kw_a: str, b: Actor, kw_b: str, gateway: SearchGateway,
-                     measure: str = "jaccard") -> StrengthScore:
-    """Keyword-augmented strength; all three queries are built before any is paid for.
+def sr_with_keywords(pairs, gateway: SearchGateway, measure: str = "jaccard",
+                     parallelism: int = 1) -> list[StrengthScore]:
+    """Keyword-augmented strength of each (a, kw_a, b, kw_b).
 
     Every count comes from a keyword-narrowed query: |a n kw_a| and
     |b n kw_b| replace the singletons, and one four-phrase query supplies the
-    joint count. The pair is put in id order first so the joint query renders
-    to one canonical cache key; keywords_used records that canonical order.
+    joint count. Each pair is put in id order first so its joint query
+    renders to one canonical cache key; keywords_used records that canonical
+    order. Every pair's three queries are built before any is paid for, and
+    all of them go through one gateway.execute_all.
     """
-    if b.id < a.id:
-        a, kw_a, b, kw_b = b, kw_b, a, kw_a
-    queries = [build_query([a.name, kw_a]), build_query([b.name, kw_b]),
-               build_query([a.name, kw_a, b.name, kw_b])]
-    count_a, count_b, count_both = (gateway.execute(query).hit_count for query in queries)
-    return StrengthScore(
-        value=MEASURES[measure](*clamp(count_a, count_b, count_both)),
-        measure=measure,
-        variant="srwk",
-        keywords_used=(queries[0].terms[1], queries[1].terms[1]),
-    )
+    ordered = [(a, kw_a, b, kw_b) if a.id < b.id else (b, kw_b, a, kw_a) for a, kw_a, b, kw_b in pairs]
+    queries = [(build_query([a.name, kw_a]), build_query([b.name, kw_b]), build_query([a.name, kw_a, b.name, kw_b]))
+               for a, kw_a, b, kw_b in ordered]
+    flat = (query for three in queries for query in three)
+    counts = iter([result.hit_count for result in gateway.execute_all(flat, parallelism)])
+    return [StrengthScore(value=MEASURES[measure](*clamp(next(counts), next(counts), next(counts))),
+                          measure=measure, variant="srwk", keywords_used=(narrowed_a.terms[1], narrowed_b.terms[1]))
+            for narrowed_a, narrowed_b, _ in queries]

@@ -1,5 +1,7 @@
 import json
 import re
+import threading
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from snippetnet.backends import FixtureBackend
 from snippetnet.budget import BudgetLedger
 from snippetnet.cache import QueryCache
 from snippetnet.corpus import FixtureDocument
+from snippetnet.errors import BackendError
 from snippetnet.gateway import SearchGateway
 from snippetnet.relations import Actor
 from snippetnet.snippets import UrlTokens
@@ -106,6 +109,54 @@ def to_matrix(network):
         grid[i][j] = 1
         grid[j][i] = 1
     return AdjacencyMatrix(order=order, cells=tuple(tuple(row) for row in grid))
+
+
+# --------------------------------------------------------------- fan-out ----
+# Twenty actors named together in the title of every document, so all 190
+# pairs are detected and each paid stage of an srwk run with FANOUT_KEYWORDS
+# has many distinct queries: 190 pairs, 20 contexts, and 20 narrowed
+# singletons plus 190 joint queries for scoring.
+
+FANOUT_ACTORS = [Actor(f"Person {i:02d}") for i in range(20)]
+FANOUT_KEYWORDS = {actor.id: "topic" for actor in FANOUT_ACTORS}
+
+
+def fanout_corpus():
+    names = " and ".join(actor.name for actor in FANOUT_ACTORS)
+    return tuple(
+        FixtureDocument(doc_id=i, url=f"https://example.org/{i}", title=names, body=f"{names} on topic {i}")
+        for i in range(1, 4)
+    )
+
+
+class StagedBackend:
+    """FixtureBackend over fanout_corpus() that counts its calls by query and by stage.
+
+    A query's stage follows from its shape in an srwk run with
+    FANOUT_KEYWORDS: "scoring" holds the keyword, "contexts" is one phrase,
+    "detection" is two names. hook(stage, n), when given, runs before the
+    search, with n the calls of that stage so far; a call in stage `fail`
+    raises BackendError.
+    """
+
+    def __init__(self, hook=None, fail=None):
+        self._fixture = FixtureBackend(fanout_corpus())
+        self._lock = threading.Lock()
+        self.hook, self.fail = hook, fail
+        self.stages = Counter()
+        self.queries = Counter()
+
+    def search(self, query):
+        stage = "scoring" if "topic" in query.terms else "contexts" if len(query.terms) == 1 else "detection"
+        with self._lock:
+            self.stages[stage] += 1
+            self.queries[query.rendered] += 1
+            n = self.stages[stage]
+        if self.hook is not None:
+            self.hook(stage, n)
+        if stage == self.fail:
+            raise BackendError(f"{stage} down")
+        return self._fixture.search(query)
 
 
 # --------------------------------------------------------------- helpers ----

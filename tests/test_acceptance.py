@@ -89,7 +89,7 @@ def test_criterion_02_oracle_equivalence(corpus20_rows, corpus20):
             "overlap": count_ab / min(count_a, count_b),
         }
         for measure, expected in oracle.items():
-            got = sr(a, b, item, gateway, measure).value
+            got = sr([(a, b, item)], gateway, measure)[0].value
             exact = exact and got == expected
             checked += 1
     ok = exact and checked == 6  # two detected pairs, three measures each

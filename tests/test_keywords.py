@@ -23,7 +23,7 @@ def _snip(title, abstract):
 class TestFetchActorContext:
     def test_returns_snippets_and_hit_count(self, gateway20):
         alice = Actor(name=ACTORS[0])
-        snippets, count = fetch_actor_context(alice, gateway20)
+        snippets, count = fetch_actor_context([alice], gateway20)[alice.id]
         assert count == 4
         assert len(snippets) == 4
         assert all("alice nguyen" in f"{s.title} {s.abstract}".lower() for s in snippets)

@@ -75,8 +75,8 @@ class TestUsr:
             assert 0.0 <= forward.value <= 1.0
 
     def test_fixture_contexts(self, gateway20):
-        alice, _ = fetch_actor_context(Actor(name=ACTORS[0]), gateway20)
-        bob, _ = fetch_actor_context(Actor(name=ACTORS[1]), gateway20)
+        contexts = fetch_actor_context([Actor(name=ACTORS[0]), Actor(name=ACTORS[1])], gateway20)
+        (alice, _), (bob, _) = contexts.values()
         score = usr(alice, bob)
         assert score.value == pytest.approx(1 / 3)
         assert score.shared_domains == frozenset({"netsci.org"})

@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from conftest import make_gateway, scan_count
+from conftest import FANOUT_ACTORS, FANOUT_KEYWORDS, StagedBackend, make_gateway, scan_count
 from corpusdata import ACTORS
 from snippetnet.budget import BudgetLedger
+from snippetnet.cli import extract
 from snippetnet.errors import BackendError
 from snippetnet.gateway import SearchGateway
 from snippetnet.relations import Actor, detect_all, detect_relation
@@ -110,6 +111,14 @@ class TestDetectAll:
                     detect_all(actors, gateway, parallelism=parallelism)
                 # 45 pairs, but only those in flight when the first failed are paid.
                 assert 1 <= ledger.total_issued <= parallelism
+            # Contexts and srwk scoring fan out the same way: 20 and 210 queries.
+            for stage in ("contexts", "scoring"):
+                for _ in range(5):
+                    backend = StagedBackend(fail=stage)
+                    with pytest.raises(BackendError, match=f"{stage} down"):
+                        extract(FANOUT_ACTORS, SearchGateway(backend), threshold=0.0, variant="srwk",
+                                keywords=FANOUT_KEYWORDS, parallelism=parallelism)
+                    assert 1 <= backend.stages[stage] <= parallelism
         finally:
             sys.setswitchinterval(interval)
 

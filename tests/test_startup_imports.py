@@ -1,9 +1,9 @@
 """What `import snippetnet.cli` loads, checked in a fresh interpreter.
 
-A run on the fixture backend never talks to the network and, at the default
---parallelism 1, never starts a thread pool, so importing the command line
-must not load the web client, the hashing behind `secrets`, or
-concurrent.futures and the logging it pulls in. The records are named
+A run on the fixture backend never talks to the network, and its threads are
+plain threading.Thread workers, so importing the command line must not load
+the web client, the hashing behind `secrets`, or concurrent.futures and the
+logging it pulls in; a threaded run does not load the last two either. The records are named
 tuples, so it loads neither dataclasses, nor the inspect module that
 dataclasses pulls in, nor typing. The modules are compared
 with those of a bare interpreter, so whatever a machine's `site` preloads
@@ -64,9 +64,10 @@ def test_importing_the_package_does_not_load_the_cli():
     assert "snippetnet.cli" not in added
 
 
-# Runs after the lean import, so the thread pool and urllib are first
-# imported by the code that needs them; urlopen is replaced before the first
-# live search, as the LiveBackend tests do by dotted path.
+# Runs after the lean import, so urllib is first imported by the code that
+# needs it, and a threaded detection must still load no thread pool; urlopen
+# is replaced before the first live search, as the LiveBackend tests do by
+# dotted path.
 _LAZY_USERS = """
 import json, sys
 sys.path.insert(0, {tests!r})
@@ -90,6 +91,7 @@ def detect(parallelism):
     return detect_all(actors, gateway, parallelism=parallelism)
 
 serial, threaded = detect(1), detect(2)
+pool_loaded = "concurrent.futures" in sys.modules or "logging" in sys.modules
 
 import urllib.request
 
@@ -111,6 +113,7 @@ result = LiveBackend("http://search.example/api").search(build_query(["alice"]))
 print(json.dumps({{
     "loaded_early": loaded_early,
     "threaded_matches_serial": threaded == serial,
+    "pool_loaded": pool_loaded,
     "detected": sum(item.detected for item in serial),
     "hit_count": result.hit_count,
     "requested": requested,
@@ -123,6 +126,7 @@ def test_lazily_imported_thread_pool_and_web_client_still_work():
     report = json.loads(run_python(code))
     assert report["loaded_early"] is False
     assert report["threaded_matches_serial"] is True
+    assert report["pool_loaded"] is False  # threads fan out on plain threading.Thread
     assert report["detected"] > 0
     assert report["hit_count"] == 4
     assert report["requested"] == ["http://search.example/api?q=%22alice%22&page_size=10"]

@@ -64,7 +64,7 @@ class TestSr:
     def test_detected_pair_scores_from_counts(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
         ev = detect_relation(a, b, gateway20)
-        score = sr(a, b, ev, gateway20)
+        score = sr([(a, b, ev)], gateway20)[0]
         # singletons 4 and 3, doubleton 2: 2 / (4 + 3 - 2)
         assert score.value == pytest.approx(0.4, abs=1e-12)
         assert score.measure == "jaccard"
@@ -74,23 +74,23 @@ class TestSr:
     def test_measure_selection(self, gateway20):
         a, b = _actor("David Kim"), _actor("Erin Walsh")
         ev = detect_relation(a, b, gateway20)
-        assert sr(a, b, ev, gateway20, "jaccard").value == pytest.approx(2 / 3)
-        assert sr(a, b, ev, gateway20, "dice").value == pytest.approx(4 / 5)
-        assert sr(a, b, ev, gateway20, "overlap").value == pytest.approx(1.0)
+        assert sr([(a, b, ev)], gateway20, "jaccard")[0].value == pytest.approx(2 / 3)
+        assert sr([(a, b, ev)], gateway20, "dice")[0].value == pytest.approx(4 / 5)
+        assert sr([(a, b, ev)], gateway20, "overlap")[0].value == pytest.approx(1.0)
 
     def test_singletons_come_from_cache_when_warm(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
         ev = detect_relation(a, b, gateway20)
-        sr(a, b, ev, gateway20)
+        sr([(a, b, ev)], gateway20)
         calls_after_first = gateway20.backend_calls
-        sr(a, b, ev, gateway20)
+        sr([(a, b, ev)], gateway20)
         assert gateway20.backend_calls == calls_after_first
 
 
 class TestSrWithKeywords:
     def test_keyword_narrowed_counts(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
-        score = sr_with_keywords(a, "graph", b, "graph", gateway20)
+        score = sr_with_keywords([(a, "graph", b, "graph")], gateway20)[0]
         # narrowed singletons 3 and 2, narrowed doubleton 1: 1 / (3 + 2 - 1)
         assert score.value == pytest.approx(0.25, abs=1e-12)
         assert score.variant == "srwk"
@@ -101,15 +101,15 @@ class TestSrWithKeywords:
         # changes nothing and the score must equal the plain variant
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
         ev = detect_relation(a, b, gateway20)
-        plain = sr(a, b, ev, gateway20)
-        narrowed = sr_with_keywords(a, "research", b, "research", gateway20)
+        plain = sr([(a, b, ev)], gateway20)[0]
+        narrowed = sr_with_keywords([(a, "research", b, "research")], gateway20)[0]
         assert narrowed.value == pytest.approx(plain.value, abs=1e-12)
 
     def test_argument_order_does_not_matter(self, corpus20):
         g1, g2 = make_gateway(corpus20), make_gateway(corpus20)
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
-        forward = sr_with_keywords(a, "graph", b, "network", g1)
-        backward = sr_with_keywords(b, "network", a, "graph", g2)
+        forward = sr_with_keywords([(a, "graph", b, "network")], g1)[0]
+        backward = sr_with_keywords([(b, "network", a, "graph")], g2)[0]
         assert forward == backward
         assert forward.keywords_used == ("graph", "network")
         assert g1.backend_calls == g2.backend_calls == 3
@@ -117,7 +117,7 @@ class TestSrWithKeywords:
     def test_blank_keyword_rejected(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
         with pytest.raises(ValueError, match="blank phrase in query"):
-            sr_with_keywords(a, " ", b, "graph", gateway20)
+            sr_with_keywords([(a, " ", b, "graph")], gateway20)
 
     @pytest.mark.parametrize(
         "kw_a, kw_b", [(" ", "graph"), ("graph", " "), ('x"y', "graph"), ("graph", 'x"y')],
@@ -126,14 +126,14 @@ class TestSrWithKeywords:
     def test_rejected_keyword_pays_for_no_query(self, corpus20, kw_a, kw_b):
         gateway = make_gateway(corpus20)
         with pytest.raises(ValueError, match="blank phrase|double quote"):
-            sr_with_keywords(_actor("Alice Nguyen"), kw_a, _actor("Bob Santos"), kw_b, gateway)
+            sr_with_keywords([(_actor("Alice Nguyen"), kw_a, _actor("Bob Santos"), kw_b)], gateway)
         assert gateway.backend_calls == 0
         assert len(gateway.cache) == 0
 
     def test_uses_exactly_three_queries_cold(self, corpus20):
         gateway = make_gateway(corpus20)
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
-        sr_with_keywords(a, "graph", b, "graph", gateway)
+        sr_with_keywords([(a, "graph", b, "graph")], gateway)
         assert gateway.backend_calls == 3
         assert len(gateway.cache) == 3
         for rendered in (
