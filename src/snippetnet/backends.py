@@ -1,16 +1,17 @@
 """Search backends behind one port.
 
-A backend is any object with search(query) -> SearchResult: it runs one
-query and returns the hit count and at most PAGE_SIZE snippets. The fixture
-backend scans a local corpus and returns exact counts, which makes it the
-reference every arithmetic claim is checked against. The live backend
-adapts a JSON-over-HTTP search service; engine counts are estimates, so it is
-explicitly outside those exactness guarantees. The live backend imports the
-web client (urllib, and with it http, email and ssl) on its first search, so
-a run on the fixture backend never loads it. An answer is read into parsed
+A backend is any object with search(query) -> SearchResult, which runs one
+query and returns the hit count and at most PAGE_SIZE snippets, and documents,
+the corpus srwk ranks keywords against. The fixture backend scans a local
+corpus and returns exact counts: it is the reference every arithmetic claim is
+checked against. The live backend adapts a JSON-over-HTTP search service;
+engine counts are estimates, so it is explicitly outside those exactness
+guarantees, and it has no documents (srwk ranks by plain tf). It imports the
+web client (urllib, and with it http, email and ssl) on its first search, so a
+run on the fixture backend never loads it. An answer is read into parsed
 snippets once, where it enters: the fixture backend builds them from its
-documents, and ``parse_result``, the one reader of a search answer, from
-live response bodies and cache records alike.
+documents, and ``parse_result``, the one reader of a search answer, from live
+response bodies and cache records alike.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def parse_result(payload) -> SearchResult:
 class FixtureBackend:
     """Deterministic, exact search over an in-memory corpus.
 
-    The corpus is the documents load_corpus returns, in ascending id order.
+    documents is the corpus load_corpus returns, in ascending id order.
     Each document is lowercased once, when the backend is built. The set of
     document positions matching a phrase is remembered once known. A query
     intersects the known sets of its phrases, smallest first, and checks each
@@ -80,7 +81,7 @@ class FixtureBackend:
     """
 
     def __init__(self, documents: tuple[FixtureDocument, ...]):
-        self._documents = documents
+        self.documents = documents
         self._haystacks = [f"{doc.title}\n{doc.body}\n{doc.url}".lower() for doc in documents]
         self._positions: dict[str, frozenset[int]] = {}
 
@@ -111,7 +112,7 @@ class FixtureBackend:
         for phrase in unseen:
             hits = [index for index in hits if phrase in haystacks[index]]
         hits = sorted(hits)
-        page = [self._documents[index] for index in hits[:PAGE_SIZE]]
+        page = [self.documents[index] for index in hits[:PAGE_SIZE]]
         snippets = tuple(
             Snippet(parse_url(doc.url), doc.title.strip(), doc.body[:ABSTRACT_LENGTH].strip()) for doc in page
         )
@@ -132,6 +133,7 @@ class LiveBackend:
         self.endpoint = endpoint
         self.api_key = api_key
         self.timeout = timeout
+        self.documents = ()  # an engine's corpus is open: nothing to rank keywords against
 
     def search(self, query: Query) -> SearchResult:
         import urllib.error

@@ -75,11 +75,9 @@ def load_actors(path) -> list:
 
 
 def _open_state(args):
-    """Build the gateway plus the fixture corpus behind it (empty for live)."""
-    corpus = ()
+    """Build the gateway over the chosen backend, which holds the corpus srwk ranks against."""
     if args.backend == "fixture":
-        corpus = load_corpus(args.corpus)
-        backend = FixtureBackend(corpus)
+        backend = FixtureBackend(load_corpus(args.corpus))
     else:
         endpoint = os.environ.get(API_ENDPOINT_ENV)
         if not endpoint:
@@ -90,12 +88,11 @@ def _open_state(args):
         ledger = BudgetLedger.open(args.daily_limit, _ledger_path(args.cache))
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    gateway = SearchGateway(backend, cache=cache, ledger=ledger)
-    return gateway, corpus
+    return SearchGateway(backend, cache=cache, ledger=ledger)
 
 
 def _rank_keywords(contexts: dict, corpus, k: int) -> dict:
-    """Each actor's top-k (term, score) pairs, tf-idf against the corpus if there is one."""
+    """Each actor's top-k (term, score) pairs, tf-idf against the corpus if there is one, else plain tf."""
     doc_freq = document_frequencies(corpus) if contexts else {}  # no actor, no pass over the corpus
     return {
         actor_id: extract_keywords(snippets, doc_freq, len(corpus), k)
@@ -104,11 +101,12 @@ def _rank_keywords(contexts: dict, corpus, k: int) -> dict:
 
 
 def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keywords=None,
-            corpus=(), parallelism=1, provenance=None):
+            parallelism=1, provenance=None):
     """Run the pipeline over actors; returns (network, evidence, stage_counts).
 
     keywords maps an actor id to the keyword srwk narrows its queries with;
-    None lets srwk pick each actor's top tf-idf term against corpus.
+    None lets srwk pick each actor's top tf-idf term against the documents
+    of gateway.backend, read before any query (plain tf if it has none).
     Every argument is checked before any query is paid, and the stages
     behind this do not check again: ValueError for fewer than two actors or
     two with one id, an unknown variant or measure, a threshold outside
@@ -132,9 +130,9 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    if keywords is not None and variant != "srwk":
-        raise ValueError("keywords need variant 'srwk'")
     if keywords is not None:
+        if variant != "srwk":
+            raise ValueError("keywords need variant 'srwk'")
         unknown = sorted(set(keywords) - set(by_id))
         if unknown:
             raise ValueError(f"keywords name no actor of this call: {', '.join(unknown)}")
@@ -145,6 +143,7 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
                 build_query([term])
             except ValueError as exc:
                 raise ValueError(f"keyword of {actor_id!r}: {exc}") from exc
+    corpus = gateway.backend.documents if variant == "srwk" and keywords is None else ()
     paid_before = gateway.backend_calls
     evidence = detect_all(actors, gateway, parallelism=parallelism)
     paid_detecting = gateway.backend_calls
@@ -192,7 +191,7 @@ def cmd_extract(args) -> int:
             keywords = load_keyword_overrides(args.keywords, [actor.id for actor in actors])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read keywords file {args.keywords}: {exc}") from exc
-    gateway, corpus = _open_state(args)
+    gateway = _open_state(args)
     provenance = {
         "backend": args.backend,
         "corpus": Path(args.corpus).name if args.corpus else None,
@@ -203,7 +202,7 @@ def cmd_extract(args) -> int:
     }
     network, evidence, stage_counts = extract(
         actors, gateway, threshold=args.threshold, measure=args.measure, variant=args.variant,
-        keywords=keywords, corpus=corpus, parallelism=args.parallelism, provenance=provenance,
+        keywords=keywords, parallelism=args.parallelism, provenance=provenance,
     )
     atomic_write_bytes(args.out, export(network, args.format))
 
@@ -247,9 +246,9 @@ def cmd_keywords(args) -> int:
     actors = sorted(load_actors(args.actors), key=lambda a: a.id)
     if not actors:
         raise ConfigError("actors file lists nobody")
-    gateway, corpus = _open_state(args)
+    gateway = _open_state(args)
     contexts = fetch_actor_context(actors, gateway)
-    ranked = _rank_keywords(contexts, corpus, args.top_k)
+    ranked = _rank_keywords(contexts, gateway.backend.documents, args.top_k)
     payload = {
         actor.id: {
             "name": actor.name,

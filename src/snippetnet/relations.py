@@ -55,27 +55,16 @@ class RelationEvidence(namedtuple("RelationEvidence", "pair doubleton_count l_ab
         return super().__new__(cls, pair, doubleton_count, l_ab, detected)
 
 
-def detect_relation(a: Actor, b: Actor, gateway: SearchGateway) -> RelationEvidence:
-    """Issue the pair query and keep the snippets where both names co-occur.
-
-    The pair is put in id order before the query is built, as detect_all
-    does, so the same unordered pair always renders to the same cache key.
-    """
-    if a.id == b.id:
-        raise ValueError(f"cannot relate {a.id!r} to itself")
-    return detect_all([a, b], gateway)[0]
-
-
 def detect_all(actors, gateway: SearchGateway, parallelism: int = 1) -> list[RelationEvidence]:
     """Evidence for every unordered pair: exactly n(n-1)/2 entries.
 
-    Pairs are visited in lexicographic (id_min, id_max) order and the result
-    list keeps that order; their queries go through gateway.execute_all, so
-    they fan out over up to `parallelism` threads, and a failed query stops
-    every pair not yet started. Negative evidence is retained so callers can
-    tell "checked, unrelated" apart from "never checked". On error nothing
-    partial is returned; completed queries stay in the cache, so a rerun
-    resumes where this one stopped.
+    Pairs are visited in lexicographic (id_min, id_max) order, which each
+    pair's query and the result list keep; the queries go through
+    gateway.execute_all, so they fan out over up to `parallelism` threads, and
+    a failed query stops every pair not yet started. Negative evidence is
+    retained so callers can tell "checked, unrelated" apart from "never
+    checked". On error nothing partial is returned; completed queries stay in
+    the cache, so a rerun resumes where this one stopped.
     """
     pairs = list(combinations(sorted(actors, key=lambda actor: actor.id), 2))
     results = gateway.execute_all((build_query([a.name, b.name]) for a, b in pairs), parallelism)

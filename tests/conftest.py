@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import corpusdata
+from corpusdata import scan_matches
 from snippetnet.backends import FixtureBackend
 from snippetnet.budget import BudgetLedger
 from snippetnet.cache import QueryCache
@@ -20,19 +21,8 @@ from snippetnet.text import MIN_TOKEN_LENGTH, STOPWORDS
 
 
 # ---------------------------------------------------------------- oracle ----
-# Independent exhaustive scan over raw corpus rows. This deliberately does not
-# go through load_corpus or FixtureBackend; it re-states the matching rule
-# from scratch so the implementation has something to be checked against.
-
-def scan_matches(rows, phrases):
-    needles = [p.lower() for p in phrases]
-    out = []
-    for row in rows:
-        haystack = f"{row['title']}\n{row['body']}\n{row['url']}".lower()
-        if all(needle in haystack for needle in needles):
-            out.append(row["id"])
-    return out
-
+# scan_matches, the exhaustive scan over raw corpus rows, lives in corpusdata,
+# which checks its own designed-in facts with it; this counts its matches.
 
 def scan_count(rows, phrases):
     return len(scan_matches(rows, phrases))

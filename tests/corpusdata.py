@@ -5,6 +5,8 @@ genuinely connected pairs, one pair whose co-mention hides past the abstract
 window, one person connected to nobody, and filler pages that only shape
 document frequencies. Invariants the tests rely on are asserted at build time
 so an edit here fails loudly instead of silently shifting expected counts.
+They are checked with scan_matches, the suite's one substring oracle, which
+conftest re-exports.
 
 Designed-in facts (ids of matching documents):
     "Alice Nguyen"              -> 1, 2, 3, 4
@@ -216,13 +218,19 @@ def no_cooccurrence_corpus():
     return rows
 
 
-def _occurrences(rows, phrase):
-    needle = phrase.lower()
-    return [
-        row["id"]
-        for row in rows
-        if needle in f"{row['title']}\n{row['body']}\n{row['url']}".lower()
-    ]
+# ---------------------------------------------------------------- oracle ----
+# Independent exhaustive scan over raw corpus rows. This deliberately does not
+# go through load_corpus or FixtureBackend; it re-states the matching rule
+# from scratch so the implementation has something to be checked against.
+
+def scan_matches(rows, phrases):
+    needles = [p.lower() for p in phrases]
+    out = []
+    for row in rows:
+        haystack = f"{row['title']}\n{row['body']}\n{row['url']}".lower()
+        if all(needle in haystack for needle in needles):
+            out.append(row["id"])
+    return out
 
 
 def _check(rows):
@@ -237,9 +245,9 @@ def _check(rows):
         "graph": [2, 3, 4, 5],
     }
     for phrase, ids in expected.items():
-        got = _occurrences(rows, phrase)
+        got = scan_matches(rows, [phrase])
         assert got == ids, f"{phrase!r}: expected docs {ids}, got {got}"
-    assert _occurrences(rows, "research") == [row["id"] for row in rows]
+    assert scan_matches(rows, ["research"]) == [row["id"] for row in rows]
     doc3 = rows[2]["body"]
     assert "carol reyes" not in doc3[:200].lower()
     assert doc3.lower().index("carol reyes") >= 200

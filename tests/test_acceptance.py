@@ -16,7 +16,7 @@ from snippetnet.corpus import load_corpus
 from snippetnet.errors import BudgetExhausted
 from snippetnet.labeling import label_edge, usr
 from snippetnet.network import build_network
-from snippetnet.relations import Actor, RelationEvidence, detect_all, detect_relation
+from snippetnet.relations import Actor, RelationEvidence, detect_all
 from snippetnet.snippets import Snippet, parse_url
 from snippetnet.strength import StrengthScore, clamp, dice, jaccard, overlap, sr
 
@@ -99,9 +99,9 @@ def test_criterion_02_oracle_equivalence(corpus20_rows, corpus20):
 def test_criterion_03_rule1_soundness(gateway20):
     alice, bob = _actor("Alice Nguyen"), _actor("Bob Santos")
     farid, carol = _actor("Farid Omar"), _actor("Carol Reyes")
-    cooccurring = detect_relation(alice, bob, gateway20)
-    zero_doubleton = detect_relation(alice, farid, gateway20)
-    beyond_window = detect_relation(alice, carol, gateway20)
+    cooccurring = detect_all([alice, bob], gateway20)[0]
+    zero_doubleton = detect_all([alice, farid], gateway20)[0]
+    beyond_window = detect_all([alice, carol], gateway20)[0]
     ok = (
         cooccurring.detected is True
         and zero_doubleton.detected is False

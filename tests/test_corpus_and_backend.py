@@ -305,7 +305,7 @@ class TestFixtureSearch:
 
         backend.search = search
         actors = load_actors(DEMO / "actors.txt")
-        _, _, counts = extract(actors, SearchGateway(backend), threshold=0.2, variant="srwk", corpus=corpus)
+        _, _, counts = extract(actors, SearchGateway(backend), threshold=0.2, variant="srwk")
         names = {actor.name.lower() for actor in actors}
         keywords = {term.lower() for term in asked} - names
         assert counts["keyword_queries"] > 0 and keywords

@@ -102,7 +102,7 @@ def test_library_extract_is_the_command_line_pipeline(case, variant, tmp_path):
     corpus = load_corpus(DEMO / "corpus.jsonl")
     gateway = SearchGateway(FixtureBackend(corpus))
     network, evidence, stage_counts = extract(
-        load_actors(DEMO / "actors.txt"), gateway, threshold=0.2, variant=variant, corpus=corpus,
+        load_actors(DEMO / "actors.txt"), gateway, threshold=0.2, variant=variant,
     )
     if case == "sr-dot":
         assert export(network, "dot").decode("utf-8") == (GOLDEN / case / "network.dot").read_text(encoding="utf-8")
@@ -122,7 +122,7 @@ def test_library_extract_is_the_command_line_pipeline(case, variant, tmp_path):
 def test_library_extract_reads_an_iterator_of_actors_once():
     corpus = load_corpus(DEMO / "corpus.jsonl")
     gateway = SearchGateway(FixtureBackend(corpus))
-    network, evidence, _ = extract(iter(load_actors(DEMO / "actors.txt")), gateway, threshold=0.2, corpus=corpus)
+    network, evidence, _ = extract(iter(load_actors(DEMO / "actors.txt")), gateway, threshold=0.2)
     assert export(network, "dot").decode("utf-8") == (GOLDEN / "sr-dot" / "network.dot").read_text(encoding="utf-8")
     assert len(evidence) == 15
 
@@ -152,8 +152,33 @@ def test_library_extract_checks_keywords_before_any_query(names, arguments, mess
     gateway = SearchGateway(FixtureBackend(corpus))
     actors = load_actors(DEMO / "actors.txt") if names is None else [Actor(name) for name in names]
     with pytest.raises(ValueError, match=message):
-        extract(actors, gateway, **{"threshold": 0.2, "corpus": corpus, **arguments})
+        extract(actors, gateway, **{"threshold": 0.2, **arguments})
     assert gateway.backend_calls == 0
+
+
+def test_library_extract_takes_its_corpus_from_the_backend():
+    # srwk ranks keywords against the documents of the gateway's backend, so
+    # there is no second corpus to pass, nor one to leave out.
+    gateway = SearchGateway(FixtureBackend(load_corpus(DEMO / "corpus.jsonl")))
+    with pytest.raises(TypeError, match="corpus"):
+        extract(load_actors(DEMO / "actors.txt"), gateway, threshold=0.2, variant="srwk", corpus=())
+    assert gateway.backend_calls == 0
+
+
+def test_backend_without_documents_fails_unpaid_where_srwk_ranks_keywords():
+    class SearchOnly:
+        def __init__(self):
+            self.search = FixtureBackend(load_corpus(DEMO / "corpus.jsonl")).search
+
+    actors = load_actors(DEMO / "actors.txt")
+    gateway = SearchGateway(SearchOnly())
+    with pytest.raises(AttributeError, match="documents"):
+        extract(actors, gateway, threshold=0.2, variant="srwk")
+    assert gateway.backend_calls == 0
+    # sr, and srwk with its keywords given, rank nothing, so they need no documents.
+    extract(actors, gateway, threshold=0.2)
+    extract(actors, gateway, threshold=0.2, variant="srwk", keywords={actor.id: "mobility" for actor in actors})
+    assert gateway.backend_calls > 0
 
 
 def regenerate() -> None:

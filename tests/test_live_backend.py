@@ -68,11 +68,11 @@ def search_server():
 
 
 def extract(tmp_path, backend, out_name="network.json", *flags, actors=DEMO / "actors.txt",
-            corpus=DEMO / "corpus.jsonl", cache=None):
+            corpus=DEMO / "corpus.jsonl", cache=None, threshold="0.2"):
     argv = [
         "extract", "--actors", str(actors), "--backend", backend,
         "--cache", str(cache or tmp_path / f"{backend}-cache.json"),
-        "--threshold", "0.2", "--out", str(tmp_path / out_name), *flags,
+        "--threshold", threshold, "--out", str(tmp_path / out_name), *flags,
     ]
     if backend == "fixture":
         argv += ["--corpus", str(corpus)]
@@ -104,6 +104,24 @@ class TestLoopback:
         assert read_json(str(rerun_out) + ".report.json")["backend_calls"] == 0
         assert read_json(rerun_out)["edges"] == live_net["edges"]
         assert len(search_server.authorizations) == 19
+
+    def test_live_srwk_ranks_keywords_by_plain_term_frequency(self, tmp_path, search_server, monkeypatch):
+        # A live engine has no closed corpus to weigh terms against, so each
+        # actor's keyword is the term its snippets repeat most: here its name.
+        # The fixture backend, over the same documents, ranks by tf-idf.
+        monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", search_server.endpoint)
+        runs = {}
+        for backend in ("live", "fixture"):
+            code, out = extract(tmp_path, backend, f"{backend}.json", "--variant", "srwk", threshold="0")
+            assert code == 0
+            runs[backend] = {tuple(edge["pair"]): (edge["weight"]["keywords_used"], round(edge["weight"]["value"], 3))
+                             for edge in read_json(out)["edges"]}
+        assert runs["live"] == {
+            ("alice-nguyen", "bob-santos"): (["alice", "bob"], 0.4),
+            ("david-kim", "erin-walsh"): (["david", "erin"], 0.667),
+        }
+        assert read_json(tmp_path / "live.json.report.json")["backend_calls"] == 25
+        assert runs["fixture"][("david-kim", "erin-walsh")] == (["mobility", "erin"], 0.333)
 
     def test_endpoint_with_its_own_query_string_keeps_it(self, tmp_path, search_server, monkeypatch):
         code, fixture_out = extract(tmp_path, "fixture", "fixture.json")

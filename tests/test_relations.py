@@ -10,7 +10,7 @@ from snippetnet.budget import BudgetLedger
 from snippetnet.cli import extract
 from snippetnet.errors import BackendError
 from snippetnet.gateway import SearchGateway
-from snippetnet.relations import Actor, detect_all, detect_relation
+from snippetnet.relations import Actor, detect_all
 
 ACTOR_OBJS = [Actor(name) for name in ACTORS]
 
@@ -35,14 +35,14 @@ class TestActor:
 
 class TestDetectRelation:
     def test_cooccurring_pair_is_detected(self, gateway20):
-        ev = detect_relation(_actor("Alice Nguyen"), _actor("Bob Santos"), gateway20)
+        ev = detect_all([_actor("Alice Nguyen"), _actor("Bob Santos")], gateway20)[0]
         assert ev.pair == ("alice-nguyen", "bob-santos")
         assert ev.doubleton_count == 2
         assert ev.detected is True
         assert len(ev.l_ab) == 2
 
     def test_zero_doubleton_not_detected(self, gateway20):
-        ev = detect_relation(_actor("Alice Nguyen"), _actor("Farid Omar"), gateway20)
+        ev = detect_all([_actor("Alice Nguyen"), _actor("Farid Omar")], gateway20)[0]
         assert ev.doubleton_count == 0
         assert ev.detected is False
         assert ev.l_ab == ()
@@ -50,21 +50,16 @@ class TestDetectRelation:
     def test_hits_without_visible_mention_not_detected(self, gateway20):
         # the shared document mentions the second name only past the abstract
         # window, so the count is positive but no snippet shows both names
-        ev = detect_relation(_actor("Alice Nguyen"), _actor("Carol Reyes"), gateway20)
+        ev = detect_all([_actor("Alice Nguyen"), _actor("Carol Reyes")], gateway20)[0]
         assert ev.doubleton_count == 1
         assert ev.detected is False
 
     def test_pair_is_canonical_regardless_of_argument_order(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
-        forward = detect_relation(a, b, gateway20)
-        backward = detect_relation(b, a, gateway20)
+        forward = detect_all([a, b], gateway20)[0]
+        backward = detect_all([b, a], gateway20)[0]
         assert forward == backward
         assert gateway20.backend_calls == 1  # same rendered query
-
-    def test_self_pair_rejected(self, gateway20):
-        alice = _actor("Alice Nguyen")
-        with pytest.raises(ValueError, match="cannot relate 'alice-nguyen' to itself"):
-            detect_relation(alice, Actor("alice-nguyen"), gateway20)
 
 
 class TestDetectAll:

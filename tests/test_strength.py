@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_gateway
 from corpusdata import ACTORS
-from snippetnet.relations import Actor, detect_relation
+from snippetnet.relations import Actor, detect_all
 from snippetnet.strength import (
     MEASURES,
     clamp,
@@ -63,7 +63,7 @@ class TestMeasures:
 class TestSr:
     def test_detected_pair_scores_from_counts(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
-        ev = detect_relation(a, b, gateway20)
+        ev = detect_all([a, b], gateway20)[0]
         score = sr([(a, b, ev)], gateway20)[0]
         # singletons 4 and 3, doubleton 2: 2 / (4 + 3 - 2)
         assert score.value == pytest.approx(0.4, abs=1e-12)
@@ -73,14 +73,14 @@ class TestSr:
 
     def test_measure_selection(self, gateway20):
         a, b = _actor("David Kim"), _actor("Erin Walsh")
-        ev = detect_relation(a, b, gateway20)
+        ev = detect_all([a, b], gateway20)[0]
         assert sr([(a, b, ev)], gateway20, "jaccard")[0].value == pytest.approx(2 / 3)
         assert sr([(a, b, ev)], gateway20, "dice")[0].value == pytest.approx(4 / 5)
         assert sr([(a, b, ev)], gateway20, "overlap")[0].value == pytest.approx(1.0)
 
     def test_singletons_come_from_cache_when_warm(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
-        ev = detect_relation(a, b, gateway20)
+        ev = detect_all([a, b], gateway20)[0]
         sr([(a, b, ev)], gateway20)
         calls_after_first = gateway20.backend_calls
         sr([(a, b, ev)], gateway20)
@@ -100,7 +100,7 @@ class TestSrWithKeywords:
         # "research" occurs in every fixture document, so narrowing by it
         # changes nothing and the score must equal the plain variant
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
-        ev = detect_relation(a, b, gateway20)
+        ev = detect_all([a, b], gateway20)[0]
         plain = sr([(a, b, ev)], gateway20)[0]
         narrowed = sr_with_keywords([(a, "research", b, "research")], gateway20)[0]
         assert narrowed.value == pytest.approx(plain.value, abs=1e-12)
