@@ -10,7 +10,27 @@ from pathlib import Path
 from .errors import ConfigError
 from .snippets import parse_url
 
-FixtureDocument = namedtuple("FixtureDocument", "doc_id url title body")
+ABSTRACT_LENGTH = 200  # a snippet abstract is the body's first slice, as a result page previews it
+
+
+class FixtureDocument(namedtuple("FixtureDocument", "doc_id url title abstract text")):
+    """A document held once, built from its row's (doc_id, url, title, body).
+
+    Keeps the url, the stripped title and abstract (body[:ABSTRACT_LENGTH]) a
+    snippet shows, and text, the title, body and url joined by newlines and
+    lowercased, which search matches. No body is kept, so copy and pickle do not apply.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, doc_id: int, url: str, title: str, body: str):
+        text = f"{title}\n{body}\n{url}".lower()
+        return super().__new__(cls, doc_id, url, title.strip(), body[:ABSTRACT_LENGTH].strip(), text)
+
+    @property
+    def title_and_body(self) -> str:  # the text less its url: what tf-idf counts, already lowercased
+        return self.text[: -len(self.url.lower()) - 1]
+
 
 _decode_json = json.JSONDecoder().decode
 
@@ -25,7 +45,8 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
     empty file.
 
     Each line is UTF-8, and one byte order mark at its start is skipped; a
-    line in another encoding, UTF-16 or UTF-32 too, is malformed.
+    line in another encoding, UTF-16 or UTF-32 too, is malformed. A row
+    becomes its FixtureDocument once it passes, and its full body is not kept.
     """
     source = Path(path)
     docs = []
@@ -49,24 +70,24 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
             if not isinstance(row, dict):
                 raise ConfigError(f"{source}:{lineno}: expected an object, got {type(row).__name__}")
             try:
-                doc = FixtureDocument(row["id"], row["url"], row["title"], row["body"])
+                doc_id, url, title, body = row["id"], row["url"], row["title"], row["body"]
             except KeyError as exc:
                 raise ConfigError(f"{source}:{lineno}: missing field: {exc!r}") from exc
             # type() rather than isinstance: a JSON true is a bool, not an id.
-            if type(doc.doc_id) is not int:
-                raise ConfigError(f"{source}:{lineno}: id must be an integer, got {doc.doc_id!r}")
-            if not (isinstance(doc.url, str) and isinstance(doc.title, str) and isinstance(doc.body, str)):
+            if type(doc_id) is not int:
+                raise ConfigError(f"{source}:{lineno}: id must be an integer, got {doc_id!r}")
+            if not (isinstance(url, str) and isinstance(title, str) and isinstance(body, str)):
                 raise ConfigError(f"{source}:{lineno}: url, title and body must be strings")
             try:
-                parse_url(doc.url)
+                parse_url(url)
             except ValueError as exc:
                 raise ConfigError(f"{source}:{lineno}: url does not parse: {exc}") from exc
-            if last_id is not None and doc.doc_id <= last_id:
+            if last_id is not None and doc_id <= last_id:
                 raise ConfigError(
-                    f"{source}:{lineno}: ids must be unique and ascending (got {doc.doc_id} after {last_id})"
+                    f"{source}:{lineno}: ids must be unique and ascending (got {doc_id} after {last_id})"
                 )
-            last_id = doc.doc_id
-            docs.append(doc)
+            last_id = doc_id
+            docs.append(FixtureDocument(doc_id, url, title, body))
     if not docs:
         raise ConfigError(f"{source}: corpus is empty")
     return tuple(docs)

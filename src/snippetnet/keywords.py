@@ -49,10 +49,11 @@ def extract_keywords(l_a, corpus_doc_freq: dict, corpus_size: int, k: int) -> tu
 
 
 def document_frequencies(documents: tuple[FixtureDocument, ...]) -> dict:
-    """How many corpus documents contain each token at least once."""
+    """How many corpus documents contain each token of their title or body at least once."""
     counts: Counter = Counter()
     for doc in documents:
-        counts.update(set(raw_tokens(f"{doc.title} {doc.body}")))
+        # Lowering the text again changes nothing, and its newlines keep a final sigma final.
+        counts.update(set(raw_tokens(doc.title_and_body)))
     # Filter each distinct token once: the joined raw tokens tokenize to those that count.
     return {token: counts[token] for token in tokenize(" ".join(counts))}
 

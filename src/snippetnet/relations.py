@@ -64,9 +64,12 @@ def detect_all(actors, gateway: SearchGateway, parallelism: int = 1) -> list[Rel
     a failed query stops every pair not yet started. Negative evidence is
     retained so callers can tell "checked, unrelated" apart from "never
     checked". On error nothing partial is returned; completed queries stay in
-    the cache, so a rerun resumes where this one stopped.
+    the cache, so a rerun resumes where this one stopped. Two actors with one
+    id raise ValueError before any query.
     """
     pairs = list(combinations(sorted(actors, key=lambda actor: actor.id), 2))
+    if any(a.id == b.id for a, b in pairs):
+        raise ValueError("actor ids must be unique")
     results = gateway.execute_all((build_query([a.name, b.name]) for a, b in pairs), parallelism)
     evidence = []
     for (a, b), result in zip(pairs, results):

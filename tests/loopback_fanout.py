@@ -62,7 +62,12 @@ def serve(backend, delay_s):
         def log_message(self, *args):
             pass
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    class Server(ThreadingHTTPServer):
+        # Eight clients connecting at once overflow the default listen backlog
+        # of 5, and a refused connection retries after a one-second timeout.
+        request_queue_size = 128
+
+    server = Server(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread

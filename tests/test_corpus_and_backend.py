@@ -3,15 +3,17 @@ import random
 import re
 import sys
 import threading
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import corpusdata
 from conftest import corpus_from_rows, make_gateway, scan_count, scan_matches
-from snippetnet.backends import ABSTRACT_LENGTH, PAGE_SIZE, FixtureBackend, LiveBackend
+from snippetnet.backends import PAGE_SIZE, FixtureBackend, LiveBackend
 from snippetnet.cli import extract, load_actors, main
-from snippetnet.corpus import load_corpus
+from snippetnet.corpus import ABSTRACT_LENGTH, FixtureDocument, load_corpus
 from snippetnet.errors import BackendError, ConfigError
 from snippetnet.gateway import SearchGateway
 from snippetnet.queries import build_query
@@ -123,7 +125,8 @@ class TestCorpusLoader:
         assert separator in path.read_text(encoding="utf-8")
         corpus = load_corpus(path)
         assert len(corpus) == 2
-        assert corpus[0].body == rows[0]["body"]
+        assert corpus[0] == FixtureDocument(1, rows[0]["url"], rows[0]["title"], rows[0]["body"])
+        assert corpus[0].abstract == rows[0]["body"]
         result = FixtureBackend(corpus).search(build_query(["Alice Nguyen after"]))
         assert result.hit_count == 1
         assert result.snippets[0].url.render() == "http://a.com/x"
@@ -184,6 +187,29 @@ class TestCorpusLoader:
             with pytest.raises(ConfigError, match=f"{re.escape(str(path))}:2: url does not parse"):
                 load_corpus(path)
 
+    def test_the_loaded_backend_holds_about_one_copy_of_the_text(self, tmp_path):
+        # Each record keeps one lowercased copy of its text and a short
+        # abstract, and the backend adds no copy of its own.
+        rng = random.Random(17)
+        words = INDEX_WORDS + ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
+        rows = []
+        for doc_id in range(1, 501):
+            body = " ".join(rng.choice(words) for _ in range(1200))[:5000]
+            rows.append({"id": doc_id, "url": f"http://site{doc_id % 9}.example/doc/{doc_id}",
+                         "title": f"Document {doc_id} on {rng.choice(words)}", "body": body})
+        path = tmp_path / "long.jsonl"
+        corpusdata.write_jsonl(path, rows)
+        text_length = sum(len(row["url"]) + len(row["title"]) + len(row["body"]) for row in rows)
+        tracemalloc.start()
+        try:
+            backend = FixtureBackend(load_corpus(path))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(backend.documents) == 500
+        assert retained / text_length < 1.5
+        assert peak / text_length < 1.5
+
 
 class TestFixtureSearch:
     def test_counts_against_scan_oracle_single_phrases(self, corpus20, corpus20_rows):
@@ -216,11 +242,11 @@ class TestFixtureSearch:
         expected_urls = [row["url"] for row in corpus20_rows[:PAGE_SIZE]]
         assert [s.url.render() for s in result.snippets] == expected_urls
 
-    def test_abstract_is_body_prefix(self, corpus20):
+    def test_abstract_is_body_prefix(self, corpus20, corpus20_rows):
         result = FixtureBackend(corpus20).search(build_query(["Methods Seminar Notes"]))
         assert result.hit_count == 1
         snippet = result.snippets[0]
-        long_body = corpus20[2].body
+        long_body = corpus20_rows[2]["body"]
         assert snippet.abstract == long_body[:ABSTRACT_LENGTH]
         assert len(snippet.abstract) == ABSTRACT_LENGTH
         assert "carol reyes" not in snippet.abstract.lower()
@@ -264,27 +290,30 @@ class TestFixtureSearch:
             assert [s.url.render() for s in result.snippets] == urls, phrases
 
     def test_documents_are_read_once_not_once_per_query(self, corpus20_rows):
-        reads = []
+        # A document is lowercased once, when its record is built from the row.
+        # The backend keeps the records themselves, and a query reads only the
+        # lowercased text, plus the snippet fields of the documents on its page.
+        reads = Counter()
 
         class CountingDocument:
             def __init__(self, row):
-                self.doc_id, self.url, self.title = row["id"], row["url"], row["title"]
-                self._body = row["body"]
+                self.record = FixtureDocument(row["id"], row["url"], row["title"], row["body"])
+                self.text = self.record.text
 
-            @property
-            def body(self):
-                reads.append(self.doc_id)
-                return self._body
+            def __getattr__(self, name):  # every field but text
+                reads[name] += 1
+                return getattr(self.record, name)
 
         corpus = tuple(CountingDocument(row) for row in corpus20_rows)
         backend = FixtureBackend(corpus)
+        assert backend.documents is corpus and not reads
         rng = random.Random(5)
         returned = 0
         for _ in range(200):
             result = backend.search(build_query(random_phrases(rng)))
             returned += len(result.snippets)
-        # One read per document to build the index, one per snippet abstract.
-        assert len(reads) <= len(corpus) + returned
+        assert returned > 0
+        assert reads == {"url": returned, "title": returned, "abstract": returned}
 
     def test_a_cold_srwk_run_scans_the_corpus_at_most_once_per_actor_name_and_never_for_a_keyword(self):
         # A phrase is scanned for over the whole corpus only on a miss of the

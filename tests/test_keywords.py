@@ -1,5 +1,7 @@
 import json
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +16,7 @@ from snippetnet.keywords import (
 )
 from snippetnet.relations import Actor
 from snippetnet.snippets import Snippet, parse_url
+from snippetnet.text import tokenize
 
 
 def _snip(title, abstract):
@@ -86,6 +89,24 @@ class TestDocumentFrequencies:
         # sign lowercases to "k", so every spelling of kelvin is one token,
         # counted once per document however often it repeats there.
         assert document_frequencies(corpus) == {"caf": 1, "stanbul": 1, "kelvin": 2, "cafe": 1}
+
+    def test_counts_the_original_title_and_body_never_the_url(self):
+        # The records keep one lowercased text per document; counting its
+        # title-and-body part must give the tokens of the original strings,
+        # whatever a newline, the Kelvin sign, a dotted I or a final sigma does.
+        rng = random.Random(23)
+        pieces = ["graph", "Census", "TRANSIT", "\n", " ", "\u212aelvin", "\u212a", "İ", "İstanbul",
+                  "ΟΔΟΣ", "Σ", "ς", "'", "\u0307", "é", "of", "x1", "-", ".", "Mining"]
+
+        def text(count):
+            return "".join(rng.choice(pieces) for _ in range(count))
+
+        rows = [{"id": i, "url": f"http://urlonly{i}.example/{text(3)}\nurlpath{text(4)}", "title": text(6),
+                 "body": text(rng.randint(0, 40))} for i in range(1, 301)]
+        expected = Counter(token for row in rows for token in set(tokenize(f"{row['title']} {row['body']}")))
+        counted = document_frequencies(corpus_from_rows(rows))
+        assert counted == expected
+        assert not [token for token in counted if token.startswith(("urlonly", "urlpath"))]
 
 
 class TestClassifyAttribute:

@@ -128,6 +128,8 @@ class TestDetectAll:
         assert second.cache_hits == 15
 
     def test_duplicate_ids_rejected(self, gateway20):
-        actors = [Actor(name="Alice Nguyen"), Actor(name="Alice-Nguyen")]
-        with pytest.raises(ValueError):
+        # Refused before any pair is paid for, with extract's message.
+        actors = [Actor(name="Alice Nguyen"), Actor(name="Bob Santos"), Actor(name="Alice-Nguyen")]
+        with pytest.raises(ValueError, match="actor ids must be unique"):
             detect_all(actors, gateway20)
+        assert gateway20.backend_calls == 0
