@@ -60,27 +60,30 @@ class FixtureBackend:
     """Deterministic, exact search over an in-memory corpus.
 
     documents is the corpus load_corpus returns, in ascending id order, never
-    copied; urls stay strings, parsed per page (parsed tokens for 6,000
-    documents would cost 3.45 MB, more than keeping one copy saved). The set of
-    document positions matching a phrase is remembered once known. A query
-    intersects the known sets of its phrases, smallest first, and checks each
-    phrase not yet known only inside the documents that survive. Only when no
-    phrase of a query is known is its first phrase scanned for over the whole
-    corpus and remembered. So a keyword phrase, always asked for next to its
-    actor's name, is only ever checked inside the documents naming the actor.
+    copied. A document's page is unpacked and its url parsed when it first
+    reaches a result page, and the Snippet is kept, so every cached page shows
+    that one (parsing all 6,000 urls up front would cost 3.45 MB, over half
+    the 6.26 MB the loaded corpus holds). The set of document positions
+    matching a phrase is remembered once known. A query intersects the known
+    sets of its phrases, smallest first, and checks each phrase not yet known
+    only inside the documents that survive. Only when no phrase of a query is
+    known is its first phrase scanned for over the whole corpus and
+    remembered. So a keyword phrase, always asked for next to its actor's
+    name, is only ever checked inside the documents naming the actor.
 
     Safe to share between threads: the gateway calls search outside its lock.
-    The only shared mutable state is the phrase memo, which threads only add
-    to. Each phrase is read from it once per query, so a phrase another
-    thread adds meanwhile is either used or checked, never skipped; two
-    threads that scan the same phrase at once both store equal sets, and a
-    single dict get or set is atomic under the interpreter lock, so no reader
-    sees a partial entry.
+    The only shared mutable state is the phrase and snippet memos, which
+    threads only add to. Each phrase is read once per query, so a phrase
+    another thread adds meanwhile is either used or checked, never skipped;
+    two threads that scan one phrase or build one snippet at once store equal
+    values, and a single dict get or set is atomic under the interpreter lock,
+    so no reader sees a partial entry.
     """
 
     def __init__(self, documents: tuple[FixtureDocument, ...]):
         self.documents = documents
         self._positions: dict[str, frozenset[int]] = {}
+        self._snippets: dict[int, Snippet] = {}
 
     def search(self, query: Query) -> SearchResult:
         """Exact conjunctive search over the fixture corpus.
@@ -109,9 +112,14 @@ class FixtureBackend:
         for phrase in unseen:
             hits = [index for index in hits if phrase in documents[index].text]
         hits = sorted(hits)
-        page = [documents[index] for index in hits[:PAGE_SIZE]]
-        snippets = tuple(Snippet(parse_url(doc.url), doc.title, doc.abstract) for doc in page)
-        return SearchResult(hit_count=len(hits), snippets=snippets)
+        return SearchResult(hit_count=len(hits), snippets=tuple(map(self._snippet, hits[:PAGE_SIZE])))
+
+    def _snippet(self, index: int) -> Snippet:  # one per document, which every cached page shares
+        snippet = self._snippets.get(index)
+        if snippet is None:
+            title, abstract, url = self.documents[index].shown()
+            snippet = self._snippets[index] = Snippet(parse_url(url), title, abstract)
+        return snippet
 
 
 class LiveBackend:

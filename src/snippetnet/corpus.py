@@ -13,23 +13,30 @@ from .snippets import parse_url
 ABSTRACT_LENGTH = 200  # a snippet abstract is the body's first slice, as a result page previews it
 
 
-class FixtureDocument(namedtuple("FixtureDocument", "doc_id url title abstract text")):
+class FixtureDocument(namedtuple("FixtureDocument", "text page")):
     """A document held once, built from its row's (doc_id, url, title, body).
 
-    Keeps the url, the stripped title and abstract (body[:ABSTRACT_LENGTH]) a
-    snippet shows, and text, the title, body and url joined by newlines and
-    lowercased, which search matches. No body is kept, so copy and pickle do not apply.
+    text, the title, body and url joined by newlines and lowercased, is what
+    search matches; page is what a snippet shows, the stripped title, the
+    stripped body[:ABSTRACT_LENGTH] and the url, UTF-8 (surrogatepass) joined
+    by b"\xff", a byte UTF-8 never writes. No doc_id or body is kept, so copy
+    and pickle do not apply.
     """
 
     __slots__ = ()
 
     def __new__(cls, doc_id: int, url: str, title: str, body: str):
-        text = f"{title}\n{body}\n{url}".lower()
-        return super().__new__(cls, doc_id, url, title.strip(), body[:ABSTRACT_LENGTH].strip(), text)
+        shown_title = title.strip().encode(errors="surrogatepass")
+        abstract = body[:ABSTRACT_LENGTH].strip().encode(errors="surrogatepass")
+        page = b"\xff".join((shown_title, abstract, url.encode(errors="surrogatepass")))
+        return super().__new__(cls, f"{title}\n{body}\n{url}".lower(), page)
+
+    def shown(self) -> list[str]:  # the title, abstract and url a snippet shows, unpacked from page
+        return [part.decode(errors="surrogatepass") for part in self.page.split(b"\xff")]
 
     @property
     def title_and_body(self) -> str:  # the text less its url: what tf-idf counts, already lowercased
-        return self.text[: -len(self.url.lower()) - 1]
+        return self.text[: -len(self.page.rpartition(b"\xff")[2].decode(errors="surrogatepass").lower()) - 1]
 
 
 _decode_json = json.JSONDecoder().decode
@@ -46,7 +53,7 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
 
     Each line is UTF-8, and one byte order mark at its start is skipped; a
     line in another encoding, UTF-16 or UTF-32 too, is malformed. A row
-    becomes its FixtureDocument once it passes, and its full body is not kept.
+    becomes its FixtureDocument once it passes; its id and full body are not kept.
     """
     source = Path(path)
     docs = []
@@ -64,7 +71,7 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
                 line = line[len(codecs.BOM_UTF8):]
             try:
                 # surrogatepass, as json.loads reads bytes: an encoded lone surrogate loads.
-                row = _decode_json(line.decode("utf-8", "surrogatepass"))
+                row = _decode_json(line.decode(errors="surrogatepass"))
             except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 raise ConfigError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):

@@ -15,18 +15,34 @@ class Query(namedtuple("Query", "terms")):
         return " ".join(f'"{term}"' for term in self.terms)
 
 
+def unwritable(text: str) -> str | None:
+    """Name what a non-empty text holds that XML 1.0 or UTF-8 cannot write, or None.
+
+    That is a control character below U+0020, a lone surrogate (U+D800 to
+    U+DFFF), U+FFFE or U+FFFF. XML 1.0 cannot hold most control characters
+    nor any of the others, so a GraphML export holding one would not parse,
+    and a lone surrogate has no UTF-8 form, so a live query holding one could
+    not be sent.
+    """
+    if text.isprintable():  # one pass in C, for the usual text: none of these characters is printable
+        return None
+    if min(text) < " ":
+        return "control character"
+    if any("\ud800" <= char <= "\udfff" or char in "\ufffe\uffff" for char in text):
+        return "lone surrogate or noncharacter"
+    return None
+
+
 def build_query(phrases: Iterable[str]) -> Query:
     """Trim each phrase and wrap the list in a Query.
 
     Raises ValueError when the list is empty, or when a trimmed phrase is
-    blank, holds a double quote, a control character below U+0020, a lone
-    surrogate (U+D800 to U+DFFF) or U+FFFE or U+FFFF. A double quote would
-    close the quoted phrase early, so ['Ann" "Bo'] would render exactly like
-    ['Ann', 'Bo'] and share its cache entry; XML 1.0 cannot hold most control
-    characters nor any of the others, so a GraphML export naming such an
-    actor would not parse, and a lone surrogate has no UTF-8 form, so a live
-    query could not be sent. Phrases are kept in the order given; callers that
-    want one query per unordered pair must canonicalize the order.
+    blank, holds a double quote, or holds a character unwritable names. A
+    double quote would close the quoted phrase early, so ['Ann" "Bo'] would
+    render exactly like ['Ann', 'Bo'] and share its cache entry; an actor name
+    is a phrase, and it reaches the GraphML export and the live query.
+    Phrases are kept in the order given; callers that want one query per
+    unordered pair must canonicalize the order.
     """
     given = list(phrases)
     if not given:
@@ -38,13 +54,8 @@ def build_query(phrases: Iterable[str]) -> Query:
             raise ValueError(f"blank phrase in query: {given!r}")
         if '"' in cleaned:
             raise ValueError(f"double quote in phrase {cleaned!r}")
-        if min(cleaned) < " ":
-            raise ValueError(f"control character in phrase {cleaned!r}")
-        # min and max run in C, so the usual phrase, all below U+D800, is
-        # checked without a loop in Python.
-        if max(cleaned) >= "\ud800" and any(
-            "\ud800" <= char <= "\udfff" or char in "\ufffe\uffff" for char in cleaned
-        ):
-            raise ValueError(f"lone surrogate or noncharacter in phrase {cleaned!r}")
+        problem = unwritable(cleaned)
+        if problem:
+            raise ValueError(f"{problem} in phrase {cleaned!r}")
         trimmed.append(cleaned)
     return Query(terms=tuple(trimmed))

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .queries import unwritable
+
 
 class UrlTokens(namedtuple("UrlTokens", "scheme domains paths")):
     __slots__ = ()
@@ -33,7 +35,8 @@ Snippet = namedtuple("Snippet", "url title abstract")
 def parse_url(raw: str) -> UrlTokens:
     """Split a URL into scheme, right-to-left host labels, and path segments.
 
-    Raises ValueError on a missing '://' separator or an empty scheme or host.
+    Raises ValueError on a missing '://' separator, an empty scheme or host,
+    or a host holding a character queries.unwritable names.
     Userinfo (everything up to the host's last '@') and the port are
     dropped; a host that reads [...] (an IPv6 address) stays one label;
     empty path segments (from doubled or trailing slashes) are dropped.
@@ -57,6 +60,9 @@ def parse_url(raw: str) -> UrlTokens:
         labels = [joined]
     if not labels:
         raise ValueError(f"empty host in {raw!r}")
+    problem = unwritable(joined)  # a host label can become an edge label in a GraphML export
+    if problem:
+        raise ValueError(f"{problem} in host of {raw!r}")
     head, sep, maybe_port = labels[-1].rpartition(":")
     if sep and maybe_port.isdigit():  # rendered, it would read as the port
         raise ValueError(f"host still ends in a port in {raw!r}")

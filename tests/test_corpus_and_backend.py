@@ -67,10 +67,9 @@ class TestCorpusLoader:
         path = tmp_path / "corpus.jsonl"
         corpusdata.write_jsonl(path, corpus20_rows)
         corpus = load_corpus(path)
+        assert corpus == corpus_from_rows(corpus20_rows)
         assert len(corpus) == 20
-        assert corpus[0].doc_id == 1
-        assert corpus[0].title == "Community Detection Workshop"
-        assert corpus[-1].doc_id == 20
+        assert corpus[0].shown()[0] == "Community Detection Workshop"
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
@@ -126,7 +125,7 @@ class TestCorpusLoader:
         corpus = load_corpus(path)
         assert len(corpus) == 2
         assert corpus[0] == FixtureDocument(1, rows[0]["url"], rows[0]["title"], rows[0]["body"])
-        assert corpus[0].abstract == rows[0]["body"]
+        assert corpus[0].shown()[1] == rows[0]["body"]
         result = FixtureBackend(corpus).search(build_query(["Alice Nguyen after"]))
         assert result.hit_count == 1
         assert result.snippets[0].url.render() == "http://a.com/x"
@@ -180,7 +179,9 @@ class TestCorpusLoader:
 
     def test_unparseable_url_rejected(self, tmp_path):
         path = tmp_path / "nourl.jsonl"
-        for url in ("no-scheme-here", "http:///path", "://host/x"):
+        # A host label can become an edge label, so no host holds what XML cannot.
+        for url in ("no-scheme-here", "http:///path", "://host/x", "http://lab\u0001x.dept.example.org/p",
+                    "http://lab\ud800x.dept.example.org/p", "http://lab.example\uffff.org/p"):
             rows = [{"id": 1, "url": "http://a.com/x", "title": "t", "body": "b"},
                     {"id": 2, "url": url, "title": "t", "body": "b"}]
             corpusdata.write_jsonl(path, rows)
@@ -209,6 +210,27 @@ class TestCorpusLoader:
         assert len(backend.documents) == 500
         assert retained / text_length < 1.5
         assert peak / text_length < 1.5
+
+    def test_a_loaded_document_costs_little_beyond_its_characters(self, tmp_path):
+        # Each record is a text and a packed page, so what a short document
+        # costs beyond its characters is those two objects and the record.
+        rows = [{"id": doc_id, "url": f"http://site{doc_id % 7}.example/d/{doc_id}",
+                 "title": f"Note {doc_id}", "body": f"Ann Lee and Bo Chen on item {doc_id}."}
+                for doc_id in range(1, 2001)]
+        path = tmp_path / "short.jsonl"
+        corpusdata.write_jsonl(path, rows)
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The text, and the title, abstract and url a snippet shows, each
+        # with its separators; all ASCII, so a byte a character.
+        characters = sum(len(f"{row['title']}\n{row['body']}\n{row['url']}")
+                         + len(f"{row['title']}\xff{row['body']}\xff{row['url']}") for row in rows)
+        assert len(corpus) == 2000
+        assert (retained - characters) / len(corpus) < 200
 
 
 class TestFixtureSearch:
@@ -292,10 +314,13 @@ class TestFixtureSearch:
     def test_documents_are_read_once_not_once_per_query(self, corpus20_rows):
         # A document is lowercased once, when its record is built from the row.
         # The backend keeps the records themselves, and a query reads only the
-        # lowercased text, plus the snippet fields of the documents on its page.
+        # lowercased text; a document's packed page is read the first time the
+        # document reaches a result page, and never again.
         reads = Counter()
 
         class CountingDocument:
+            shown = FixtureDocument.shown
+
             def __init__(self, row):
                 self.record = FixtureDocument(row["id"], row["url"], row["title"], row["body"])
                 self.text = self.record.text
@@ -308,12 +333,13 @@ class TestFixtureSearch:
         backend = FixtureBackend(corpus)
         assert backend.documents is corpus and not reads
         rng = random.Random(5)
-        returned = 0
+        returned, shown = 0, set()
         for _ in range(200):
             result = backend.search(build_query(random_phrases(rng)))
             returned += len(result.snippets)
-        assert returned > 0
-        assert reads == {"url": returned, "title": returned, "abstract": returned}
+            shown.update(snippet.url for snippet in result.snippets)  # corpus20's urls are unique
+        assert returned > len(shown) > 0
+        assert reads == {"page": len(shown)}
 
     def test_a_cold_srwk_run_scans_the_corpus_at_most_once_per_actor_name_and_never_for_a_keyword(self):
         # A phrase is scanned for over the whole corpus only on a miss of the

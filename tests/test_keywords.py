@@ -7,6 +7,8 @@ import pytest
 
 from conftest import corpus_from_rows, regex_tokenize
 from corpusdata import ACTORS
+from snippetnet.backends import FixtureBackend
+from snippetnet.corpus import load_corpus
 from snippetnet.keywords import (
     classify_attribute,
     document_frequencies,
@@ -14,6 +16,7 @@ from snippetnet.keywords import (
     fetch_actor_context,
     load_keyword_overrides,
 )
+from snippetnet.queries import build_query
 from snippetnet.relations import Actor
 from snippetnet.snippets import Snippet, parse_url
 from snippetnet.text import tokenize
@@ -90,23 +93,35 @@ class TestDocumentFrequencies:
         # counted once per document however often it repeats there.
         assert document_frequencies(corpus) == {"caf": 1, "stanbul": 1, "kelvin": 2, "cafe": 1}
 
-    def test_counts_the_original_title_and_body_never_the_url(self):
+    def test_counts_the_original_title_and_body_never_the_url(self, tmp_path):
         # The records keep one lowercased text per document; counting its
         # title-and-body part must give the tokens of the original strings,
         # whatever a newline, the Kelvin sign, a dotted I or a final sigma does.
+        # Each snippet must show its row's fields exactly, whatever control
+        # character, line separator, U+00FF or lone surrogate they hold.
         rng = random.Random(23)
         pieces = ["graph", "Census", "TRANSIT", "\n", " ", "\u212aelvin", "\u212a", "İ", "İstanbul",
-                  "ΟΔΟΣ", "Σ", "ς", "'", "\u0307", "é", "of", "x1", "-", ".", "Mining"]
+                  "ΟΔΟΣ", "Σ", "ς", "'", "\u0307", "é", "of", "x1", "-", ".", "Mining",
+                  "\x00", "\x01", "\x1f", "\u2028", "ÿ", "\ud800", "\udcff"]
 
         def text(count):
             return "".join(rng.choice(pieces) for _ in range(count))
 
-        rows = [{"id": i, "url": f"http://urlonly{i}.example/{text(3)}\nurlpath{text(4)}", "title": text(6),
+        rows = [{"id": i, "url": f"http://urlonly{i}.example/İ{text(3)}\nurlpath{text(4)}", "title": text(6),
                  "body": text(rng.randint(0, 40))} for i in range(1, 301)]
+        path = tmp_path / "odd.jsonl"  # a lone surrogate written raw, read back through surrogatepass
+        lines = [json.dumps(row, ensure_ascii=False) + "\n" for row in rows]
+        path.write_bytes("".join(lines).encode("utf-8", "surrogatepass"))
+        corpus = load_corpus(path)
+        assert corpus == corpus_from_rows(rows)
         expected = Counter(token for row in rows for token in set(tokenize(f"{row['title']} {row['body']}")))
-        counted = document_frequencies(corpus_from_rows(rows))
+        counted = document_frequencies(corpus)
         assert counted == expected
         assert not [token for token in counted if token.startswith(("urlonly", "urlpath"))]
+        backend = FixtureBackend(corpus)
+        for row in rows:
+            (snippet,) = backend.search(build_query([f"urlonly{row['id']}.example"])).snippets
+            assert snippet == (parse_url(row["url"]), row["title"].strip(), row["body"][:200].strip())
 
 
 class TestClassifyAttribute:

@@ -12,6 +12,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
+from xml.etree import ElementTree
 
 import pytest
 
@@ -195,6 +196,24 @@ class TestSnippetsParsedOnceWhereTheyEnter:
         assert read_json(f"{rerun}.report.json")["backend_calls"] == 0
         assert written(rerun) == first
         assert len(search_server.authorizations) == 21
+
+    @pytest.mark.parametrize("char", ["\u0001", "\ud800"], ids=["control", "surrogate"])
+    def test_host_that_xml_cannot_hold_is_dropped_so_graphml_parses(self, tmp_path, search_server, monkeypatch, char):
+        # A host label other than the rightmost two becomes an edge label;
+        # the names sit in the abstract, which gives no label.
+        def answer(q):
+            snippets = [{"url": f"http://{label}.dept.example.org/p", "title": "",
+                         "abstract": " and ".join(re.findall(r'"([^"]*)"', q))} for label in (f"lab{char}x", "lab")]
+            return 200, json.dumps({"hit_count": 500, "snippets": snippets}).encode("utf-8")
+
+        monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", search_server.endpoint)
+        search_server.answer = answer
+        code, out = extract(tmp_path, "live", "network.graphml", "--format", "graphml")
+        assert code == 0
+        edges = ElementTree.parse(out).getroot().iter("{http://graphml.graphdrawing.org/xmlns}edge")
+        assert len(list(edges)) == 15
+        for record in journal_records(tmp_path / "live-cache.json"):
+            assert [s["url"] for s in record["snippets"]] == ["http://lab.dept.example.org/p"]
 
     def test_journal_of_raw_answers_replays_like_a_fresh_run(self, tmp_path):
         # Earlier versions journaled each answer as the backend gave it: URL

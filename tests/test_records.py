@@ -46,7 +46,7 @@ FIELDS = {
     "UrlTokens": ("scheme", "domains", "paths"),
     "Snippet": ("url", "title", "abstract"),
     "SearchResult": ("hit_count", "snippets"),
-    "FixtureDocument": ("doc_id", "url", "title", "abstract", "text"),
+    "FixtureDocument": ("text", "page"),
     "Actor": ("name", "id"),
     "RelationEvidence": ("pair", "doubleton_count", "l_ab", "detected"),
     "StrengthScore": ("value", "measure", "variant", "keywords_used"),
@@ -114,8 +114,11 @@ def test_actor_survives_copy_and_pickle():
 def test_fixture_document_keeps_what_a_snippet_shows_and_one_lowercased_text():
     body = " Body Ä " + "x" * 300
     doc = FixtureDocument(7, "HTTP://Uni.ac.id/A", "  A Title ", body)
-    assert doc == (7, "HTTP://Uni.ac.id/A", "A Title", body[:200].strip(), f"  a title \n{body.lower()}\nhttp://uni.ac.id/a")
-    assert doc.abstract.startswith("Body Ä x") and len(doc.abstract) == 199
+    shown = ["A Title", body[:200].strip(), "HTTP://Uni.ac.id/A"]
+    assert doc == (f"  a title \n{body.lower()}\nhttp://uni.ac.id/a", b"\xff".join(s.encode() for s in shown))
+    assert doc.shown() == shown
+    assert shown[1].startswith("Body Ä x") and len(shown[1]) == 199
+    assert doc.title_and_body == f"  a title \n{body.lower()}"
 
 
 def test_relation_evidence_rejects_an_unordered_pair():

@@ -104,9 +104,12 @@ class TestParseSnippet:
         # The page is cut to its first 10 snippets before a bad URL drops one.
         answers = [{"url": f"http://h{i}.com/p", "title": "t", "abstract": "a"} for i in range(12)]
         answers[2]["url"] = "not-a-url"
+        # A host label can become an edge label, so no host holds what XML cannot.
+        answers[4]["url"] = "http://lab\u0001x.dept.example.org/p"
+        answers[5]["url"] = "http://lab\ud800x.dept.example.org/p"
         result = parse_result({"hit_count": 40, "snippets": answers})
         assert result.hit_count == 40
-        assert [snippet_record(s) for s in result.snippets] == answers[:2] + answers[3:10]
+        assert [snippet_record(s) for s in result.snippets] == answers[:2] + answers[3:4] + answers[6:10]
 
     def test_record_renders_the_parsed_url(self):
         snip = Snippet(url=parse_url("HTTP://Ex.COM:8080/a?b=1"), title="T", abstract="A")
@@ -165,6 +168,8 @@ def outcome(parse, raw):
 def test_parse_url_agrees_with_the_reference_on_seeded_strings():
     rng = random.Random(0x0DD5EED)
     candidates = ["", "example.com/a", "http//x", "://h", "http://", "http://[::1]:80/x?q#f"]
+    # No host may hold a control character, a lone surrogate or a noncharacter; a path may.
+    candidates += ["http://lab\u0001x.org/p", "http://a\ud800.b\u0001/x", "http://h\uffff.com", "http://ok.com/\u0001\ud800"]
     candidates += [random_url(rng) for _ in range(20_000)]
     outcomes = {raw: outcome(parse_url, raw) for raw in candidates}
     assert sum(isinstance(result, tuple) for result in outcomes.values()) > 10_000
