@@ -25,6 +25,7 @@ from .queries import Query
 from .snippets import Snippet, parse_url
 
 PAGE_SIZE = 10  # one result page per query: the cache is keyed by the query alone
+TIMEOUT_S = 10.0  # LiveBackend's limit on each request's connect and each read
 
 SearchResult = namedtuple("SearchResult", "hit_count snippets")  # snippets: a tuple of Snippet
 
@@ -132,10 +133,9 @@ class LiveBackend:
     a body that parse_result rejects is not.
     """
 
-    def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 10.0):
+    def __init__(self, endpoint: str, api_key: str | None = None):
         self.endpoint = endpoint
         self.api_key = api_key
-        self.timeout = timeout
         self.documents = ()  # an engine's corpus is open: nothing to rank keywords against
 
     def search(self, query: Query) -> SearchResult:
@@ -149,7 +149,7 @@ class LiveBackend:
         if self.api_key:
             request.add_header("Authorization", f"Bearer {self.api_key}")
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+            with urllib.request.urlopen(request, timeout=TIMEOUT_S) as response:
                 body = response.read()
         except urllib.error.HTTPError as exc:
             raise BackendError(

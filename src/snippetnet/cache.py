@@ -73,14 +73,14 @@ class QueryCache:
     def lookup(self, rendered: str) -> SearchResult | None:
         return self._results.get(rendered)
 
-    def store(self, rendered: str, result: SearchResult, fetched_at: str | None = None) -> None:
+    def store(self, rendered: str, result: SearchResult) -> None:
         self._results[rendered] = result
         if self.path is not None:
             record = {
                 "query": rendered,
                 "hit_count": result.hit_count,
                 "snippets": [snippet_record(snippet) for snippet in result.snippets],
-                "fetched_at": fetched_at or utc_now_iso(),
+                "fetched_at": utc_now_iso(),
             }
             self._append((json.dumps(record, sort_keys=True) + "\n").encode("utf-8"))
 

@@ -74,8 +74,8 @@ def load_actors(path) -> list:
     return [actor for _, actor in found.values()]
 
 
-def _open_state(args):
-    """Build the gateway over the chosen backend, which holds the corpus srwk ranks against."""
+def _open_state(args, parallelism):
+    """Build a gateway of that parallelism over the chosen backend, which holds the corpus srwk ranks against."""
     if args.backend == "fixture":
         backend = FixtureBackend(load_corpus(args.corpus))
     else:
@@ -88,7 +88,7 @@ def _open_state(args):
         ledger = BudgetLedger.open(args.daily_limit, _ledger_path(args.cache))
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return SearchGateway(backend, cache=cache, ledger=ledger)
+    return SearchGateway(backend, cache=cache, ledger=ledger, parallelism=parallelism)
 
 
 def _rank_keywords(contexts: dict, corpus, k: int) -> dict:
@@ -100,18 +100,18 @@ def _rank_keywords(contexts: dict, corpus, k: int) -> dict:
     }
 
 
-def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keywords=None,
-            parallelism=1, provenance=None):
+def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keywords=None, provenance=None):
     """Run the pipeline over actors; returns (network, evidence, stage_counts).
 
     keywords maps an actor id to the keyword srwk narrows its queries with;
     None lets srwk pick each actor's top tf-idf term against the documents
     of gateway.backend, read before any query (plain tf if it has none).
-    Every argument is checked before any query is paid, and the stages
-    behind this do not check again: ValueError for fewer than two actors or
-    two with one id, an unknown variant or measure, a threshold outside
-    [0, 1], parallelism below 1, keywords without srwk, and a keyword id
-    naming no actor or a term build_query refuses.
+    Each paid stage fans out as wide as the gateway's parallelism. Every
+    argument is checked before any query is paid, and the stages behind
+    this do not check again: ValueError for fewer than two actors or two
+    with one id, an unknown variant or measure, a threshold outside [0, 1],
+    keywords without srwk, and a keyword id naming no actor or a term
+    build_query refuses.
     stage_counts holds this call's paid queries by stage: doubleton_queries
     (detection), singleton_queries (contexts of actors in a detected pair)
     and keyword_queries (srwk scoring; 0 for sr).
@@ -128,8 +128,6 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
         raise ValueError(f"unknown measure {measure!r}; expected one of {sorted(MEASURES)}")
     if not 0.0 <= threshold <= 1.0:  # false for NaN too
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
     if keywords is not None:
         if variant != "srwk":
             raise ValueError("keywords need variant 'srwk'")
@@ -145,11 +143,11 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
                 raise ValueError(f"keyword of {actor_id!r}: {exc}") from exc
     corpus = gateway.backend.documents if variant == "srwk" and keywords is None else ()
     paid_before = gateway.backend_calls
-    evidence = detect_all(actors, gateway, parallelism=parallelism)
+    evidence = detect_all(actors, gateway)
     paid_detecting = gateway.backend_calls
     detected = [item for item in evidence if item.detected]
     involved = sorted({actor_id for item in detected for actor_id in item.pair})
-    contexts = fetch_actor_context((by_id[actor_id] for actor_id in involved), gateway, parallelism)
+    contexts = fetch_actor_context((by_id[actor_id] for actor_id in involved), gateway)
     paid_contexts = gateway.backend_calls
 
     if keywords is None and variant == "srwk":
@@ -161,7 +159,7 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
     # variant field on the score says which one ran.
     narrowed = [(by_id[a], keywords[a], by_id[b], keywords[b])
                 for a, b in (item.pair for item in detected) if keywords.get(a) and keywords.get(b)]
-    scored = sr_with_keywords(narrowed, gateway, measure, parallelism)
+    scored = sr_with_keywords(narrowed, gateway, measure)
     scores = {(a.id, b.id): score for (a, _, b, _), score in zip(narrowed, scored)}
     plain = [(by_id[item.pair[0]], by_id[item.pair[1]], item) for item in detected if item.pair not in scores]
     scores.update((item.pair, score) for (_, _, item), score in zip(plain, sr(plain, gateway, measure)))
@@ -191,7 +189,7 @@ def cmd_extract(args) -> int:
             keywords = load_keyword_overrides(args.keywords, [actor.id for actor in actors])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read keywords file {args.keywords}: {exc}") from exc
-    gateway = _open_state(args)
+    gateway = _open_state(args, args.parallelism)
     provenance = {
         "backend": args.backend,
         "corpus": Path(args.corpus).name if args.corpus else None,
@@ -202,7 +200,7 @@ def cmd_extract(args) -> int:
     }
     network, evidence, stage_counts = extract(
         actors, gateway, threshold=args.threshold, measure=args.measure, variant=args.variant,
-        keywords=keywords, parallelism=args.parallelism, provenance=provenance,
+        keywords=keywords, provenance=provenance,
     )
     atomic_write_bytes(args.out, export(network, args.format))
 
@@ -246,7 +244,7 @@ def cmd_keywords(args) -> int:
     actors = sorted(load_actors(args.actors), key=lambda a: a.id)
     if not actors:
         raise ConfigError("actors file lists nobody")
-    gateway = _open_state(args)
+    gateway = _open_state(args, 1)
     contexts = fetch_actor_context(actors, gateway)
     ranked = _rank_keywords(contexts, gateway.backend.documents, args.top_k)
     payload = {

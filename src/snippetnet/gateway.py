@@ -1,18 +1,18 @@
 """Single coordinator for query execution.
 
 Order of business for every query: cache first, then the budget gate, then the
-backend, which answers with one result page. Cache hits never touch the
-ledger. All cache and ledger mutations go through one lock, so QueryCache and
+backend, which answers with one result page. Cache hits never touch the ledger.
+All cache and ledger mutations go through one lock, so QueryCache and
 BudgetLedger need none of their own: a cache store appends one record to the
 cache journal and a charge overwrites the fixed-width ledger record in place,
-both O(1) bytes and no new file per query. The backend call itself runs
-outside the lock, so independent queries may execute concurrently, and a
-backend shared by several worker threads must be safe to call from all of
-them at once (FixtureBackend is: its phrase memo only ever gains equal
-entries). execute_all is the one fan-out: only distinct queries go to its
-threads, so no two threads ever pay for one query. The backend is any object
-with search(query) and documents (see backends). The gateway counts what it
-served in two ints, backend_calls and cache_hits, each bumped under the lock.
+both O(1) bytes and no new file per query. The backend call itself runs outside
+the lock, so independent queries may execute concurrently, and a backend shared
+by several worker threads must be safe to call from all of them at once
+(FixtureBackend is: its phrase memo only ever gains equal entries). execute_all
+is the one fan-out, on at most parallelism threads: only distinct queries go to
+them, so no two threads ever pay for one query. The backend is any object with
+search(query) and documents (see backends). The gateway counts what it served
+in two ints, backend_calls and cache_hits, each bumped under the lock.
 """
 
 from __future__ import annotations
@@ -27,8 +27,11 @@ from .queries import Query
 
 class SearchGateway:
     def __init__(self, backend, cache: QueryCache | None = None,
-                 ledger: BudgetLedger | None = None):
+                 ledger: BudgetLedger | None = None, parallelism: int = 1):
+        if parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
         self.backend = backend
+        self.parallelism = parallelism
         self.cache = cache if cache is not None else QueryCache()
         self.ledger = ledger if ledger is not None else BudgetLedger(daily_limit=1_000_000)
         self.backend_calls = 0
@@ -55,7 +58,7 @@ class SearchGateway:
             self.backend_calls += 1
         return result
 
-    def execute_all(self, queries, parallelism: int = 1) -> list[SearchResult]:
+    def execute_all(self, queries) -> list[SearchResult]:
         """Serve every query through execute; results in the order asked.
 
         Distinct queries start in first-asked order on at most parallelism
@@ -82,7 +85,7 @@ class SearchGateway:
 
         threads = []
         try:
-            for _ in range(min(parallelism, len(distinct)) - 1):
+            for _ in range(min(self.parallelism, len(distinct)) - 1):
                 thread = threading.Thread(target=work)
                 thread.start()
                 threads.append(thread)

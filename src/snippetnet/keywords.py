@@ -13,10 +13,10 @@ from .queries import build_query
 from .text import raw_tokens, tokenize
 
 
-def fetch_actor_context(actors, gateway: SearchGateway, parallelism: int = 1) -> dict:
-    """One singleton query per actor, through gateway.execute_all: {actor id: (snippets, hit count)}."""
+def fetch_actor_context(actors, gateway: SearchGateway) -> dict:
+    """One singleton query per actor, fanned out by gateway.execute_all: {actor id: (snippets, hit count)}."""
     actors = list(actors)
-    results = gateway.execute_all((build_query([actor.name]) for actor in actors), parallelism)
+    results = gateway.execute_all((build_query([actor.name]) for actor in actors))
     return {actor.id: (result.snippets, result.hit_count) for actor, result in zip(actors, results)}
 
 

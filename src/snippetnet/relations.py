@@ -55,12 +55,12 @@ class RelationEvidence(namedtuple("RelationEvidence", "pair doubleton_count l_ab
         return super().__new__(cls, pair, doubleton_count, l_ab, detected)
 
 
-def detect_all(actors, gateway: SearchGateway, parallelism: int = 1) -> list[RelationEvidence]:
+def detect_all(actors, gateway: SearchGateway) -> list[RelationEvidence]:
     """Evidence for every unordered pair: exactly n(n-1)/2 entries.
 
     Pairs are visited in lexicographic (id_min, id_max) order, which each
     pair's query and the result list keep; the queries go through
-    gateway.execute_all, so they fan out over up to `parallelism` threads, and
+    gateway.execute_all, so they fan out as wide as the gateway allows, and
     a failed query stops every pair not yet started. Negative evidence is
     retained so callers can tell "checked, unrelated" apart from "never
     checked". On error nothing partial is returned; completed queries stay in
@@ -70,7 +70,7 @@ def detect_all(actors, gateway: SearchGateway, parallelism: int = 1) -> list[Rel
     pairs = list(combinations(sorted(actors, key=lambda actor: actor.id), 2))
     if any(a.id == b.id for a, b in pairs):
         raise ValueError("actor ids must be unique")
-    results = gateway.execute_all((build_query([a.name, b.name]) for a, b in pairs), parallelism)
+    results = gateway.execute_all((build_query([a.name, b.name]) for a, b in pairs))
     evidence = []
     for (a, b), result in zip(pairs, results):
         kept = tuple(s for s in result.snippets if contains_term(s, a.name) and contains_term(s, b.name))

@@ -45,7 +45,7 @@ def sr(pairs, gateway: SearchGateway, measure: str = "jaccard") -> list[Strength
 
     Only a detected pair has a strength; snippetnet.cli.extract scores no
     other, after its contexts stage has cached every involved actor's
-    singleton, so the one gateway.execute_all here runs inline.
+    singleton, so the batch of its one gateway.execute_all is all cache hits.
     """
     pairs = list(pairs)
     singletons = (build_query([actor.name]) for a, b, _ in pairs for actor in (a, b))
@@ -54,8 +54,7 @@ def sr(pairs, gateway: SearchGateway, measure: str = "jaccard") -> list[Strength
                           measure=measure, variant="sr") for _, _, evidence in pairs]
 
 
-def sr_with_keywords(pairs, gateway: SearchGateway, measure: str = "jaccard",
-                     parallelism: int = 1) -> list[StrengthScore]:
+def sr_with_keywords(pairs, gateway: SearchGateway, measure: str = "jaccard") -> list[StrengthScore]:
     """Keyword-augmented strength of each (a, kw_a, b, kw_b).
 
     Every count comes from a keyword-narrowed query: |a n kw_a| and
@@ -63,13 +62,13 @@ def sr_with_keywords(pairs, gateway: SearchGateway, measure: str = "jaccard",
     joint count. Each pair is put in id order first so its joint query
     renders to one canonical cache key; keywords_used records that canonical
     order. Every pair's three queries are built before any is paid for, and
-    all of them go through one gateway.execute_all.
+    all of them go through one gateway.execute_all, at the gateway's width.
     """
     ordered = [(a, kw_a, b, kw_b) if a.id < b.id else (b, kw_b, a, kw_a) for a, kw_a, b, kw_b in pairs]
     queries = [(build_query([a.name, kw_a]), build_query([b.name, kw_b]), build_query([a.name, kw_a, b.name, kw_b]))
                for a, kw_a, b, kw_b in ordered]
     flat = (query for three in queries for query in three)
-    counts = iter([result.hit_count for result in gateway.execute_all(flat, parallelism)])
+    counts = iter([result.hit_count for result in gateway.execute_all(flat)])
     return [StrengthScore(value=MEASURES[measure](*clamp(next(counts), next(counts), next(counts))),
                           measure=measure, variant="srwk", keywords_used=(narrowed_a.terms[1], narrowed_b.terms[1]))
             for narrowed_a, narrowed_b, _ in queries]

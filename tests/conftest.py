@@ -163,14 +163,14 @@ def corpus_from_rows(rows):
 
 
 def make_gateway(corpus, daily_limit=1_000_000, cache_path=None, ledger_path=None,
-                 today_fn=None):
+                 today_fn=None, parallelism=1):
     cache = QueryCache.open(cache_path) if cache_path else QueryCache()
     kwargs = {} if today_fn is None else {"today_fn": today_fn}
     if ledger_path:
         ledger = BudgetLedger.open(daily_limit, ledger_path, **kwargs)
     else:
         ledger = BudgetLedger(daily_limit, **kwargs)
-    return SearchGateway(FixtureBackend(corpus), cache=cache, ledger=ledger)
+    return SearchGateway(FixtureBackend(corpus), cache=cache, ledger=ledger, parallelism=parallelism)
 
 
 _TIMESTAMP_FIELDS = re.compile(r'"(generated_at|started_at|finished_at|fetched_at)": "[^"]*"')

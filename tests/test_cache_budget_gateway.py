@@ -30,17 +30,19 @@ class TestQueryCache:
         assert cache.lookup('"alice"') == result
         assert cache.lookup('"missing"') is None
 
-    def test_persists_and_reloads(self, tmp_path):
+    def test_persists_and_reloads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_module, "utc_now_iso", lambda: "2026-08-18T00:00:00+00:00")
         path = tmp_path / "cache.json"
         cache = QueryCache(path)
-        cache.store('"alice"', _result(7), fetched_at="2026-08-18T00:00:00+00:00")
+        cache.store('"alice"', _result(7))
         reloaded = QueryCache.open(path)
         assert len(reloaded) == 1
         assert reloaded.lookup('"alice"') == _result(7)
 
-    def test_file_schema(self, tmp_path):
+    def test_file_schema(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_module, "utc_now_iso", lambda: "2026-08-18T00:00:00+00:00")
         path = tmp_path / "cache.json"
-        QueryCache(path).store('"alice" "bob"', _result(2), fetched_at="2026-08-18T00:00:00+00:00")
+        QueryCache(path).store('"alice" "bob"', _result(2))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert json.loads(lines[0]) == {"snippetnet_cache": 2}
         records = {record["query"]: record for record in map(json.loads, lines[1:])}
@@ -95,11 +97,12 @@ class TestQueryCache:
             raise AssertionError("a store must append, not rewrite the journal")
 
         monkeypatch.setattr(cache_module, "atomic_write_bytes", rewrite)
+        monkeypatch.setattr(cache_module, "utc_now_iso", lambda: "2026-08-18T00:00:00+00:00")
         path = tmp_path / "cache.json"
         cache = QueryCache(path)
         for i in range(300):
             before = path.read_bytes() if path.exists() else b'{"snippetnet_cache": 2}\n'
-            cache.store(f'"q{i:03d}"', _result(i), fetched_at="2026-08-18T00:00:00+00:00")
+            cache.store(f'"q{i:03d}"', _result(i))
             after = path.read_bytes()
             record = json.dumps(
                 {

@@ -414,11 +414,11 @@ class TestFixtureSearchThreads:
         rows = index_rows(seed=13, count=300)
         actors = [Actor(name) for name in INDEX_NAMES + corpusdata.ACTORS]
         corpus = corpus_from_rows(rows)
-        serial = detect_all(actors, make_gateway(corpus), parallelism=1)
+        serial = detect_all(actors, make_gateway(corpus, parallelism=1))
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = detect_all(actors, make_gateway(corpus), parallelism=8)
+            threaded = detect_all(actors, make_gateway(corpus, parallelism=8))
         finally:
             sys.setswitchinterval(previous)
         assert threaded == serial

@@ -1,9 +1,9 @@
 """Every paid stage fans out through SearchGateway.execute_all.
 
 Detection, contexts and srwk scoring each keep as many queries in flight as
-the parallelism allows, no query is paid for twice, and an interrupt of the
-calling thread stops every query not yet started. The checks wait on
-barriers and counts, never on sleeps.
+the gateway's parallelism allows, no query is paid for twice, and an
+interrupt of the calling thread stops every query not yet started. The
+checks wait on barriers and counts, never on sleeps.
 """
 
 import _thread
@@ -23,9 +23,8 @@ from snippetnet.relations import detect_all
 
 
 def extract_srwk(backend, parallelism):
-    gateway = SearchGateway(backend)
-    extract(FANOUT_ACTORS, gateway, threshold=0.0, variant="srwk", keywords=FANOUT_KEYWORDS,
-            parallelism=parallelism)
+    gateway = SearchGateway(backend, parallelism=parallelism)
+    extract(FANOUT_ACTORS, gateway, threshold=0.0, variant="srwk", keywords=FANOUT_KEYWORDS)
     return gateway
 
 
@@ -33,14 +32,21 @@ class TestExecuteAll:
     @pytest.mark.parametrize("parallelism", [1, 4])
     def test_results_in_the_order_asked_and_each_distinct_query_served_once(self, corpus20, parallelism):
         alice, bob = build_query(["Alice Nguyen"]), build_query(["Bob Santos"])
-        gateway = make_gateway(corpus20)
-        results = gateway.execute_all([alice, bob, alice, alice], parallelism)
+        gateway = make_gateway(corpus20, parallelism=parallelism)
+        results = gateway.execute_all([alice, bob, alice, alice])
         assert [result.hit_count for result in results] == [4, 3, 4, 4]
         assert results[0] is results[2] is results[3]
         # A repeat inside one call is not paid again: it is a cache hit, as one at a time.
         assert (gateway.backend_calls, gateway.cache_hits) == (2, 2)
-        assert gateway.execute_all([bob, alice], parallelism) == [results[1], results[0]]
+        assert gateway.execute_all([bob, alice]) == [results[1], results[0]]
         assert (gateway.backend_calls, gateway.cache_hits) == (2, 4)
+
+    def test_width_is_set_on_the_gateway_not_per_call(self, corpus20):
+        gateway = make_gateway(corpus20, parallelism=3)
+        assert (gateway.parallelism, SearchGateway(gateway.backend).parallelism) == (3, 1)
+        with pytest.raises(TypeError):
+            gateway.execute_all([build_query(["Alice Nguyen"])], 2)
+        assert gateway.backend_calls == 0
 
     def test_raises_the_error_of_the_earliest_failed_query_in_the_order_asked(self):
         first, second = build_query(["first"]), build_query(["second"])
@@ -57,7 +63,7 @@ class TestExecuteAll:
                 raise BackendError("first")
 
         with pytest.raises(BackendError, match="first"):
-            SearchGateway(TwoFailures()).execute_all([first, second], parallelism=2)
+            SearchGateway(TwoFailures(), parallelism=2).execute_all([first, second])
 
     def test_every_query_is_served_when_the_calling_thread_finishes_first(self, corpus20):
         # The calling thread may run out of queries while a worker holds the
@@ -67,8 +73,8 @@ class TestExecuteAll:
         sys.setswitchinterval(1e-6)  # switch threads often, to widen any race
         try:
             for _ in range(1000):
-                gateway = make_gateway(corpus20)
-                assert len(gateway.execute_all(queries, parallelism=2)) == 3
+                gateway = make_gateway(corpus20, parallelism=2)
+                assert len(gateway.execute_all(queries)) == 3
                 assert gateway.backend_calls == 3
         finally:
             sys.setswitchinterval(interval)
@@ -131,11 +137,11 @@ def test_interrupt_stops_queries_not_yet_started(parallelism):
             handled.set()
 
     ledger = BudgetLedger(daily_limit=1_000)
-    gateway = SearchGateway(StagedBackend(hook=interrupt), ledger=ledger)
+    gateway = SearchGateway(StagedBackend(hook=interrupt), ledger=ledger, parallelism=parallelism)
     previous = signal.signal(signal.SIGINT, on_sigint)
     try:
         with pytest.raises(KeyboardInterrupt):
-            detect_all(FANOUT_ACTORS, gateway, parallelism=parallelism)
+            detect_all(FANOUT_ACTORS, gateway)
     finally:
         signal.signal(signal.SIGINT, previous)
     # 190 pairs, but only the k paid before the interrupt and those then in flight.

@@ -140,12 +140,11 @@ def test_library_extract_reads_an_iterator_of_actors_once():
         (None, {"threshold": float("nan")}, r"threshold must be in \[0, 1\], got nan"),
         (None, {"measure": "cosine"}, "unknown measure 'cosine'"),
         (None, {"variant": "srw"}, "unknown variant 'srw'"),
-        (None, {"parallelism": 0}, "parallelism must be >= 1"),
         (["Alice Nguyen"], {}, "need at least two actors"),
         (["Alice Nguyen", "Alice-Nguyen"], {}, "actor ids must be unique"),
     ],
     ids=["double-quote", "unknown-id", "blank", "not-a-string", "threshold-above-1", "threshold-below-0",
-         "threshold-nan", "unknown-measure", "unknown-variant", "parallelism-0", "one-actor", "duplicate-ids"],
+         "threshold-nan", "unknown-measure", "unknown-variant", "one-actor", "duplicate-ids"],
 )
 def test_library_extract_checks_keywords_before_any_query(names, arguments, message):
     corpus = load_corpus(DEMO / "corpus.jsonl")
@@ -153,6 +152,20 @@ def test_library_extract_checks_keywords_before_any_query(names, arguments, mess
     actors = load_actors(DEMO / "actors.txt") if names is None else [Actor(name) for name in names]
     with pytest.raises(ValueError, match=message):
         extract(actors, gateway, **{"threshold": 0.2, **arguments})
+    assert gateway.backend_calls == 0
+
+
+def test_gateway_refuses_parallelism_below_1_before_any_query():
+    # The fan-out width belongs to the gateway, so it is checked where it is
+    # set: no gateway is built, so no query can be paid.
+    with pytest.raises(ValueError, match="parallelism must be >= 1"):
+        SearchGateway(FixtureBackend(load_corpus(DEMO / "corpus.jsonl")), parallelism=0)
+
+
+def test_library_extract_takes_its_parallelism_from_the_gateway():
+    gateway = SearchGateway(FixtureBackend(load_corpus(DEMO / "corpus.jsonl")))
+    with pytest.raises(TypeError, match="parallelism"):
+        extract(load_actors(DEMO / "actors.txt"), gateway, threshold=0.2, parallelism=2)
     assert gateway.backend_calls == 0
 
 

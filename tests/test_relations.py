@@ -86,7 +86,7 @@ class TestDetectAll:
 
     def test_parallel_equals_sequential(self, corpus20):
         seq = detect_all(ACTOR_OBJS, make_gateway(corpus20))
-        par = detect_all(ACTOR_OBJS, make_gateway(corpus20), parallelism=4)
+        par = detect_all(ACTOR_OBJS, make_gateway(corpus20, parallelism=4))
         assert seq == par
 
     @pytest.mark.parametrize("parallelism", [2, 4, 8])
@@ -101,9 +101,9 @@ class TestDetectAll:
         try:
             for _ in range(20):
                 ledger = BudgetLedger(daily_limit=1_000)
-                gateway = SearchGateway(DownBackend(), ledger=ledger)
+                gateway = SearchGateway(DownBackend(), ledger=ledger, parallelism=parallelism)
                 with pytest.raises(BackendError, match="engine down"):
-                    detect_all(actors, gateway, parallelism=parallelism)
+                    detect_all(actors, gateway)
                 # 45 pairs, but only those in flight when the first failed are paid.
                 assert 1 <= ledger.total_issued <= parallelism
             # Contexts and srwk scoring fan out the same way: 20 and 210 queries.
@@ -111,8 +111,8 @@ class TestDetectAll:
                 for _ in range(5):
                     backend = StagedBackend(fail=stage)
                     with pytest.raises(BackendError, match=f"{stage} down"):
-                        extract(FANOUT_ACTORS, SearchGateway(backend), threshold=0.0, variant="srwk",
-                                keywords=FANOUT_KEYWORDS, parallelism=parallelism)
+                        extract(FANOUT_ACTORS, SearchGateway(backend, parallelism=parallelism), threshold=0.0,
+                                variant="srwk", keywords=FANOUT_KEYWORDS)
                     assert 1 <= backend.stages[stage] <= parallelism
         finally:
             sys.setswitchinterval(interval)

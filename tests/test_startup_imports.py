@@ -87,8 +87,9 @@ corpus = tuple(FixtureDocument(doc_id=row["id"], url=row["url"], title=row["titl
                for row in corpus20())
 
 def detect(parallelism):
-    gateway = SearchGateway(FixtureBackend(corpus), cache=QueryCache(), ledger=BudgetLedger(1000))
-    return detect_all(actors, gateway, parallelism=parallelism)
+    gateway = SearchGateway(FixtureBackend(corpus), cache=QueryCache(), ledger=BudgetLedger(1000),
+                            parallelism=parallelism)
+    return detect_all(actors, gateway)
 
 serial, threaded = detect(1), detect(2)
 pool_loaded = "concurrent.futures" in sys.modules or "logging" in sys.modules
