@@ -1,17 +1,16 @@
 """Search backends behind one port.
 
 A backend is any object with search(query) -> SearchResult, which runs one
-query and returns the hit count and at most PAGE_SIZE snippets, and documents,
-the corpus srwk ranks keywords against. The fixture backend scans a local
-corpus and returns exact counts: it is the reference every arithmetic claim is
-checked against. The live backend adapts a JSON-over-HTTP search service;
-engine counts are estimates, so it is explicitly outside those exactness
-guarantees, and it has no documents (srwk ranks by plain tf). It imports the
-web client (urllib, and with it http, email and ssl) on its first search, so a
-run on the fixture backend never loads it. An answer is read into parsed
-snippets once, where it enters: the fixture backend builds them from its
-documents, and ``parse_result``, the one reader of a search answer, from live
-response bodies and cache records alike.
+query and returns the hit count and at most PAGE_SIZE snippets. The fixture
+backend scans a local corpus and returns exact counts: it is the reference
+every arithmetic claim is checked against. The live backend adapts a
+JSON-over-HTTP search service; engine counts are estimates, so it is
+explicitly outside those exactness guarantees. It imports the web client
+(urllib, and with it http, email and ssl) on its first search, so a run on
+the fixture backend never loads it. An answer is read into parsed snippets
+once, where it enters: the fixture backend builds them from its documents,
+and ``parse_result``, the one reader of a search answer, from live response
+bodies and cache records alike.
 """
 
 from __future__ import annotations
@@ -136,7 +135,6 @@ class LiveBackend:
     def __init__(self, endpoint: str, api_key: str | None = None):
         self.endpoint = endpoint
         self.api_key = api_key
-        self.documents = ()  # an engine's corpus is open: nothing to rank keywords against
 
     def search(self, query: Query) -> SearchResult:
         import urllib.error

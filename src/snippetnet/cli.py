@@ -39,6 +39,7 @@ from .queries import build_query
 from .relations import Actor, detect_all
 from .snippets import snippet_record
 from .strength import MEASURES, sr, sr_with_keywords
+from .text import STOPWORDS, tokenize
 
 API_KEY_ENV = "SNIPPETNET_API_KEY"
 API_ENDPOINT_ENV = "SNIPPETNET_API_ENDPOINT"
@@ -75,7 +76,7 @@ def load_actors(path) -> list:
 
 
 def _open_state(args, parallelism):
-    """Build a gateway of that parallelism over the chosen backend, which holds the corpus srwk ranks against."""
+    """Build a gateway of that parallelism over the chosen backend, with the cache and ledger of args."""
     if args.backend == "fixture":
         backend = FixtureBackend(load_corpus(args.corpus))
     else:
@@ -91,11 +92,18 @@ def _open_state(args, parallelism):
     return SearchGateway(backend, cache=cache, ledger=ledger, parallelism=parallelism)
 
 
-def _rank_keywords(contexts: dict, corpus, k: int) -> dict:
-    """Each actor's top-k (term, score) pairs, tf-idf against the corpus if there is one, else plain tf."""
-    doc_freq = document_frequencies(corpus) if contexts else {}  # no actor, no pass over the corpus
+def _rank_keywords(contexts: dict, actors, k: int) -> dict:
+    """Each context's top-k (term, score) pairs, tf-idf against the distinct snippets of all contexts.
+
+    No token of any of the actors' names is a candidate: the actor's own name
+    narrows nothing, and a partner's would turn the narrowed singleton into
+    the pair query.
+    """
+    collection = {snippet for snippets, _ in contexts.values() for snippet in snippets}
+    doc_freq = document_frequencies(collection)
+    stopwords = STOPWORDS.union(*(tokenize(actor.name) for actor in actors))
     return {
-        actor_id: extract_keywords(snippets, doc_freq, len(corpus), k)
+        actor_id: extract_keywords(snippets, doc_freq, len(collection), k, stopwords)
         for actor_id, (snippets, _) in contexts.items()
     }
 
@@ -104,8 +112,9 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
     """Run the pipeline over actors; returns (network, evidence, stage_counts).
 
     keywords maps an actor id to the keyword srwk narrows its queries with;
-    None lets srwk pick each actor's top tf-idf term against the documents
-    of gateway.backend, read before any query (plain tf if it has none).
+    None lets srwk pick each actor's top tf-idf term against the snippets on
+    the context pages of the actors in a detected pair, a token of no
+    actor's name; an actor with no such term keeps the plain score.
     Each paid stage fans out as wide as the gateway's parallelism. Every
     argument is checked before any query is paid, and the stages behind
     this do not check again: ValueError for fewer than two actors or two
@@ -141,7 +150,6 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
                 build_query([term])
             except ValueError as exc:
                 raise ValueError(f"keyword of {actor_id!r}: {exc}") from exc
-    corpus = gateway.backend.documents if variant == "srwk" and keywords is None else ()
     paid_before = gateway.backend_calls
     evidence = detect_all(actors, gateway)
     paid_detecting = gateway.backend_calls
@@ -151,7 +159,7 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
     paid_contexts = gateway.backend_calls
 
     if keywords is None and variant == "srwk":
-        ranked = _rank_keywords(contexts, corpus, 1)
+        ranked = _rank_keywords(contexts, actors, 1)
         keywords = {actor_id: terms[0][0] for actor_id, terms in ranked.items() if terms}
     keywords = keywords or {}
 
@@ -246,7 +254,7 @@ def cmd_keywords(args) -> int:
         raise ConfigError("actors file lists nobody")
     gateway = _open_state(args, 1)
     contexts = fetch_actor_context(actors, gateway)
-    ranked = _rank_keywords(contexts, gateway.backend.documents, args.top_k)
+    ranked = _rank_keywords(contexts, actors, args.top_k)
     payload = {
         actor.id: {
             "name": actor.name,

@@ -34,10 +34,6 @@ class FixtureDocument(namedtuple("FixtureDocument", "text page")):
     def shown(self) -> list[str]:  # the title, abstract and url a snippet shows, unpacked from page
         return [part.decode(errors="surrogatepass") for part in self.page.split(b"\xff")]
 
-    @property
-    def title_and_body(self) -> str:  # the text less its url: what tf-idf counts, already lowercased
-        return self.text[: -len(self.page.rpartition(b"\xff")[2].decode(errors="surrogatepass").lower()) - 1]
-
 
 _decode_json = json.JSONDecoder().decode
 

@@ -11,8 +11,8 @@ by several worker threads must be safe to call from all of them at once
 (FixtureBackend is: its phrase memo only ever gains equal entries). execute_all
 is the one fan-out, on at most parallelism threads: only distinct queries go to
 them, so no two threads ever pay for one query. The backend is any object with
-search(query) and documents (see backends). The gateway counts what it served
-in two ints, backend_calls and cache_hits, each bumped under the lock.
+search(query) (see backends). The gateway counts what it served in two ints,
+backend_calls and cache_hits, each bumped under the lock.
 """
 
 from __future__ import annotations

@@ -1,4 +1,9 @@
-"""Per-actor context and tf-idf keyword ranking for telling namesakes apart."""
+"""Per-actor context and tf-idf keyword ranking for telling namesakes apart.
+
+Keywords are ranked against the run's own result pages: the collection is
+the distinct snippets on the context pages already fetched, so ranking pays
+no query and reads no corpus, the same on every backend.
+"""
 
 from __future__ import annotations
 
@@ -7,10 +12,9 @@ import math
 from collections import Counter
 from pathlib import Path
 
-from .corpus import FixtureDocument
 from .gateway import SearchGateway
 from .queries import build_query
-from .text import raw_tokens, tokenize
+from .text import STOPWORDS, tokenize
 
 
 def fetch_actor_context(actors, gateway: SearchGateway) -> dict:
@@ -20,42 +24,28 @@ def fetch_actor_context(actors, gateway: SearchGateway) -> dict:
     return {actor.id: (result.snippets, result.hit_count) for actor, result in zip(actors, results)}
 
 
-def extract_keywords(l_a, corpus_doc_freq: dict, corpus_size: int, k: int) -> tuple:
-    """Rank the tokens of an actor's snippets by tf-idf against the corpus.
+def extract_keywords(l_a, doc_freq: dict, collection_size: int, k: int, stopwords: frozenset = STOPWORDS) -> tuple:
+    """Rank the tokens of an actor's snippets by tf-idf against a snippet collection.
 
     Returns the top k (term, score) pairs, best first, scores >= 0.
 
-    tf counts occurrences across all snippet titles and abstracts; idf is
-    ln(corpus_size / (1 + document_frequency)). Scores floor at zero
-    because idf goes negative for terms in nearly every document. With no
-    corpus (corpus_size <= 0, as with live engines) ranking degrades to
-    plain tf. Ties break lexicographically, so rankings are total and
+    tf counts occurrences across all snippet titles and abstracts, where a
+    token in stopwords is no candidate; idf is ln(collection_size / (1 +
+    document frequency)). Scores floor at zero, as idf is negative for a term
+    in nearly every snippet and at most zero for every term of a collection
+    of two or fewer. Ties break lexicographically, so rankings are total and
     increasing k never reorders earlier entries.
     """
-    tf: dict = {}
-    for snippet in l_a:
-        for token in tokenize(f"{snippet.title} {snippet.abstract}"):
-            tf[token] = tf.get(token, 0) + 1
-    scored = []
-    for term, count in tf.items():
-        if corpus_size > 0:
-            idf = math.log(corpus_size / (1 + corpus_doc_freq.get(term, 0)))
-            score = max(0.0, count * idf)
-        else:
-            score = float(count)
-        scored.append((term, score))
+    tf = Counter(token for snippet in l_a for token in tokenize(f"{snippet.title} {snippet.abstract}", stopwords))
+    scored = [(term, max(0.0, count * math.log(collection_size / (1 + doc_freq.get(term, 0)))))
+              for term, count in tf.items()]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return tuple(scored[:k])
 
 
-def document_frequencies(documents: tuple[FixtureDocument, ...]) -> dict:
-    """How many corpus documents contain each token of their title or body at least once."""
-    counts: Counter = Counter()
-    for doc in documents:
-        # Lowering the text again changes nothing, and its newlines keep a final sigma final.
-        counts.update(set(raw_tokens(doc.title_and_body)))
-    # Filter each distinct token once: the joined raw tokens tokenize to those that count.
-    return {token: counts[token] for token in tokenize(" ".join(counts))}
+def document_frequencies(snippets) -> dict:
+    """How many of the given snippets hold each token of their title or abstract; the url never counts."""
+    return Counter(token for snippet in snippets for token in set(tokenize(f"{snippet.title} {snippet.abstract}")))
 
 
 def classify_attribute(term: str) -> str:

@@ -153,9 +153,9 @@ class TestExtract:
         corpus_file = tmp_path / "corpus.jsonl"
         actors_file.write_text("\n".join(no_cooccurrence_actors()) + "\n", encoding="utf-8")
         write_jsonl(corpus_file, no_cooccurrence_corpus())
-        calls = []
+        counted = []  # the frequencies each call returns
         real = cli.document_frequencies
-        monkeypatch.setattr(cli, "document_frequencies", lambda corpus: calls.append(1) or real(corpus))
+        monkeypatch.setattr(cli, "document_frequencies", lambda snippets: counted.append(real(snippets)) or counted[-1])
 
         written = {}
         for variant in ("sr", "srwk"):
@@ -164,8 +164,9 @@ class TestExtract:
             assert code == 0
             paths = [out, Path(f"{out}.evidence.jsonl"), Path(f"{out}.report.json"), tmp_path / variant / "cache.json"]
             written[variant] = [mask_timestamps(path.read_text(encoding="utf-8")) for path in paths]
-        assert calls == []
-        # With no pair to score, srwk writes what sr writes but for its name.
+        # With no pair, no context page is fetched, so srwk counts no snippet
+        # and ranks no keyword; it writes what sr writes but for its name.
+        assert counted == [{}]
         assert written["srwk"][0] == written["sr"][0].replace('"variant": "sr"', '"variant": "srwk"')
         assert written["srwk"][1:] == written["sr"][1:]
 

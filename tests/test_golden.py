@@ -82,9 +82,9 @@ def test_demo_outputs_match_golden(case, tmp_path):
 
 @pytest.mark.parametrize("seed", ["1", "2"])
 def test_srwk_output_does_not_depend_on_the_hash_seed(seed, tmp_path):
-    # Document frequencies are counted over per-document sets of tokens, whose
-    # order follows string hashing; PYTHONHASHSEED fixes that hashing per
-    # interpreter, so each seed needs its own process.
+    # Document frequencies are counted over a set of snippets and per-snippet
+    # sets of tokens, whose order follows string hashing; PYTHONHASHSEED fixes
+    # that hashing per interpreter, so each seed needs its own process.
     env = {**os.environ, "PYTHONHASHSEED": seed}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
@@ -170,28 +170,31 @@ def test_library_extract_takes_its_parallelism_from_the_gateway():
 
 
 def test_library_extract_takes_its_corpus_from_the_backend():
-    # srwk ranks keywords against the documents of the gateway's backend, so
-    # there is no second corpus to pass, nor one to leave out.
+    # The backend is the only holder of a corpus, and srwk ranks keywords
+    # against the pages the run fetched, so there is no corpus to pass.
     gateway = SearchGateway(FixtureBackend(load_corpus(DEMO / "corpus.jsonl")))
     with pytest.raises(TypeError, match="corpus"):
         extract(load_actors(DEMO / "actors.txt"), gateway, threshold=0.2, variant="srwk", corpus=())
     assert gateway.backend_calls == 0
 
 
-def test_backend_without_documents_fails_unpaid_where_srwk_ranks_keywords():
+def test_backend_with_only_search_runs_srwk_and_pays_what_the_fixture_backend_pays():
+    # The backend port is search alone: srwk reads nothing else of it.
     class SearchOnly:
+        __slots__ = ("search",)
+
         def __init__(self):
             self.search = FixtureBackend(load_corpus(DEMO / "corpus.jsonl")).search
 
     actors = load_actors(DEMO / "actors.txt")
-    gateway = SearchGateway(SearchOnly())
-    with pytest.raises(AttributeError, match="documents"):
-        extract(actors, gateway, threshold=0.2, variant="srwk")
-    assert gateway.backend_calls == 0
-    # sr, and srwk with its keywords given, rank nothing, so they need no documents.
-    extract(actors, gateway, threshold=0.2)
-    extract(actors, gateway, threshold=0.2, variant="srwk", keywords={actor.id: "mobility" for actor in actors})
-    assert gateway.backend_calls > 0
+    runs = []
+    for backend in (SearchOnly(), FixtureBackend(load_corpus(DEMO / "corpus.jsonl"))):
+        gateway = SearchGateway(backend)
+        network, _, stage_counts = extract(actors, gateway, threshold=0.2, variant="srwk")
+        runs.append((export(network, "json"), stage_counts, gateway.backend_calls))
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][0])["edges"] == read_json(GOLDEN / "srwk-json" / "network.json")["edges"]
+    assert runs[0][2] == 25
 
 
 def regenerate() -> None:

@@ -106,23 +106,28 @@ class TestLoopback:
         assert read_json(rerun_out)["edges"] == live_net["edges"]
         assert len(search_server.authorizations) == 19
 
-    def test_live_srwk_ranks_keywords_by_plain_term_frequency(self, tmp_path, search_server, monkeypatch):
-        # A live engine has no closed corpus to weigh terms against, so each
-        # actor's keyword is the term its snippets repeat most: here its name.
-        # The fixture backend, over the same documents, ranks by tf-idf.
+    def test_live_and_fixture_srwk_write_the_same_network(self, tmp_path, search_server, monkeypatch):
+        # srwk ranks keywords against the snippets of the context pages the
+        # run fetched, so a live engine serving the demo documents picks the
+        # fixture backend's keywords and writes its network, provenance aside.
         monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", search_server.endpoint)
-        runs = {}
+        written = {}
         for backend in ("live", "fixture"):
-            code, out = extract(tmp_path, backend, f"{backend}.json", "--variant", "srwk", threshold="0")
+            code, out = extract(tmp_path, backend, f"{backend}.json", "--variant", "srwk", "--dump-evidence",
+                                threshold="0")
             assert code == 0
-            runs[backend] = {tuple(edge["pair"]): (edge["weight"]["keywords_used"], round(edge["weight"]["value"], 3))
-                             for edge in read_json(out)["edges"]}
-        assert runs["live"] == {
-            ("alice-nguyen", "bob-santos"): (["alice", "bob"], 0.4),
-            ("david-kim", "erin-walsh"): (["david", "erin"], 0.667),
+            network = read_json(out)
+            assert network.pop("provenance")["backend"] == backend
+            evidence = Path(f"{out}.evidence.jsonl").read_bytes()
+            written[backend] = network, evidence, read_json(f"{out}.report.json")["backend_calls"]
+        assert written["live"] == written["fixture"]
+        network, _, calls = written["live"]
+        assert calls == 25
+        assert {tuple(edge["pair"]): (edge["weight"]["keywords_used"], edge["weight"]["value"])
+                for edge in network["edges"]} == {
+            ("alice-nguyen", "bob-santos"): (["community", "community"], 1.0),
+            ("david-kim", "erin-walsh"): (["mobility", "mobility"], 1.0),
         }
-        assert read_json(tmp_path / "live.json.report.json")["backend_calls"] == 25
-        assert runs["fixture"][("david-kim", "erin-walsh")] == (["mobility", "erin"], 0.333)
 
     def test_endpoint_with_its_own_query_string_keeps_it(self, tmp_path, search_server, monkeypatch):
         code, fixture_out = extract(tmp_path, "fixture", "fixture.json")

@@ -118,7 +118,6 @@ def test_fixture_document_keeps_what_a_snippet_shows_and_one_lowercased_text():
     assert doc == (f"  a title \n{body.lower()}\nhttp://uni.ac.id/a", b"\xff".join(s.encode() for s in shown))
     assert doc.shown() == shown
     assert shown[1].startswith("Body Ä x") and len(shown[1]) == 199
-    assert doc.title_and_body == f"  a title \n{body.lower()}"
 
 
 def test_relation_evidence_rejects_an_unordered_pair():
