@@ -115,6 +115,9 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
     None lets srwk pick each actor's top tf-idf term against the snippets on
     the context pages of the actors in a detected pair, a token of no
     actor's name; an actor with no such term keeps the plain score.
+    Every detected pair is scored by one sr call, from counts the run already
+    holds: its two context singletons and its doubleton, or, when both actors
+    have a keyword, the narrowed counts that srwk scoring pays for.
     Each paid stage fans out as wide as the gateway's parallelism. Every
     argument is checked before any query is paid, and the stages behind
     this do not check again: ValueError for fewer than two actors or two
@@ -163,14 +166,14 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
         keywords = {actor_id: terms[0][0] for actor_id, terms in ranked.items() if terms}
     keywords = keywords or {}
 
-    # srwk falls back to the plain score when an actor has no keyword; the
-    # variant field on the score says which one ran.
-    narrowed = [(by_id[a], keywords[a], by_id[b], keywords[b])
-                for a, b in (item.pair for item in detected) if keywords.get(a) and keywords.get(b)]
-    scored = sr_with_keywords(narrowed, gateway, measure)
-    scores = {(a.id, b.id): score for (a, _, b, _), score in zip(narrowed, scored)}
-    plain = [(by_id[item.pair[0]], by_id[item.pair[1]], item) for item in detected if item.pair not in scores]
-    scores.update((item.pair, score) for (_, _, item), score in zip(plain, sr(plain, gateway, measure)))
+    # srwk falls back to the plain counts (the contexts' singletons and the
+    # doubleton) when an actor has no keyword; the score's variant says which.
+    narrowed = [(a, b) for a, b in (item.pair for item in detected) if keywords.get(a) and keywords.get(b)]
+    paid = dict(zip(narrowed, sr_with_keywords(
+        [(by_id[a], keywords[a], by_id[b], keywords[b]) for a, b in narrowed], gateway)))
+    counts = [paid.get(item.pair) or (contexts[item.pair[0]][1], contexts[item.pair[1]][1], item.doubleton_count, None)
+              for item in detected]
+    scores = dict(zip((item.pair for item in detected), sr(counts, measure)))
     usr_scores = {item.pair: usr(contexts[item.pair[0]][0], contexts[item.pair[1]][0]) for item in detected}
     edge_labels = {item.pair: label_edge(item.l_ab) for item in detected}
 
@@ -338,6 +341,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _clobbered(args):
+    """The first (written, kept) paths of args that name one file, or None.
+
+    A written path is --out and the report and evidence files beside it; a
+    kept one is a file the run reads (actors, corpus, keywords) or keeps its
+    state in (the cache and its ledger), which the write would replace.
+    """
+    written = [args.out]
+    if args.command == "extract":
+        written.append(f"{args.out}.report.json")
+        if args.dump_evidence:
+            written.append(f"{args.out}.evidence.jsonl")
+    kept = [args.actors, args.corpus, getattr(args, "keywords", None), args.cache, _ledger_path(args.cache)]
+    kept_at = {Path(path).resolve(): path for path in kept if path is not None}
+    return next(((path, kept_at[Path(path).resolve()]) for path in written if Path(path).resolve() in kept_at), None)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -348,6 +368,10 @@ def main(argv=None) -> int:
             parser.error("argument --corpus: not allowed with --backend live")
         if args.command == "extract" and args.keywords is not None and args.variant != "srwk":
             parser.error("argument --keywords: needs --variant srwk")
+        if args.command != "cache":
+            clash = _clobbered(args)
+            if clash:
+                parser.error(f"argument --out: {clash[0]} would replace {clash[1]}, which this run reads or keeps")
     except SystemExit as exc:
         return exc.code
     try:

@@ -5,6 +5,8 @@ three ints, mapping to [0, 1] and returning 0.0 when its denominator is zero.
 Counts are clamped first: clamp returns the same three ints, ready to unpack
 into a measure, with the intersection cut so it never exceeds either side;
 live engines report estimates that can violate that, fixture counts never do.
+sr is the one scorer, for both variants: srwk only swaps in the
+keyword-narrowed counts that sr_with_keywords pays for.
 """
 
 from __future__ import annotations
@@ -40,35 +42,31 @@ MEASURES = {"jaccard": jaccard, "dice": dice, "overlap": overlap}
 StrengthScore = namedtuple("StrengthScore", "value measure variant keywords_used", defaults=(None,))
 
 
-def sr(pairs, gateway: SearchGateway, measure: str = "jaccard") -> list[StrengthScore]:
-    """Plain strength of each (a, b, evidence): two singleton counts and the evidence doubleton.
+def sr(counts, measure: str = "jaccard") -> list[StrengthScore]:
+    """One score per (|a|, |b|, |a n b|, keywords_used); pays for no query.
 
-    Only a detected pair has a strength; snippetnet.cli.extract scores no
-    other, after its contexts stage has cached every involved actor's
-    singleton, so the batch of its one gateway.execute_all is all cache hits.
+    keywords_used is None for counts from the plain singletons and the pair's
+    doubleton, which makes the variant "sr"; the keyword pair of narrowed
+    counts, as sr_with_keywords returns them, makes it "srwk".
     """
-    pairs = list(pairs)
-    singletons = (build_query([actor.name]) for a, b, _ in pairs for actor in (a, b))
-    counts = iter([result.hit_count for result in gateway.execute_all(singletons)])
-    return [StrengthScore(value=MEASURES[measure](*clamp(next(counts), next(counts), evidence.doubleton_count)),
-                          measure=measure, variant="sr") for _, _, evidence in pairs]
+    return [StrengthScore(value=MEASURES[measure](*clamp(count_a, count_b, joint)), measure=measure,
+                          variant="sr" if keywords_used is None else "srwk", keywords_used=keywords_used)
+            for count_a, count_b, joint, keywords_used in counts]
 
 
-def sr_with_keywords(pairs, gateway: SearchGateway, measure: str = "jaccard") -> list[StrengthScore]:
-    """Keyword-augmented strength of each (a, kw_a, b, kw_b).
+def sr_with_keywords(pairs, gateway: SearchGateway) -> list[tuple]:
+    """srwk's narrowed counts of each (a, kw_a, b, kw_b): (|a n kw_a|, |b n kw_b|, joint, (kw_a, kw_b)).
 
-    Every count comes from a keyword-narrowed query: |a n kw_a| and
-    |b n kw_b| replace the singletons, and one four-phrase query supplies the
-    joint count. Each pair is put in id order first so its joint query
-    renders to one canonical cache key; keywords_used records that canonical
-    order. Every pair's three queries are built before any is paid for, and
-    all of them go through one gateway.execute_all, at the gateway's width.
+    |a n kw_a| and |b n kw_b| replace the singletons, and one four-phrase
+    query supplies the joint count. Each pair is put in id order first so its
+    joint query renders to one canonical cache key, and its trimmed keywords
+    come back in that order. Every pair's three queries are built before any
+    is paid for, and one gateway.execute_all pays for all, at the gateway's width.
     """
     ordered = [(a, kw_a, b, kw_b) if a.id < b.id else (b, kw_b, a, kw_a) for a, kw_a, b, kw_b in pairs]
     queries = [(build_query([a.name, kw_a]), build_query([b.name, kw_b]), build_query([a.name, kw_a, b.name, kw_b]))
                for a, kw_a, b, kw_b in ordered]
     flat = (query for three in queries for query in three)
     counts = iter([result.hit_count for result in gateway.execute_all(flat)])
-    return [StrengthScore(value=MEASURES[measure](*clamp(next(counts), next(counts), next(counts))),
-                          measure=measure, variant="srwk", keywords_used=(narrowed_a.terms[1], narrowed_b.terms[1]))
+    return [(next(counts), next(counts), next(counts), (narrowed_a.terms[1], narrowed_b.terms[1]))
             for narrowed_a, narrowed_b, _ in queries]

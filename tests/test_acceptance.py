@@ -18,7 +18,7 @@ from snippetnet.labeling import label_edge, usr
 from snippetnet.network import build_network
 from snippetnet.relations import Actor, RelationEvidence, detect_all
 from snippetnet.snippets import Snippet, parse_url
-from snippetnet.strength import StrengthScore, clamp, dice, jaccard, overlap, sr
+from snippetnet.strength import StrengthScore, clamp, dice, jaccard, overlap
 
 
 def _report(number: int, ok: bool, what: str) -> None:
@@ -67,30 +67,27 @@ def test_criterion_01_query_count_law(tmp_path, actors6_file, corpus20_file):
     )
 
 
-def test_criterion_02_oracle_equivalence(corpus20_rows, corpus20):
+def test_criterion_02_oracle_equivalence(tmp_path, actors6_file, corpus20_file, corpus20_rows):
     # independent oracle: exhaustive scan for the counts, plain arithmetic
-    # for the measures; equality must be exact, no tolerance
-    actors = [_actor(name) for name in ACTORS]
-    gateway = make_gateway(corpus20)
-    evidence = detect_all(actors, gateway)
-    by_id = {a.id: a for a in actors}
+    # for the measures; the weight extract writes for each detected pair
+    # (every one is an edge at threshold 0) must equal it exactly, no tolerance
+    by_id = {a.id: a for a in (_actor(name) for name in ACTORS)}
     checked = 0
     exact = True
-    for item in evidence:
-        if not item.detected:
-            continue
-        a, b = by_id[item.pair[0]], by_id[item.pair[1]]
-        count_a = scan_count(corpus20_rows, [a.name])
-        count_b = scan_count(corpus20_rows, [b.name])
-        count_ab = min(scan_count(corpus20_rows, [a.name, b.name]), count_a, count_b)
-        oracle = {
-            "jaccard": count_ab / (count_a + count_b - count_ab),
-            "dice": 2 * count_ab / (count_a + count_b),
-            "overlap": count_ab / min(count_a, count_b),
-        }
-        for measure, expected in oracle.items():
-            got = sr([(a, b, item)], gateway, measure)[0].value
-            exact = exact and got == expected
+    for measure in ("jaccard", "dice", "overlap"):
+        code, out = _extract(tmp_path, actors6_file, corpus20_file, out_name=f"{measure}.json", measure=measure)
+        exact = exact and code == 0
+        for edge in read_json(out)["edges"] if code == 0 else []:
+            a, b = (by_id[actor_id] for actor_id in edge["pair"])
+            count_a = scan_count(corpus20_rows, [a.name])
+            count_b = scan_count(corpus20_rows, [b.name])
+            count_ab = min(scan_count(corpus20_rows, [a.name, b.name]), count_a, count_b)
+            oracle = {
+                "jaccard": count_ab / (count_a + count_b - count_ab),
+                "dice": 2 * count_ab / (count_a + count_b),
+                "overlap": count_ab / min(count_a, count_b),
+            }
+            exact = exact and edge["weight"]["value"] == oracle[measure]
             checked += 1
     ok = exact and checked == 6  # two detected pairs, three measures each
     _report(2, ok, f"{checked} pipeline scores equal the exhaustive-scan oracle exactly")

@@ -65,7 +65,7 @@ class TestExtract:
         assert report["doubleton_queries"] == 15
         assert report["singleton_queries"] == 4
         assert report["backend_calls"] == 19
-        assert report["cache_hits"] == 4  # strength reuses the context singletons
+        assert report["cache_hits"] == 0  # strength scores from the counts detection and contexts paid for
         assert report["ledger"]["used_today"] == 19
         assert report["bound_check"] == {
             "total_backend_calls": 19,
@@ -83,7 +83,7 @@ class TestExtract:
         assert first == second
         report = read_json(str(out) + ".report.json")
         assert report["backend_calls"] == 0
-        assert report["cache_hits"] == 23
+        assert report["cache_hits"] == 19
 
     def test_threshold_filters_edges(self, tmp_path, actors6_file, corpus20_file):
         code, out = run_extract(tmp_path, actors6_file, corpus20_file, threshold="0.5")
@@ -449,6 +449,41 @@ class TestExitCodes:
         assert not (tmp_path / "cache.json").exists()
         assert not (tmp_path / "cache.json.ledger").exists()
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, out, cache, flags, kept",
+        [
+            ("extract", "cache.json", "cache.json", [], "cache.json"),
+            ("extract", "sub/../cache.json", "cache.json", [], "cache.json"),
+            ("extract", "cache.json.ledger", "cache.json", [], "cache.json.ledger"),
+            ("extract", "actors.txt", "cache.json", [], "actors.txt"),
+            ("extract", "net", "net.report.json", [], "net.report.json"),
+            ("extract", "net", "net.evidence.jsonl", ["--dump-evidence"], "net.evidence.jsonl"),
+            ("keywords", "cache.json", "cache.json", [], "cache.json"),
+        ],
+        ids=["out-is-cache", "out-is-cache-spelled-otherwise", "out-is-ledger", "out-is-actors",
+             "report-is-cache", "evidence-is-cache", "keywords-out-is-cache"],
+    )
+    def test_out_that_would_replace_a_file_the_run_reads_is_rejected_before_paying(
+        self, tmp_path, capsys, command, out, cache, flags, kept
+    ):
+        # A paid run leaves a cache and its ledger; writing over either, or
+        # over an input, would lose what the next run reads.
+        actors = tmp_path / "actors.txt"
+        actors.write_bytes((DEMO / "actors.txt").read_bytes())
+        given = ["--actors", str(actors), "--corpus", str(DEMO / "corpus.jsonl"), "--cache", f"{tmp_path}/{cache}"]
+        assert main(["extract", *given, "--threshold", "0.2", "--out", str(tmp_path / "network.json")]) == 0
+        capsys.readouterr()
+        target = tmp_path / kept
+        before = target.read_bytes()
+        ledger = (tmp_path / f"{cache}.ledger").read_bytes()
+        threshold = ["--threshold", "0.2"] if command == "extract" else []
+        assert main([command, *given, *threshold, *flags, "--out", f"{tmp_path}/{out}"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --out: {tmp_path}/{out}" in err
+        assert f"would replace {tmp_path}/{kept}, which this run reads or keeps" in err
+        assert target.read_bytes() == before
+        assert (tmp_path / f"{cache}.ledger").read_bytes() == ledger
 
     def test_live_backend_without_endpoint(self, tmp_path, actors6_file, monkeypatch, capsys):
         monkeypatch.delenv("SNIPPETNET_API_ENDPOINT", raising=False)

@@ -32,7 +32,7 @@ def test_quick_start_prints_what_the_readme_says(tmp_path, monkeypatch, capsys):
 
     assert main(argv[1:]) == 0
     assert capsys.readouterr().out == printed
-    assert printed == "wrote network.json: 2 edges over 6 actors (19 backend calls, 4 cache hits)\n"
+    assert printed == "wrote network.json: 2 edges over 6 actors (19 backend calls, 0 cache hits)\n"
     assert main(argv[1:]) == 0
     assert "(0 backend calls, " in capsys.readouterr().out
 

@@ -1,9 +1,12 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import make_gateway
+from conftest import make_gateway, read_json
 from corpusdata import ACTORS
+from snippetnet.cli import main
+from snippetnet.keywords import fetch_actor_context
 from snippetnet.relations import Actor, detect_all
 from snippetnet.strength import (
     MEASURES,
@@ -16,6 +19,7 @@ from snippetnet.strength import (
 )
 
 ACTOR_OBJS = [Actor(name) for name in ACTORS]
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def _actor(name):
@@ -61,49 +65,79 @@ class TestMeasures:
 
 
 class TestSr:
-    def test_detected_pair_scores_from_counts(self, gateway20):
-        a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
-        ev = detect_all([a, b], gateway20)[0]
-        score = sr([(a, b, ev)], gateway20)[0]
+    def test_detected_pair_scores_from_counts(self):
         # singletons 4 and 3, doubleton 2: 2 / (4 + 3 - 2)
+        score = sr([(4, 3, 2, None)])[0]
         assert score.value == pytest.approx(0.4, abs=1e-12)
         assert score.measure == "jaccard"
         assert score.variant == "sr"
         assert score.keywords_used is None
 
+    def test_narrowed_counts_score_as_srwk(self):
+        # narrowed singletons 3 and 2, narrowed doubleton 1: 1 / (3 + 2 - 1)
+        score = sr([(3, 2, 1, ("graph", "graph"))])[0]
+        assert score.value == pytest.approx(0.25, abs=1e-12)
+        assert score.variant == "srwk"
+        assert score.keywords_used == ("graph", "graph")
+
     def test_measure_selection(self, gateway20):
         a, b = _actor("David Kim"), _actor("Erin Walsh")
         ev = detect_all([a, b], gateway20)[0]
-        assert sr([(a, b, ev)], gateway20, "jaccard")[0].value == pytest.approx(2 / 3)
-        assert sr([(a, b, ev)], gateway20, "dice")[0].value == pytest.approx(4 / 5)
-        assert sr([(a, b, ev)], gateway20, "overlap")[0].value == pytest.approx(1.0)
+        contexts = fetch_actor_context([a, b], gateway20)
+        counts = [(contexts[a.id][1], contexts[b.id][1], ev.doubleton_count, None)]
+        assert sr(counts, "jaccard")[0].value == pytest.approx(2 / 3)
+        assert sr(counts, "dice")[0].value == pytest.approx(4 / 5)
+        assert sr(counts, "overlap")[0].value == pytest.approx(1.0)
 
-    def test_singletons_come_from_cache_when_warm(self, gateway20):
-        a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
-        ev = detect_all([a, b], gateway20)[0]
-        sr([(a, b, ev)], gateway20)
-        calls_after_first = gateway20.backend_calls
-        sr([(a, b, ev)], gateway20)
-        assert gateway20.backend_calls == calls_after_first
+    def test_counts_are_clamped(self):
+        assert sr([(5, 8, 9, None)], "overlap")[0].value == 1.0
+        assert sr([(0, 0, 0, None)])[0].value == 0.0
+
+    def test_one_score_per_count_tuple_in_order(self):
+        scores = sr([(4, 3, 2, None), (3, 2, 1, ("graph", "graph")), (9, 4, 0, None)])
+        assert [score.variant for score in scores] == ["sr", "srwk", "sr"]
+        assert [score.value for score in scores] == [pytest.approx(0.4), pytest.approx(0.25), 0.0]
+        assert sr([]) == []
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("variant, cold_calls", [("sr", 19), ("srwk", 25)])
+    def test_scoring_asks_the_gateway_for_nothing_the_run_holds(self, tmp_path, variant, cold_calls, parallelism):
+        # sr scores from counts the run has paid for once each, so a cold demo
+        # run asks the cache for nothing twice, and its warm rerun hits the
+        # cache once per query the cold run paid
+        argv = [
+            "extract", "--actors", str(DEMO / "actors.txt"), "--corpus", str(DEMO / "corpus.jsonl"),
+            "--cache", str(tmp_path / "cache.json"), "--threshold", "0.2", "--variant", variant,
+            "--parallelism", str(parallelism), "--out", str(tmp_path / "network.json"),
+        ]
+        reports = []
+        for _ in range(2):
+            assert main(argv) == 0
+            reports.append(read_json(tmp_path / "network.json.report.json"))
+        cold, warm = reports
+        assert (cold["backend_calls"], cold["cache_hits"]) == (cold_calls, 0)
+        assert (warm["backend_calls"], warm["cache_hits"]) == (0, cold["backend_calls"])
 
 
 class TestSrWithKeywords:
     def test_keyword_narrowed_counts(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
-        score = sr_with_keywords([(a, "graph", b, "graph")], gateway20)[0]
-        # narrowed singletons 3 and 2, narrowed doubleton 1: 1 / (3 + 2 - 1)
-        assert score.value == pytest.approx(0.25, abs=1e-12)
-        assert score.variant == "srwk"
-        assert score.keywords_used == ("graph", "graph")
+        assert sr_with_keywords([(a, "graph", b, "graph")], gateway20) == [(3, 2, 1, ("graph", "graph"))]
+
+    def test_keywords_come_back_trimmed(self, gateway20):
+        a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
+        assert sr_with_keywords([(a, " graph ", b, "graph\t")], gateway20) == [(3, 2, 1, ("graph", "graph"))]
 
     def test_vacuous_keyword_reduces_to_plain_sr(self, gateway20):
         # "research" occurs in every fixture document, so narrowing by it
-        # changes nothing and the score must equal the plain variant
+        # changes no count and the score must equal the plain variant's
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
         ev = detect_all([a, b], gateway20)[0]
-        plain = sr([(a, b, ev)], gateway20)[0]
+        contexts = fetch_actor_context([a, b], gateway20)
+        plain = (contexts[a.id][1], contexts[b.id][1], ev.doubleton_count)
         narrowed = sr_with_keywords([(a, "research", b, "research")], gateway20)[0]
-        assert narrowed.value == pytest.approx(plain.value, abs=1e-12)
+        assert narrowed[:3] == plain
+        assert sr([narrowed])[0].value == sr([(*plain, None)])[0].value
 
     def test_argument_order_does_not_matter(self, corpus20):
         g1, g2 = make_gateway(corpus20), make_gateway(corpus20)
@@ -111,7 +145,7 @@ class TestSrWithKeywords:
         forward = sr_with_keywords([(a, "graph", b, "network")], g1)[0]
         backward = sr_with_keywords([(b, "network", a, "graph")], g2)[0]
         assert forward == backward
-        assert forward.keywords_used == ("graph", "network")
+        assert forward[3] == ("graph", "network")
         assert g1.backend_calls == g2.backend_calls == 3
 
     def test_blank_keyword_rejected(self, gateway20):
