@@ -34,7 +34,7 @@ from .keywords import (
 )
 from .ioutil import atomic_write_bytes, atomic_write_json
 from .labeling import label_edge, usr
-from .network import EXPORT_FORMATS, build_network, export
+from .network import EXPORT_FORMATS, Edge, build_network, export
 from .queries import build_query
 from .relations import Actor, detect_all
 from .snippets import snippet_record
@@ -117,13 +117,15 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
     actor's name; an actor with no such term keeps the plain score.
     Every detected pair is scored by one sr call, from counts the run already
     holds: its two context singletons and its doubleton, or, when both actors
-    have a keyword, the narrowed counts that srwk scoring pays for.
+    have a keyword, the narrowed counts that srwk scoring pays for. The pairs
+    scoring at or above the threshold are the edges, and only they get their
+    usr and labels; build_network only assembles them.
     Each paid stage fans out as wide as the gateway's parallelism. Every
-    argument is checked before any query is paid, and the stages behind
-    this do not check again: ValueError for fewer than two actors or two
-    with one id, an unknown variant or measure, a threshold outside [0, 1],
-    keywords without srwk, and a keyword id naming no actor or a term
-    build_query refuses.
+    argument is checked before any query is paid, each in one place:
+    ValueError for fewer than two actors, an unknown variant or measure, a
+    threshold outside [0, 1], keywords without srwk, a keyword id naming no
+    actor or a term build_query refuses, and (by detect_all) two actors with
+    one id.
     stage_counts holds this call's paid queries by stage: doubleton_queries
     (detection), singleton_queries (contexts of actors in a detected pair)
     and keyword_queries (srwk scoring; 0 for sr).
@@ -132,8 +134,6 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
     if len(actors) < 2:
         raise ValueError("need at least two actors")
     by_id = {actor.id: actor for actor in actors}
-    if len(by_id) != len(actors):
-        raise ValueError(f"actor ids must be unique, got {sorted(actor.id for actor in actors)}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if measure not in MEASURES:
@@ -173,14 +173,12 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
         [(by_id[a], keywords[a], by_id[b], keywords[b]) for a, b in narrowed], gateway)))
     counts = [paid.get(item.pair) or (contexts[item.pair[0]][1], contexts[item.pair[1]][1], item.doubleton_count, None)
               for item in detected]
-    scores = dict(zip((item.pair for item in detected), sr(counts, measure)))
-    usr_scores = {item.pair: usr(contexts[item.pair[0]][0], contexts[item.pair[1]][0]) for item in detected}
-    edge_labels = {item.pair: label_edge(item.l_ab) for item in detected}
-
-    network = build_network(
-        actors, evidence, scores, usr_scores, edge_labels,
-        threshold=threshold, provenance=provenance,
-    )
+    edges = [
+        Edge(item.pair, score, usr(contexts[item.pair[0]][0], contexts[item.pair[1]][0]),
+             label_edge(item.l_ab), len(item.l_ab))
+        for item, score in zip(detected, sr(counts, measure)) if score.value >= threshold
+    ]
+    network = build_network(actors, edges, provenance)
     stage_counts = {
         "doubleton_queries": paid_detecting - paid_before,
         "singleton_queries": paid_contexts - paid_detecting,
@@ -308,6 +306,7 @@ def _add_gateway_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", help="JSON Lines corpus for the fixture backend")
     parser.add_argument("--daily-limit", type=positive_int, default=1000, help="query budget per UTC day")
     parser.add_argument("--cache", default="snippetnet-cache.json", help="persistent query cache path")
+    parser.set_defaults(error=parser.error)  # main's checks after parsing print this subcommand's usage
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,16 +361,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command != "cache" and args.backend == "fixture" and not args.corpus:
-            parser.error("argument --corpus: required with --backend fixture")
-        if args.command != "cache" and args.backend == "live" and args.corpus is not None:
-            parser.error("argument --corpus: not allowed with --backend live")
-        if args.command == "extract" and args.keywords is not None and args.variant != "srwk":
-            parser.error("argument --keywords: needs --variant srwk")
         if args.command != "cache":
+            if args.backend == "fixture" and not args.corpus:
+                args.error("argument --corpus: required with --backend fixture")
+            if args.backend == "live" and args.corpus is not None:
+                args.error("argument --corpus: not allowed with --backend live")
+            if args.command == "extract" and args.keywords is not None and args.variant != "srwk":
+                args.error("argument --keywords: needs --variant srwk")
             clash = _clobbered(args)
             if clash:
-                parser.error(f"argument --out: {clash[0]} would replace {clash[1]}, which this run reads or keeps")
+                args.error(f"argument --out: {clash[0]} would replace {clash[1]}, which this run reads or keeps")
     except SystemExit as exc:
         return exc.code
     try:

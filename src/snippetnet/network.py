@@ -3,10 +3,12 @@
 Nodes are all the input actors -- people with no surviving relation stay in
 the graph as isolates. Edges are the detected pairs whose strength clears the
 threshold, each carrying its score, domain-overlap value, labels, and how many
-snippets back it. Everything is ordered (nodes by id, edges by pair), so equal
-networks export to byte-identical files. The GraphML escapes are local and
-match xml.sax.saxutils' escape and quoteattr exactly; saxutils itself imports
-urllib.request, and with it a whole web client that no export needs.
+snippets back it; snippetnet.cli.extract decides which pairs they are, and
+this module only assembles and exports them. Everything is ordered (nodes by
+id, edges by pair), so equal networks export to byte-identical files. The
+GraphML escapes are local and match xml.sax.saxutils' escape and quoteattr
+exactly; saxutils itself imports urllib.request, and with it a whole web
+client that no export needs.
 """
 
 from __future__ import annotations
@@ -24,27 +26,15 @@ Edge = namedtuple("Edge", "pair weight usr labels evidence_size")
 SocialNetwork = namedtuple("SocialNetwork", "nodes edges provenance")
 
 
-def build_network(actors, evidence, scores, usr_scores, labels, *,
-                  threshold: float, provenance: dict | None = None) -> SocialNetwork:
-    """Assemble the network from detection evidence and per-pair annotations.
+def build_network(actors, edges, provenance: dict | None = None) -> SocialNetwork:
+    """Assemble the network: every actor a node, ordered by id, and the edges, ordered by pair.
 
-    scores, usr_scores and labels map each detected pair to its
-    StrengthScore, UsrScore and EdgeLabels. Pairs scoring below the
-    threshold are dropped, undetected pairs are never edges. The threshold
-    has no default on purpose: it is part of what a network claims.
-    snippetnet.cli.extract checks the threshold, computes all three maps
-    from its own evidence and calls this.
+    It filters nothing: snippetnet.cli.extract decides which pairs are edges
+    (detected, and scoring at or above the threshold) and annotates only those.
     """
-    edges = []
-    for item in sorted(evidence, key=lambda ev: ev.pair):
-        if not item.detected:
-            continue
-        score = scores[item.pair]
-        if score.value < threshold:
-            continue
-        edges.append(Edge(item.pair, score, usr_scores[item.pair], labels[item.pair], len(item.l_ab)))
     nodes = tuple(sorted(actors, key=lambda actor: actor.id))
-    return SocialNetwork(nodes=nodes, edges=tuple(edges), provenance=dict(provenance or {}))
+    # Keyed on the pair: a bare sorted would go on to compare scores on a tie.
+    return SocialNetwork(nodes, tuple(sorted(edges, key=lambda edge: edge.pair)), dict(provenance or {}))
 
 
 def export(network: SocialNetwork, fmt: str) -> bytes:

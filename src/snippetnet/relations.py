@@ -68,8 +68,9 @@ def detect_all(actors, gateway: SearchGateway) -> list[RelationEvidence]:
     id raise ValueError before any query.
     """
     pairs = list(combinations(sorted(actors, key=lambda actor: actor.id), 2))
-    if any(a.id == b.id for a, b in pairs):
-        raise ValueError("actor ids must be unique")
+    repeated = sorted({a.id for a, b in pairs if a.id == b.id})
+    if repeated:
+        raise ValueError(f"actor ids must be unique, got {', '.join(repeated)} more than once")
     results = gateway.execute_all((build_query([a.name, b.name]) for a, b in pairs))
     evidence = []
     for (a, b), result in zip(pairs, results):

@@ -15,8 +15,8 @@ from snippetnet.cli import extract, main
 from snippetnet.corpus import load_corpus
 from snippetnet.errors import BudgetExhausted
 from snippetnet.labeling import label_edge, usr
-from snippetnet.network import build_network
-from snippetnet.relations import Actor, RelationEvidence, detect_all
+from snippetnet.network import Edge, build_network
+from snippetnet.relations import Actor, detect_all
 from snippetnet.snippets import Snippet, parse_url
 from snippetnet.strength import StrengthScore, clamp, dice, jaccard, overlap
 
@@ -197,30 +197,20 @@ def test_criterion_08_matrix_consistency():
     rng = random.Random(0xACC8)
     networks = 0
     consistent = True
-    snip = Snippet(url=parse_url("http://a.com/x"), title="both names here", abstract="")
     no_usr, no_labels = usr([], []), label_edge([])
     for _ in range(100):
         n = rng.randint(2, 8)
         actors = [Actor(name=f"Person {chr(65 + i)}") for i in range(n)]
         ids = sorted(a.id for a in actors)
-        evidence, scores = [], {}
+        edges = []
         for i in range(n):
             for j in range(i + 1, n):
                 count = rng.choice([0, 0, 1, 4])
                 pair = tuple(sorted((actors[i].id, actors[j].id)))
-                detected = count > 0
-                evidence.append(
-                    RelationEvidence(
-                        pair=pair,
-                        doubleton_count=count,
-                        l_ab=(snip,) * count if detected else (),
-                        detected=detected,
-                    )
-                )
-                if detected:
-                    scores[pair] = StrengthScore(value=rng.random(), measure="jaccard", variant="sr")
-        usr_scores, labels = dict.fromkeys(scores, no_usr), dict.fromkeys(scores, no_labels)
-        net = build_network(actors, evidence, scores, usr_scores, labels, threshold=0.0)
+                if count > 0:
+                    weight = StrengthScore(value=rng.random(), measure="jaccard", variant="sr")
+                    edges.append(Edge(pair, weight, no_usr, no_labels, count))
+        net = build_network(actors, edges)
         matrix = to_matrix(net)
         networks += 1
         size = len(matrix.order)

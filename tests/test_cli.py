@@ -485,6 +485,28 @@ class TestExitCodes:
         assert target.read_bytes() == before
         assert (tmp_path / f"{cache}.ledger").read_bytes() == ledger
 
+    @pytest.mark.parametrize(
+        "argv, command, message",
+        [
+            (["extract", "--threshold", "0.2", "--corpus", "corpus.jsonl", "--out", "c.json", "--cache", "c.json"],
+             "extract", "argument --out: c.json would replace c.json, which this run reads or keeps"),
+            (["keywords", "--backend", "live", "--corpus", "x", "--out", "k.json"],
+             "keywords", "argument --corpus: not allowed with --backend live"),
+        ],
+        ids=["extract-out-is-cache", "keywords-live-with-corpus"],
+    )
+    def test_checks_after_parsing_print_the_subcommand_usage(
+        self, tmp_path, monkeypatch, capsys, argv, command, message
+    ):
+        # Every name is relative to an empty directory: a file read or written would show there.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", "http://127.0.0.1:9/search")
+        assert main([*argv, "--actors", "actors.txt"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: snippetnet {command} [-h] --actors ACTORS")
+        assert err.endswith(f"snippetnet {command}: error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_live_backend_without_endpoint(self, tmp_path, actors6_file, monkeypatch, capsys):
         monkeypatch.delenv("SNIPPETNET_API_ENDPOINT", raising=False)
         code = main([

@@ -23,6 +23,7 @@ import pytest
 
 from conftest import mask_timestamps, read_json
 from snippetnet import Actor, FixtureBackend, SearchGateway, export, load_corpus
+from snippetnet import cli
 from snippetnet.cli import extract, load_actors, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -176,6 +177,43 @@ def test_library_extract_takes_its_corpus_from_the_backend():
     with pytest.raises(TypeError, match="corpus"):
         extract(load_actors(DEMO / "actors.txt"), gateway, threshold=0.2, variant="srwk", corpus=())
     assert gateway.backend_calls == 0
+
+
+# The demo's two detected pairs score 0.4 and 2/3 (sr, jaccard); the other 13 are undetected.
+@pytest.mark.parametrize(
+    "threshold, pairs",
+    [
+        (0.0, [("alice-nguyen", "bob-santos"), ("david-kim", "erin-walsh")]),
+        (0.4, [("alice-nguyen", "bob-santos"), ("david-kim", "erin-walsh")]),
+        (0.5, [("david-kim", "erin-walsh")]),
+    ],
+    ids=["zero-keeps-only-detected-pairs", "score-equal-to-threshold-is-kept", "weak-edge-dropped"],
+)
+def test_library_extract_keeps_the_detected_pairs_at_or_above_the_threshold(threshold, pairs):
+    gateway = SearchGateway(FixtureBackend(load_corpus(DEMO / "corpus.jsonl")))
+    network, evidence, _ = extract(load_actors(DEMO / "actors.txt"), gateway, threshold=threshold)
+    assert [edge.pair for edge in network.edges] == pairs
+    assert all(edge.weight.value >= threshold for edge in network.edges)
+    assert [item.pair for item in evidence if item.detected] == [
+        ("alice-nguyen", "bob-santos"), ("david-kim", "erin-walsh"),
+    ]
+    assert [actor.id for actor in network.nodes] == [
+        "alice-nguyen", "bob-santos", "carol-reyes", "david-kim", "erin-walsh", "farid-omar",
+    ]
+
+
+def test_library_extract_annotates_only_the_edges(monkeypatch):
+    # alice-bob is detected but scores 0.4, below 0.5: it gets no usr and no labels.
+    calls = {"usr": 0, "label_edge": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(cli, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(cli, name, counted)
+    gateway = SearchGateway(FixtureBackend(load_corpus(DEMO / "corpus.jsonl")))
+    network, _, _ = extract(load_actors(DEMO / "actors.txt"), gateway, threshold=0.5)
+    assert [edge.pair for edge in network.edges] == [("david-kim", "erin-walsh")]
+    assert calls == {"usr": 1, "label_edge": 1}
 
 
 def test_backend_with_only_search_runs_srwk_and_pays_what_the_fixture_backend_pays():

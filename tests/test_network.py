@@ -5,81 +5,45 @@ import pytest
 
 from conftest import to_matrix
 from snippetnet.labeling import EdgeLabels, UsrScore, label_edge, usr
-from snippetnet.network import build_network, escape, export, quoteattr
-from snippetnet.relations import Actor, RelationEvidence
-from snippetnet.snippets import Snippet, parse_url
+from snippetnet.network import Edge, build_network, escape, export, quoteattr
+from snippetnet.relations import Actor
 from snippetnet.strength import StrengthScore
 
 A = Actor(name="Alice Nguyen")
 B = Actor(name="Bob Santos")
 C = Actor(name="Carol Reyes")
 
-
-def _snip():
-    return Snippet(url=parse_url("http://a.com/x"), title="Alice Nguyen and Bob Santos", abstract="")
-
-
-def _evidence(a, b, count):
-    pair = tuple(sorted((a.id, b.id)))
-    return RelationEvidence(
-        pair=pair,
-        doubleton_count=count,
-        l_ab=(_snip(),) * min(count, 10),
-        detected=count > 0,
-    )
-
-
-def _score(value, measure="jaccard"):
-    return StrengthScore(value=value, measure=measure, variant="sr")
-
-
 NO_USR = usr([], [])
 NO_LABELS = label_edge([])
 
 
-def _blank(scores):
-    """usr and label maps that give every scored pair the values of no evidence."""
-    return dict.fromkeys(scores, NO_USR), dict.fromkeys(scores, NO_LABELS)
+def _edge(a, b, value, evidence_size, usr_score=NO_USR, labels=NO_LABELS):
+    pair = tuple(sorted((a.id, b.id)))
+    return Edge(pair, StrengthScore(value=value, measure="jaccard", variant="sr"), usr_score, labels, evidence_size)
 
 
-def _three_actor_inputs():
-    evidence = [_evidence(A, B, 2), _evidence(A, C, 0), _evidence(B, C, 1)]
-    scores = {
-        ("alice-nguyen", "bob-santos"): _score(0.4),
-        ("bob-santos", "carol-reyes"): _score(0.1),
-    }
-    return evidence, scores
+def _three_actor_edges():
+    """Alice-Bob and Bob-Carol, backed by 2 and 1 snippets; Carol and Alice share no edge."""
+    return [_edge(A, B, 0.4, 2), _edge(B, C, 0.1, 1)]
 
 
 class TestBuildNetwork:
     def test_nodes_keep_isolates_and_sort_by_id(self):
-        evidence, scores = _three_actor_inputs()
-        net = build_network([C, A, B], evidence, scores, *_blank(scores), threshold=0.0)
+        net = build_network([C, A, B], _three_actor_edges()[::-1])
         assert [n.id for n in net.nodes] == ["alice-nguyen", "bob-santos", "carol-reyes"]
         assert [e.pair for e in net.edges] == [
             ("alice-nguyen", "bob-santos"),
             ("bob-santos", "carol-reyes"),
         ]
 
-    def test_threshold_drops_weak_edges_not_nodes(self):
-        evidence, scores = _three_actor_inputs()
-        net = build_network([A, B, C], evidence, scores, *_blank(scores), threshold=0.3)
-        assert len(net.nodes) == 3
-        assert [e.pair for e in net.edges] == [("alice-nguyen", "bob-santos")]
-
-    def test_undetected_pairs_never_become_edges(self):
-        evidence, scores = _three_actor_inputs()
-        scores[("alice-nguyen", "carol-reyes")] = _score(1.0)
-        net = build_network([A, B, C], evidence, scores, *_blank(scores), threshold=0.0)
-        assert ("alice-nguyen", "carol-reyes") not in [e.pair for e in net.edges]
-
     def test_annotations_attach(self):
-        evidence, scores = _three_actor_inputs()
         pair, other = ("alice-nguyen", "bob-santos"), ("bob-santos", "carol-reyes")
-        usr_scores, labels = _blank(scores)
-        usr_scores[pair] = UsrScore(value=0.5, shared_domains=frozenset({"a.com"}))
-        labels[pair] = EdgeLabels(labels=(("graph", 3),), source="title")
-        net = build_network([A, B, C], evidence, scores, usr_scores, labels, threshold=0.0)
+        edges = [
+            _edge(A, B, 0.4, 2, UsrScore(value=0.5, shared_domains=frozenset({"a.com"})),
+                  EdgeLabels(labels=(("graph", 3),), source="title")),
+            _edge(B, C, 0.1, 1),
+        ]
+        net = build_network([A, B, C], edges)
         by_pair = {e.pair: e for e in net.edges}
         assert by_pair[pair].usr.value == 0.5
         assert by_pair[pair].labels.labels == (("graph", 3),)
@@ -87,8 +51,7 @@ class TestBuildNetwork:
         assert by_pair[other].labels == NO_LABELS
 
     def test_evidence_size_carried_onto_edge(self):
-        evidence, scores = _three_actor_inputs()
-        net = build_network([A, B, C], evidence, scores, *_blank(scores), threshold=0.0)
+        net = build_network([A, B, C], _three_actor_edges())
         assert {e.pair: e.evidence_size for e in net.edges} == {
             ("alice-nguyen", "bob-santos"): 2,
             ("bob-santos", "carol-reyes"): 1,
@@ -97,8 +60,7 @@ class TestBuildNetwork:
 
 class TestToMatrix:
     def test_three_actor_matrix(self):
-        evidence, scores = _three_actor_inputs()
-        matrix = to_matrix(build_network([A, B, C], evidence, scores, *_blank(scores), threshold=0.0))
+        matrix = to_matrix(build_network([A, B, C], _three_actor_edges()))
         assert matrix.order == ("alice-nguyen", "bob-santos", "carol-reyes")
         assert matrix.cells == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
 
@@ -107,15 +69,13 @@ class TestToMatrix:
         for _ in range(50):
             n = rng.randint(2, 7)
             actors = [Actor(name=f"Person {chr(65 + i)}") for i in range(n)]
-            evidence, scores = [], {}
+            edges = []
             for i in range(n):
                 for j in range(i + 1, n):
                     count = rng.choice([0, 0, 1, 3])
-                    ev = _evidence(actors[i], actors[j], count)
-                    evidence.append(ev)
-                    if ev.detected:
-                        scores[ev.pair] = _score(rng.random())
-            net = build_network(actors, evidence, scores, *_blank(scores), threshold=0.0)
+                    if count:
+                        edges.append(_edge(actors[i], actors[j], rng.random(), count))
+            net = build_network(actors, edges)
             matrix = to_matrix(net)
             size = len(matrix.order)
             edge_pairs = {e.pair for e in net.edges}
@@ -134,15 +94,12 @@ class TestToMatrix:
 
 class TestExports:
     def _network(self):
-        evidence, scores = _three_actor_inputs()
-        pair = ("alice-nguyen", "bob-santos")
-        usr_scores, labels = _blank(scores)
-        usr_scores[pair] = UsrScore(value=1 / 3, shared_domains=frozenset({"netsci.org"}))
-        labels[pair] = EdgeLabels(labels=(("graph", 2), ("mining", 1)), source="title")
-        return build_network(
-            [A, B, C], evidence, scores, usr_scores, labels,
-            threshold=0.0, provenance={"backend": "fixture", "threshold": 0.0},
-        )
+        edges = [
+            _edge(A, B, 0.4, 2, UsrScore(value=1 / 3, shared_domains=frozenset({"netsci.org"})),
+                  EdgeLabels(labels=(("graph", 2), ("mining", 1)), source="title")),
+            _edge(B, C, 0.1, 1),
+        ]
+        return build_network([A, B, C], edges, provenance={"backend": "fixture", "threshold": 0.0})
 
     def test_dot_output_shape(self):
         text = export(self._network(), "dot").decode("utf-8")
@@ -153,7 +110,7 @@ class TestExports:
 
     def test_dot_escapes_quotes(self):
         actor = Actor(name='Joe "Quote" Smith')
-        net = build_network([actor], [], {}, {}, {}, threshold=0.0)
+        net = build_network([actor], [])
         text = export(net, "dot").decode("utf-8")
         assert '[label="Joe \\"Quote\\" Smith"];' in text
 
@@ -166,7 +123,7 @@ class TestExports:
 
     def test_graphml_escapes_markup(self):
         actor = Actor(name="Tom & Co <x>")
-        net = build_network([actor], [], {}, {}, {}, threshold=0.0)
+        net = build_network([actor], [])
         text = export(net, "graphml").decode("utf-8")
         assert "Tom &amp; Co &lt;x&gt;" in text
 
@@ -215,13 +172,8 @@ class TestExports:
         assert payload["provenance"] == {"backend": "fixture", "threshold": 0.0}
 
     def test_json_export_carries_keywords(self):
-        evidence = [_evidence(A, B, 2)]
-        scores = {
-            ("alice-nguyen", "bob-santos"): StrengthScore(
-                value=0.25, measure="jaccard", variant="srwk", keywords_used=("graph", "mining"),
-            )
-        }
-        net = build_network([A, B], evidence, scores, *_blank(scores), threshold=0.0)
+        weight = StrengthScore(value=0.25, measure="jaccard", variant="srwk", keywords_used=("graph", "mining"))
+        net = build_network([A, B], [Edge(("alice-nguyen", "bob-santos"), weight, NO_USR, NO_LABELS, 2)])
         weight = json.loads(export(net, "json"))["edges"][0]["weight"]
         assert weight == {
             "value": 0.25, "measure": "jaccard", "variant": "srwk", "keywords_used": ["graph", "mining"],
