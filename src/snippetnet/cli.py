@@ -25,13 +25,7 @@ from .cache import QueryCache, utc_now_iso
 from .corpus import load_corpus
 from .errors import BackendError, BudgetExhausted, ConfigError, SnippetNetError
 from .gateway import SearchGateway
-from .keywords import (
-    classify_attribute,
-    document_frequencies,
-    extract_keywords,
-    fetch_actor_context,
-    load_keyword_overrides,
-)
+from .keywords import document_frequencies, extract_keywords, fetch_actor_context, load_keyword_overrides
 from .ioutil import atomic_write_bytes, atomic_write_json
 from .labeling import label_edge, usr
 from .network import EXPORT_FORMATS, Edge, build_network, export
@@ -175,7 +169,7 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
               for item in detected]
     edges = [
         Edge(item.pair, score, usr(contexts[item.pair[0]][0], contexts[item.pair[1]][0]),
-             label_edge(item.l_ab), len(item.l_ab))
+             label_edge(item.l_ab, [by_id[actor_id].name for actor_id in item.pair]), len(item.l_ab))
         for item, score in zip(detected, sr(counts, measure)) if score.value >= threshold
     ]
     network = build_network(actors, edges, provenance)
@@ -260,10 +254,7 @@ def cmd_keywords(args) -> int:
         actor.id: {
             "name": actor.name,
             "singleton_count": contexts[actor.id][1],
-            "keywords": [
-                {"term": term, "score": score, "kind": classify_attribute(term)}
-                for term, score in ranked[actor.id]
-            ],
+            "keywords": [{"term": term, "score": score} for term, score in ranked[actor.id]],
         }
         for actor in actors
     }

@@ -48,20 +48,6 @@ def document_frequencies(snippets) -> dict:
     return Counter(token for snippet in snippets for token in set(tokenize(f"{snippet.title} {snippet.abstract}")))
 
 
-def classify_attribute(term: str) -> str:
-    """Return "stable" for email-shaped terms and "flexible" for everything else.
-
-    Stable means exactly one '@' with non-empty local and domain parts and no
-    whitespace. A bare '@' or a word like a place name or a topic is
-    flexible: it can change between contexts without the person changing.
-    """
-    if term.count("@") == 1 and not any(ch.isspace() for ch in term):
-        local, _, domain = term.partition("@")
-        if local and domain:
-            return "stable"
-    return "flexible"
-
-
 def load_keyword_overrides(path, actor_ids) -> dict:
     """Read and check a per-actor keyword file; returns {actor_id: first term, trimmed}.
 

@@ -89,15 +89,17 @@ def usr(l_a, l_b) -> UsrScore:
     return UsrScore(value=value, shared_domains=frozenset(shared))
 
 
-def label_edge(l_ab) -> EdgeLabels:
+def label_edge(l_ab, names) -> EdgeLabels:
     """The MAX_LABELS candidate tokens of an edge seen most often.
 
     Candidates per snippet: host labels other than the rightmost two (none of
-    an IPv4 host), path segments split on non-alphanumerics, and title
-    tokens. The generic filter and the minimum token length apply to all
+    an IPv4 host), path segments split into tokens, and title tokens. The
+    generic filter, widened by the tokens of names (the pair's own names,
+    which say who, not what about), and the minimum token length apply to all
     three streams. Ties break lexicographically. The source field records
     where the top-ranked token was seen most often.
     """
+    generic = GENERIC_TOKENS.union(*(tokenize(name) for name in names))
     counts: dict = {}
     by_source: dict = {}
 
@@ -109,12 +111,12 @@ def label_edge(l_ab) -> EdgeLabels:
     for snippet in l_ab:
         domains = snippet.url.domains
         for label in () if _is_ipv4(domains) else domains[2:]:
-            if len(label) >= MIN_TOKEN_LENGTH and label not in GENERIC_TOKENS:
+            if len(label) >= MIN_TOKEN_LENGTH and label not in generic:
                 add(label, "url_domain")
         for segment in snippet.url.paths:
-            for token in tokenize(segment, stopwords=GENERIC_TOKENS):
+            for token in tokenize(segment, stopwords=generic):
                 add(token, "url_path")
-        for token in tokenize(snippet.title, stopwords=GENERIC_TOKENS):
+        for token in tokenize(snippet.title, stopwords=generic):
             add(token, "title")
 
     ranked = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))[:MAX_LABELS]

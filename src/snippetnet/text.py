@@ -1,17 +1,35 @@
 """Shared tokenizer and the built-in English stopword list.
 
-Text is lowercased first, then cut at every character other than an ASCII
-letter or digit, any non-ASCII one too, so "Café" gives "caf". Tokens shorter
-than three characters or on the stopword list are dropped. The same tokenizer
-feeds keyword extraction and edge labeling so scores and labels stay comparable.
+Text is lowercased first, then cut at every character that is not a word
+character: a letter or digit (str.isalnum) or a combining mark (Unicode
+category M). So "Café" gives "café", "İstanbul" stays one token, and a run of
+CJK characters with no space is one token. Text is not normalized, so a
+precomposed and a decomposed "é" spell different tokens. Tokens shorter than
+three characters or on the stopword list are dropped. The same rule gives
+actor ids, and feeds keyword extraction and edge labeling, so ids, scores and
+labels stay comparable.
 """
 
 from __future__ import annotations
 
 MIN_TOKEN_LENGTH = 3
 
-# Maps every byte but [0-9a-z] to a space, "?" too, which non-ASCII encodes to.
-_TABLE = bytes(byte if chr(byte) in "0123456789abcdefghijklmnopqrstuvwxyz" else 0x20 for byte in range(256))
+
+class _WordTable(dict):
+    """A str.translate table: a word character maps to itself, any other to a space, each decided once."""
+
+    def __missing__(self, code: int) -> int:
+        char = chr(code)
+        if char.isalnum() or char.isascii():
+            kept = char.isalnum()
+        else:  # only a non-ASCII character that is no letter or digit loads unicodedata
+            from unicodedata import category
+            kept = category(char).startswith("M")
+        self[code] = mapped = code if kept else 0x20
+        return mapped
+
+
+_WORDS = _WordTable()
 
 STOPWORDS = frozenset(
     """
@@ -31,7 +49,7 @@ STOPWORDS = frozenset(
 
 def raw_tokens(text: str) -> list[str]:
     """Every token of text, in order, before short tokens and stopwords are dropped."""
-    return text.lower().encode("ascii", "replace").translate(_TABLE).decode("ascii").split()
+    return text.lower().translate(_WORDS).split()
 
 
 def tokenize(text: str, stopwords: frozenset = STOPWORDS) -> list[str]:

@@ -1,8 +1,10 @@
 import json
 import re
 import threading
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -28,26 +30,27 @@ def scan_count(rows, phrases):
     return len(scan_matches(rows, phrases))
 
 
-# The tokenizer rule stated as a regex: lowercase, split on every run of
-# characters other than [0-9a-z], drop short tokens and stopwords.
-_NON_ALNUM = re.compile(r"[^0-9a-z]+")
+# The tokenizer rule stated one character at a time: lowercase, then a token
+# is a maximal run of characters whose Unicode category is a letter (L*), a
+# number (N*) or a mark (M*); short tokens and stopwords are dropped.
+def _is_word_char(char):
+    return unicodedata.category(char)[0] in "LNM"
 
 
-def regex_raw_tokens(text):
-    return [token for token in _NON_ALNUM.split(text.lower()) if token]
+def oracle_raw_tokens(text):
+    return ["".join(run) for is_word, run in groupby(text.lower(), _is_word_char) if is_word]
 
 
-def regex_tokenize(text, stopwords=STOPWORDS):
+def oracle_tokenize(text, stopwords=STOPWORDS):
     return [
-        token for token in regex_raw_tokens(text)
+        token for token in oracle_raw_tokens(text)
         if len(token) >= MIN_TOKEN_LENGTH and token not in stopwords
     ]
 
 
-# The actor-id rule stated as a regex: lowercase, turn every run of characters
-# other than [0-9a-z] into "-", trim the dashes at either end.
-def regex_slugify(name):
-    return _NON_ALNUM.sub("-", name.lower()).strip("-") or "actor"
+# The actor-id rule: the raw tokens joined by "-", or "actor" if there are none.
+def oracle_slugify(name):
+    return "-".join(oracle_raw_tokens(name)) or "actor"
 
 
 # The URL grammar as the straightforward loop states it: cut at "#" then "?",

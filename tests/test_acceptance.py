@@ -197,7 +197,7 @@ def test_criterion_08_matrix_consistency():
     rng = random.Random(0xACC8)
     networks = 0
     consistent = True
-    no_usr, no_labels = usr([], []), label_edge([])
+    no_usr, no_labels = usr([], []), label_edge([], ())
     for _ in range(100):
         n = rng.randint(2, 8)
         actors = [Actor(name=f"Person {chr(65 + i)}") for i in range(n)]
@@ -291,7 +291,7 @@ def test_criterion_10_usr_and_labeling():
         in_range = in_range and 0.0 <= forward.value <= 1.0
 
     documented = label_edge(
-        [snip("http://conf.example.com/papers/graph-mining"), snip("http://www.example.com/papers/2010")]
+        [snip("http://conf.example.com/papers/graph-mining"), snip("http://www.example.com/papers/2010")], ()
     )
     ok = (
         in_range

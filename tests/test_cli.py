@@ -171,6 +171,48 @@ class TestExtract:
         assert written["srwk"][1:] == written["sr"][1:]
 
 
+NAMES_BEYOND_ASCII = ["Jürgen Müller", "Jörgen Möller", "李明", "王芳"]
+
+
+def names_beyond_ascii_files(tmp_path):
+    actors = tmp_path / "actors.txt"
+    actors.write_text("\n".join(NAMES_BEYOND_ASCII) + "\n", encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [
+        {"id": 1, "url": "http://lab.example.org/a", "title": "Jürgen Müller and Jörgen Möller", "body": "Transit."},
+        {"id": 2, "url": "http://lab.example.org/b", "title": "李明 and 王芳", "body": "Transit."},
+    ])
+    return actors, corpus
+
+
+class TestIdsBeyondAscii:
+    # Ids keep their letters: two names that differ only beyond ASCII, or are
+    # written in CJK, are four actors, not one id repeated.
+    IDS = {"Jörgen Möller": "jörgen-möller", "Jürgen Müller": "jürgen-müller", "李明": "李明", "王芳": "王芳"}
+
+    def test_graphml_nodes_parse_with_four_ids(self, tmp_path):
+        from xml.etree import ElementTree
+
+        code, out = run_extract(tmp_path, *names_beyond_ascii_files(tmp_path), out_name="net.graphml",
+                                format="graphml")
+        assert code == 0
+        ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+        graph = ElementTree.parse(out).getroot().find("g:graph", ns)
+        assert [node.get("id") for node in graph.findall("g:node", ns)] == list(self.IDS.values())
+        assert sorted((edge.get("source"), edge.get("target")) for edge in graph.findall("g:edge", ns)) == [
+            ("jörgen-möller", "jürgen-müller"), ("李明", "王芳"),
+        ]
+
+    def test_dot_quotes_every_id(self, tmp_path):
+        code, out = run_extract(tmp_path, *names_beyond_ascii_files(tmp_path), out_name="net.dot", format="dot")
+        assert code == 0
+        text = out.read_text(encoding="utf-8")
+        for name, actor_id in self.IDS.items():
+            assert f'  "{actor_id}" [label="{name}"];' in text
+        assert '  "jörgen-möller" -- "jürgen-müller" [' in text
+        assert '  "李明" -- "王芳" [' in text
+
+
 class TestReportRoles:
     @pytest.mark.parametrize("variant, counts", [("sr", (15, 4, 0)), ("srwk", (15, 4, 6))])
     def test_paid_queries_are_counted_by_stage(self, tmp_path, variant, counts):
@@ -796,8 +838,7 @@ class TestKeywordsCommand:
         assert alice["singleton_count"] == 4
         assert 1 <= len(alice["keywords"]) <= 3
         for entry in alice["keywords"]:
-            assert set(entry) == {"term", "score", "kind"}
-            assert entry["kind"] in ("stable", "flexible")
+            assert set(entry) == {"term", "score"}
 
     def test_output_feeds_extract_as_overrides(self, tmp_path, actors6_file, corpus20_file):
         kw_out = tmp_path / "kw.json"

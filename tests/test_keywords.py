@@ -7,19 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import corpus_from_rows, read_json, regex_tokenize
+from conftest import corpus_from_rows, oracle_tokenize, read_json
 from corpusdata import ACTORS
 from snippetnet import cli
 from snippetnet.backends import FixtureBackend
 from snippetnet.corpus import load_corpus
 from snippetnet.gateway import SearchGateway
-from snippetnet.keywords import (
-    classify_attribute,
-    document_frequencies,
-    extract_keywords,
-    fetch_actor_context,
-    load_keyword_overrides,
-)
+from snippetnet.keywords import document_frequencies, extract_keywords, fetch_actor_context, load_keyword_overrides
 from snippetnet.queries import build_query
 from snippetnet.relations import Actor
 from snippetnet.snippets import Snippet, parse_url
@@ -86,7 +80,7 @@ class TestDocumentFrequencies:
     def test_matches_per_document_token_scan(self, gateway20):
         contexts = fetch_actor_context([Actor(name) for name in ACTORS], gateway20)
         collection = {snippet for snippets, _ in contexts.values() for snippet in snippets}
-        oracle = Counter(token for s in collection for token in set(regex_tokenize(f"{s.title} {s.abstract}")))
+        oracle = Counter(token for s in collection for token in set(oracle_tokenize(f"{s.title} {s.abstract}")))
         assert len(collection) > 10
         assert document_frequencies(collection) == oracle
 
@@ -99,10 +93,11 @@ class TestDocumentFrequencies:
             _snip("Café İstanbul \u212aELVIN", "kelvin KELVIN café of the ox"),
             _snip("Kelvin", "and Cafe at it"),
         ]
-        # "café" gives "caf", "İstanbul" gives "i" and "stanbul"; the Kelvin
-        # sign lowercases to "k", so every spelling of kelvin is one token,
-        # counted once per snippet however often it repeats there.
-        assert document_frequencies(snippets) == {"caf": 1, "stanbul": 1, "kelvin": 2, "cafe": 1}
+        # "Café" gives "café", not "cafe"; "İstanbul" lowercases to "i", a
+        # combining dot and "stanbul", one token; the Kelvin sign lowercases
+        # to "k", so every spelling of kelvin is one token, counted once per
+        # snippet however often it repeats there.
+        assert document_frequencies(snippets) == {"café": 1, "i\u0307stanbul": 1, "kelvin": 2, "cafe": 1}
 
     def test_a_snippet_on_two_pages_counts_once(self):
         # The collection is the distinct snippets of all pages: here 3, not 4.
@@ -139,7 +134,7 @@ class TestDocumentFrequencies:
             (snippet,) = backend.search(build_query([f"urlonly{row['id']}.example"])).snippets
             assert snippet == (parse_url(row["url"]), row["title"].strip(), row["body"][:200].strip())
             collection.append(snippet)
-        expected = Counter(token for row in rows for token in set(regex_tokenize(f"{row['title']} {row['body'][:200]}")))
+        expected = Counter(token for row in rows for token in set(oracle_tokenize(f"{row['title']} {row['body'][:200]}")))
         counted = document_frequencies(collection)
         assert counted == expected
         assert not [token for token in counted if token.startswith(("urlonly", "urlpath"))]
@@ -167,25 +162,6 @@ def test_no_automatic_keyword_is_a_token_of_an_actor_name(source, tmp_path):
     assert cli.main(argv) == 0
     ranked = [entry["term"] for actor in read_json(out).values() for entry in actor["keywords"]]
     assert ranked and not names.intersection(ranked)
-
-
-class TestClassifyAttribute:
-    @pytest.mark.parametrize(
-        "term,kind",
-        [
-            ("budi@cs.ui.ac.id", "stable"),
-            ("a@b", "stable"),
-            ("jakarta", "flexible"),
-            ("data-mining", "flexible"),
-            ("@", "flexible"),
-            ("@example.com", "flexible"),
-            ("user@", "flexible"),
-            ("a b@c", "flexible"),
-            ("a@@b", "flexible"),
-        ],
-    )
-    def test_kinds(self, term, kind):
-        assert classify_attribute(term) == kind
 
 
 ACTOR_IDS = [Actor(name).id for name in ACTORS]

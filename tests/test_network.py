@@ -14,7 +14,7 @@ B = Actor(name="Bob Santos")
 C = Actor(name="Carol Reyes")
 
 NO_USR = usr([], [])
-NO_LABELS = label_edge([])
+NO_LABELS = label_edge([], ())
 
 
 def _edge(a, b, value, evidence_size, usr_score=NO_USR, labels=NO_LABELS):

@@ -131,3 +131,28 @@ def test_lazily_imported_thread_pool_and_web_client_still_work():
     assert report["detected"] > 0
     assert report["hit_count"] == 4
     assert report["requested"] == ["http://search.example/api?q=%22alice%22&page_size=10"]
+
+
+# The word rule needs Unicode categories only for a non-ASCII character that
+# is no letter or digit; the ASCII demo never meets one, so a full extract,
+# srwk keywords and labels included, does not load unicodedata. Text that
+# does meet one still tokenizes by category.
+_DEMO_EXTRACT = """
+import json, sys
+from snippetnet.cli import main
+demo = {demo!r}
+code = main(["extract", "--actors", demo + "/actors.txt", "--corpus", demo + "/corpus.jsonl", "--variant", "srwk",
+             "--threshold", "0", "--cache", {cache!r}, "--out", {out!r}])
+loaded_by_demo = "unicodedata" in sys.modules
+from snippetnet.text import raw_tokens
+tokens = raw_tokens("İstanbul")
+print(json.dumps({{"code": code, "loaded_by_demo": loaded_by_demo, "tokens": tokens,
+                  "loaded_after": "unicodedata" in sys.modules}}))
+"""
+
+
+def test_a_demo_extract_does_not_load_unicodedata(tmp_path):
+    demo = str(SRC.parent / "demo")
+    code = _DEMO_EXTRACT.format(demo=demo, cache=str(tmp_path / "cache.json"), out=str(tmp_path / "net.json"))
+    report = json.loads(run_python(code).splitlines()[-1])
+    assert report == {"code": 0, "loaded_by_demo": False, "tokens": ["i\u0307stanbul"], "loaded_after": True}
