@@ -47,9 +47,10 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
     ConfigError naming the file and line on any malformed row, and on an
     empty file.
 
-    Each line is UTF-8, and one byte order mark at its start is skipped; a
-    line in another encoding, UTF-16 or UTF-32 too, is malformed. A row
-    becomes its FixtureDocument once it passes; its id and full body are not kept.
+    Each line is UTF-8, and one byte order mark at its start is skipped, so a
+    line holding only a mark and spaces is blank; a line in another encoding,
+    UTF-16 or UTF-32 too, is malformed. A row becomes its FixtureDocument
+    once it passes; its id and full body are not kept.
     """
     source = Path(path)
     docs = []
@@ -60,11 +61,10 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
     # UTF-8, and reading line by line holds one line, not the file, at a time.
     with source.open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
+            # The mark goes first, so a line of a mark and spaces is blank.
+            line = line.removeprefix(codecs.BOM_UTF8).strip()
             if not line:
                 continue
-            if line.startswith(codecs.BOM_UTF8):
-                line = line[len(codecs.BOM_UTF8):]
             try:
                 # surrogatepass, as json.loads reads bytes: an encoded lone surrogate loads.
                 row = _decode_json(line.decode(errors="surrogatepass"))

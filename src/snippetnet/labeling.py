@@ -2,9 +2,9 @@
 
 Two actors whose snippets come from the same registrable domains share an
 institutional footprint even when prose evidence is thin; that overlap is the
-underlying-strength score. The informative middle of those URLs (deep
-subdomain labels, path segments) plus snippet titles supply tokens for naming
-what an edge is about.
+underlying-strength score. One rule, _site_size, says which host labels name
+the site. The tokens of the host labels left of the site, of the path
+segments and of the title name what an edge is about.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .snippets import UrlTokens
-from .text import MIN_TOKEN_LENGTH, STOPWORDS, tokenize
+from .text import STOPWORDS, tokenize
 
 # Multi-part public suffixes under which the registrable name needs a third
 # label: "uni.ac.id" identifies a site, "ac.id" identifies a country's whole
@@ -53,26 +53,24 @@ UsrScore = namedtuple("UsrScore", "value shared_domains")
 EdgeLabels = namedtuple("EdgeLabels", "labels source", defaults=(None,))
 
 
-def _is_ipv4(domains: tuple[str, ...]) -> bool:
-    """A dotted-quad host: four labels of ASCII digits, which name no domain."""
-    return len(domains) == 4 and all(label.isascii() and label.isdigit() for label in domains)
+def _site_size(domains: tuple[str, ...]) -> int:
+    """How many of the rightmost host labels name the site.
+
+    Two, or three when those two are a public suffix. An IPv4 host is all
+    four of its labels: 10.20.0.1 and 192.168.0.1 share no site, although
+    both end in "0.1".
+    """
+    if len(domains) == 4 and all(label.isascii() and label.isdigit() for label in domains):
+        return 4
+    if len(domains) >= 3 and f"{domains[1]}.{domains[0]}" in DEFAULT_PUBLIC_SUFFIXES:
+        return 3
+    return 2
 
 
 def registrable_domain(url: UrlTokens) -> str:
-    """The two rightmost host labels, or three when those two are a public suffix.
-
-    An IPv4 host is its own registrable domain: 10.20.0.1 and 192.168.0.1
-    share no domain, although both end in "0.1".
-    """
+    """The site's host labels, left to right: the rightmost _site_size of them, or all of a shorter host."""
     domains = url.domains
-    if _is_ipv4(domains):
-        return ".".join(reversed(domains))
-    if len(domains) == 1:
-        return domains[0]
-    two = f"{domains[1]}.{domains[0]}"
-    if len(domains) >= 3 and two in DEFAULT_PUBLIC_SUFFIXES:
-        return f"{domains[2]}.{two}"
-    return two
+    return ".".join(reversed(domains[:_site_size(domains)]))
 
 
 def usr(l_a, l_b) -> UsrScore:
@@ -92,36 +90,30 @@ def usr(l_a, l_b) -> UsrScore:
 def label_edge(l_ab, names) -> EdgeLabels:
     """The MAX_LABELS candidate tokens of an edge seen most often.
 
-    Candidates per snippet: host labels other than the rightmost two (none of
-    an IPv4 host), path segments split into tokens, and title tokens. The
-    generic filter, widened by the tokens of names (the pair's own names,
-    which say who, not what about), and the minimum token length apply to all
-    three streams. Ties break lexicographically. The source field records
-    where the top-ranked token was seen most often.
+    Candidates per snippet are the tokens of three streams: the host labels
+    left of the registrable domain (none of an IPv4 host), the path segments
+    and the title. One rule, text.tokenize, cuts all three, with the generic
+    filter widened by the tokens of names (the pair's own names, which say
+    who, not what about). Ties break lexicographically. The source field
+    records where the top-ranked token was seen most often, the first of
+    _SOURCE_PRIORITY on a tie.
     """
     generic = GENERIC_TOKENS.union(*(tokenize(name) for name in names))
     counts: dict = {}
-    by_source: dict = {}
-
-    def add(token: str, source: str) -> None:
-        counts[token] = counts.get(token, 0) + 1
-        sources = by_source.setdefault(token, {})
-        sources[source] = sources.get(source, 0) + 1
-
+    by_source: dict = {}  # (token, source) -> count
     for snippet in l_ab:
-        domains = snippet.url.domains
-        for label in () if _is_ipv4(domains) else domains[2:]:
-            if len(label) >= MIN_TOKEN_LENGTH and label not in generic:
-                add(label, "url_domain")
-        for segment in snippet.url.paths:
-            for token in tokenize(segment, stopwords=generic):
-                add(token, "url_path")
-        for token in tokenize(snippet.title, stopwords=generic):
-            add(token, "title")
+        url = snippet.url
+        # "." and "/" end a token, so joining the labels or segments cuts no token apart.
+        host = ".".join(url.domains[_site_size(url.domains):])
+        for text, source in (host, "url_domain"), ("/".join(url.paths), "url_path"), (snippet.title, "title"):
+            for token in tokenize(text, generic):
+                counts[token] = counts.get(token, 0) + 1
+                by_source[token, source] = by_source.get((token, source), 0) + 1
 
     ranked = sorted(counts.items(), key=lambda pair: (-pair[1], pair[0]))[:MAX_LABELS]
     if not ranked:
         return EdgeLabels(labels=(), source=None)
-    top_sources = by_source[ranked[0][0]]
-    best = max(_SOURCE_PRIORITY, key=lambda s: (top_sources.get(s, 0), -_SOURCE_PRIORITY.index(s)))
+    top = ranked[0][0]
+    # max keeps the first of equal keys, so a tie goes to the earlier source.
+    best = max(_SOURCE_PRIORITY, key=lambda source: by_source.get((top, source), 0))
     return EdgeLabels(labels=tuple(ranked), source=best)

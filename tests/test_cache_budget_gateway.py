@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ from snippetnet.budget import RECORD_WIDTH, BudgetLedger, read_ledger_state
 from snippetnet import cache as cache_module
 from snippetnet.cache import QueryCache
 from snippetnet.errors import BudgetExhausted
-from snippetnet.ioutil import json_bytes
+from snippetnet import ioutil
+from snippetnet.ioutil import atomic_write_bytes, json_bytes
 from snippetnet.queries import build_query
 from snippetnet.snippets import Snippet, parse_url
 
@@ -331,3 +335,17 @@ class TestGatewayExecute:
         assert persisted.lookup('"two"') is not None
         assert persisted.lookup('"three"') is None
         assert len(persisted) == 2
+
+
+def test_a_failed_write_leaves_the_target_and_no_temp_file(tmp_path, monkeypatch):
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    target = tmp_path / "network.json"
+    target.write_bytes(b"old bytes\n")
+    monkeypatch.setattr(ioutil, "open", FullDisk, raising=False)
+    with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+        atomic_write_bytes(target, b"new bytes\n")
+    assert target.read_bytes() == b"old bytes\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["network.json"]

@@ -255,6 +255,34 @@ class TestExitCodes:
         code, _ = run_extract(tmp_path, actors6_file, bad)
         assert code == 2
 
+    def test_corpus_row_that_is_not_an_object_is_exit_2_naming_its_line(self, tmp_path, actors6_file, capsys):
+        corpus = tmp_path / "rows.jsonl"
+        corpus.write_text('{"id": 1, "url": "http://a.com/x", "title": "t", "body": "b"}\n[1]\n', encoding="utf-8")
+        code, _ = run_extract(tmp_path, actors6_file, corpus)
+        assert code == 2
+        assert f"{corpus}:2: expected an object, got list" in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, names, message",
+        [
+            (["extract", "--threshold", "0.0"], "Alice Nguyen\n", "need at least two actors"),
+            (["keywords"], "# nobody yet\n\n", "actors file lists nobody"),
+        ],
+        ids=["extract-one-actor", "keywords-no-actor"],
+    )
+    def test_too_few_actors_is_exit_2_before_paying(self, tmp_path, corpus20_file, capsys, command, names, message):
+        actors = tmp_path / "actors.txt"
+        actors.write_text(names, encoding="utf-8")
+        code = main(command + [
+            "--actors", str(actors), "--corpus", str(corpus20_file),
+            "--cache", str(tmp_path / "cache.json"), "--out", str(tmp_path / "out.json"),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cache.json").exists()
+        assert not (tmp_path / "cache.json.ledger").exists()
+
     def test_threshold_out_of_range(self, tmp_path, actors6_file, corpus20_file):
         code, _ = run_extract(tmp_path, actors6_file, corpus20_file, threshold="1.5")
         assert code == 2
@@ -427,12 +455,13 @@ class TestExitCodes:
             ),
             ({"alice-nguyen": ["graph", "mi\x01ning"]}, "keyword terms for 'alice-nguyen': control character in phrase"),
             ({"alice-nguyen": ["\ud800x"]}, "keyword terms for 'alice-nguyen': lone surrogate or noncharacter in phrase"),
+            ([], "keyword file must hold a JSON object"),
         ],
         ids=[
             "not-a-term-list", "double-quote", "term-not-a-string", "keyword-set-term-not-a-string",
             "misspelt-term-key-and-blank-term", "misspelt-term-key-after-a-good-one", "keyword-set-entry-not-an-object",
             "blank-first-term", "blank-later-term", "double-quote-in-later-term", "keyword-set-blank-later-term",
-            "misspelt-actor-id", "control-character-in-later-term", "lone-surrogate",
+            "misspelt-actor-id", "control-character-in-later-term", "lone-surrogate", "not-an-object",
         ],
     )
     def test_bad_keywords_file_is_rejected_before_paying(self, tmp_path, capsys, overrides, message):
@@ -576,11 +605,11 @@ class TestExitCodes:
         assert "resume" in capsys.readouterr().err
         assert len(QueryCache.open(tmp_path / "cache.json")) == 5
 
-    @pytest.mark.parametrize("sidecar", ['{"used_today": null}', "[1]", '{"day_key": 5}'])
+    @pytest.mark.parametrize("sidecar", [b'{"used_today": null}', b"[1]", b'{"day_key": 5}', b'{"day_key"', b"\xff"])
     def test_malformed_ledger_sidecar_is_exit_2(
         self, tmp_path, actors6_file, corpus20_file, capsys, sidecar
     ):
-        (tmp_path / "cache.json.ledger").write_text(sidecar, encoding="utf-8")
+        (tmp_path / "cache.json.ledger").write_bytes(sidecar)
         code, _ = run_extract(tmp_path, actors6_file, corpus20_file)
         assert code == 2
         assert "ledger" in capsys.readouterr().err
@@ -688,9 +717,10 @@ class TestCacheJournal:
             ("hit_count", "12"),
             ("snippets", ""),
             ("url", None),
+            ("query", 5),
         ],
         ids=["hit-count-negative", "hit-count-true", "hit-count-float", "hit-count-string",
-             "snippets-not-a-list", "url-null"],
+             "snippets-not-a-list", "url-null", "query-number"],
     )
     def test_record_with_a_bad_field_type_is_exit_2(self, tmp_path, field, value):
         cache_path = tmp_path / "cache.json"

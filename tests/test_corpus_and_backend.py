@@ -148,6 +148,14 @@ class TestCorpusLoader:
         marked.write_bytes(b"\n".join(lines))
         assert load_corpus(marked) == load_corpus(plain)
 
+    @pytest.mark.parametrize("line", [b"\xef\xbb\xbf", b"\xef\xbb\xbf \t\r"], ids=["mark", "mark-and-spaces"])
+    def test_a_line_of_only_a_byte_order_mark_is_blank(self, tmp_path, corpus20_rows, line):
+        # Line 1 is skipped like a blank line; the mark before the row on line 2 is skipped too.
+        plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
+        corpusdata.write_jsonl(plain, corpus20_rows)
+        marked.write_bytes(line + b"\n\xef\xbb\xbf" + plain.read_bytes())
+        assert load_corpus(marked) == load_corpus(plain)
+
     @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32"])
     def test_line_in_another_unicode_encoding_is_exit_2_naming_it(self, tmp_path, capsys, encoding):
         corpus, actors = tmp_path / "wide.jsonl", tmp_path / "actors.txt"

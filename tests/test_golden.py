@@ -143,9 +143,10 @@ def test_library_extract_reads_an_iterator_of_actors_once():
         (None, {"variant": "srw"}, "unknown variant 'srw'"),
         (["Alice Nguyen"], {}, "need at least two actors"),
         (["Alice Nguyen", "Alice-Nguyen"], {}, "actor ids must be unique"),
+        (None, {"variant": "sr", "keywords": {"alice-nguyen": "graph"}}, "keywords need variant 'srwk'"),
     ],
     ids=["double-quote", "unknown-id", "blank", "not-a-string", "threshold-above-1", "threshold-below-0",
-         "threshold-nan", "unknown-measure", "unknown-variant", "one-actor", "duplicate-ids"],
+         "threshold-nan", "unknown-measure", "unknown-variant", "one-actor", "duplicate-ids", "keywords-without-srwk"],
 )
 def test_library_extract_checks_keywords_before_any_query(names, arguments, message):
     corpus = load_corpus(DEMO / "corpus.jsonl")

@@ -168,6 +168,20 @@ class TestLabelEdge:
         assert label_edge(snips, ["Ada Okafor", "Li Wei"]).labels == (("transit", 2), ("lab", 1), ("people", 1))
         assert ("okafor", 3) in label_edge(snips, ()).labels
 
+    def test_a_hyphenated_host_label_of_a_name_is_never_a_label(self):
+        snips = [_snip("http://alice-nguyen.lab.example.org/x")]
+        labels = dict(label_edge(snips, ["Alice Nguyen", "Bob Santos"]).labels)
+        assert labels == {"lab": 1}  # no alice, nguyen or alice-nguyen
+
+    def test_the_site_under_a_public_suffix_is_never_a_label(self):
+        # registrable_domain calls foodlab.co.uk the site, so foodlab names the site, not the topic.
+        assert registrable_domain(parse_url("http://lab.foodlab.co.uk/x")) == "foodlab.co.uk"
+        assert dict(label_edge([_snip("http://lab.foodlab.co.uk/x")], ()).labels) == {"lab": 1}
+
+    def test_a_hyphenated_host_label_gives_its_tokens(self):
+        labels = dict(label_edge([_snip("http://data-mining.lab.example.org/x")], ()).labels)
+        assert labels == {"data": 1, "mining": 1, "lab": 1}
+
 
 @pytest.mark.parametrize(
     "names",
