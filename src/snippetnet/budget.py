@@ -18,7 +18,7 @@ import os
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, ConfigError
 from .ioutil import atomic_write_bytes
 
 # Characters of a sidecar record before its newline; trailing spaces are JSON
@@ -34,9 +34,9 @@ def utc_day_key() -> str:
 def read_ledger_state(path) -> dict | None:
     """Parse the sidecar at path into day_key, used_today and total_issued.
 
-    Returns None when the file does not exist. Raises ValueError when it is
-    not a JSON object whose fields have the types the ledger writes, and
-    OSError when it cannot be read at all.
+    Returns None when the file does not exist. Raises ConfigError, its
+    message beginning with the path, when it is not a UTF-8 JSON object whose
+    fields have the types the ledger writes; an OSError is raised as it is.
     """
     target = Path(path)
     try:
@@ -44,17 +44,17 @@ def read_ledger_state(path) -> dict | None:
     except FileNotFoundError:
         return None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{target}: ledger file is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{target}: ledger file is not valid JSON: {exc}") from exc
     if not isinstance(state, dict):
-        raise ValueError(f"{target}: ledger file must hold a JSON object")
+        raise ConfigError(f"{target}: ledger file must hold a JSON object")
     day_key = state.get("day_key")
     if day_key is not None and not isinstance(day_key, str):
-        raise ValueError(f"{target}: ledger day_key must be a string, got {day_key!r}")
+        raise ConfigError(f"{target}: ledger day_key must be a string, got {day_key!r}")
     counts = {}
     for name in ("used_today", "total_issued"):
         value = state.get(name, 0)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ValueError(f"{target}: ledger {name} must be a non-negative integer, got {value!r}")
+            raise ConfigError(f"{target}: ledger {name} must be a non-negative integer, got {value!r}")
         counts[name] = value
     return {"day_key": day_key, **counts}
 
@@ -76,7 +76,7 @@ class BudgetLedger:
     def open(cls, daily_limit: int, path, today_fn=utc_day_key) -> "BudgetLedger":
         """Load persisted usage from the sidecar at path, or start fresh.
 
-        Raises ValueError when the sidecar exists but is malformed.
+        Raises ConfigError naming the sidecar when read_ledger_state refuses it.
         """
         state = read_ledger_state(path) or {}
         ledger = cls(daily_limit, path=path, today_fn=today_fn, **state)

@@ -11,14 +11,14 @@ its SearchResult; ``fetched_at`` lives only in the file.
 
 Opening replays the journal; the last record for a query wins. A final
 segment without a trailing newline is a torn append: it is dropped and cut
-off before the next append. A complete line that is not a valid record raises
-ValueError. A valid record has a string query and a ``fetched_at``, and the
-rest of it is a search answer that ``backends.parse_result``, the reader the
-live backend uses too, accepts; it reads the raw snippets that earlier
-versions stored into the same snippets. ``_replay`` is the only record
-parser. A file that does not begin with the header, or with a cut-off piece
-of it, raises ValueError, and ``clear`` refuses it. Opening never writes: the
-file keeps its bytes whatever they are; only an append or ``clear`` changes it.
+off before the next append. A valid record has a string query and a
+``fetched_at``, and the rest of it is a search answer that
+``backends.parse_result``, the reader the live backend uses too, accepts; it
+reads the raw snippets that earlier versions stored into the same snippets.
+``_replay`` is the only record parser. A complete line that is not a valid
+record, and a file that does not begin with the header or a cut-off piece of
+it, raise ConfigError naming the file, and ``clear`` refuses the latter too.
+Opening never writes: only an append or ``clear`` changes the file's bytes.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .backends import SearchResult, parse_result
+from .errors import ConfigError
 from .ioutil import atomic_write_bytes
 from .snippets import snippet_record
 
@@ -52,8 +53,8 @@ class QueryCache:
     def open(cls, path) -> "QueryCache":
         """Load the cache file at path, or start empty when it does not exist.
 
-        Raises ValueError when the file exists but does not match the cache
-        schema, and OSError when it cannot be read at all.
+        Raises ConfigError naming the file when it does not match the cache
+        schema; an OSError from reading it is raised as it is.
         """
         cache = cls(path)
         try:
@@ -114,7 +115,7 @@ class QueryCache:
 def _check_header(data: bytes, path) -> None:
     # An empty file or a cut-off header is a journal whose first append was torn.
     if not HEADER.startswith(data[:len(HEADER)]):
-        raise ValueError(f"{path}: not a snippetnet cache journal: it does not begin with {HEADER.decode().strip()}")
+        raise ConfigError(f"{path}: not a snippetnet cache journal: it does not begin with {HEADER.decode().strip()}")
 
 
 def _replay(body: bytes, source: str) -> dict[str, SearchResult]:
@@ -128,6 +129,6 @@ def _replay(body: bytes, source: str) -> dict[str, SearchResult]:
                 raise TypeError(f"query must be a string, got {rendered!r}")
             results[rendered] = parse_result(row)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{source}: line {number}: malformed cache record: {exc!r}") from exc
+            raise ConfigError(f"{source}: line {number}: malformed cache record: {exc!r}") from exc
     return results
 

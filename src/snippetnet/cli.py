@@ -45,15 +45,18 @@ def _ledger_path(cache_path) -> Path:
 
 
 def load_actors(path) -> list:
-    """Plain text, one actor name per line, a leading BOM allowed; blank lines and '#' comments skipped."""
+    """Plain text, one actor name per line; blank lines, '#' comments and a BOM starting any line skipped.
+
+    Raises ConfigError naming the file for bad UTF-8, a name build_query refuses or two names with one id.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot read actors file {path}: {exc}") from exc
     found: dict = {}  # actor id -> (line number, Actor)
     # Lines end at "\n" only: splitlines() would also split at U+2028, U+2029, U+0085.
     for number, line in enumerate(text.split("\n"), start=1):
-        name = line.strip()
+        name = line.removeprefix("\ufeff").strip()
         if not name or name.startswith("#"):
             continue
         try:
@@ -78,11 +81,8 @@ def _open_state(args, parallelism):
         if not endpoint:
             raise ConfigError(f"live backend needs {API_ENDPOINT_ENV} set")
         backend = LiveBackend(endpoint, api_key=os.environ.get(API_KEY_ENV))
-    try:
-        cache = QueryCache.open(args.cache)
-        ledger = BudgetLedger.open(args.daily_limit, _ledger_path(args.cache))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    cache = QueryCache.open(args.cache)
+    ledger = BudgetLedger.open(args.daily_limit, _ledger_path(args.cache))
     return SearchGateway(backend, cache=cache, ledger=ledger, parallelism=parallelism)
 
 
@@ -188,10 +188,7 @@ def cmd_extract(args) -> int:
         raise ConfigError("need at least two actors")
     keywords = None  # or the first term per actor of the override file, checked before any query
     if args.keywords is not None:
-        try:
-            keywords = load_keyword_overrides(args.keywords, [actor.id for actor in actors])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read keywords file {args.keywords}: {exc}") from exc
+        keywords = load_keyword_overrides(args.keywords, [actor.id for actor in actors])
     gateway = _open_state(args, args.parallelism)
     provenance = {
         "backend": args.backend,
@@ -264,15 +261,12 @@ def cmd_keywords(args) -> int:
 
 
 def cmd_cache(action: str, cache_path) -> int:
-    try:
-        if action == "clear":
-            QueryCache(cache_path).clear()
-            print(f"cleared {cache_path}")
-            return 0
-        cache = QueryCache.open(cache_path)
-        ledger_state = read_ledger_state(_ledger_path(cache_path))
-    except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    if action == "clear":
+        QueryCache(cache_path).clear()
+        print(f"cleared {cache_path}")
+        return 0
+    cache = QueryCache.open(cache_path)
+    ledger_state = read_ledger_state(_ledger_path(cache_path))
     print(json.dumps({"entries": len(cache), "ledger": ledger_state}, indent=2, sort_keys=True))
     return 0
 

@@ -23,4 +23,4 @@ class BackendError(SnippetNetError):
 
 
 class ConfigError(SnippetNetError):
-    """Run configuration is invalid or references unusable input files (exit 2)."""
+    """Invalid run configuration, or an input or state file that its reader refuses, naming it (exit 2)."""

@@ -12,6 +12,7 @@ import math
 from collections import Counter
 from pathlib import Path
 
+from .errors import ConfigError
 from .gateway import SearchGateway
 from .queries import build_query
 from .text import STOPWORDS, tokenize
@@ -56,31 +57,34 @@ def load_keyword_overrides(path, actor_ids) -> dict:
     to {"keywords": [{"term": ...}, ...]}. Every id must be one of actor_ids,
     so a misspelt id cannot leave its actor without a keyword. Every term, not
     only the first, must be a string build_query accepts: not blank, no double
-    quote. An empty list gives that actor no keyword. Anything else raises
-    ValueError naming the actor. A UTF-8 byte order mark at the start of the
-    file is skipped.
+    quote. An empty list gives that actor no keyword; a byte order mark starting
+    the file is skipped. Anything else, bad JSON or UTF-8 included, raises
+    ConfigError naming the path first, then the actor at fault; an OSError is raised as it is.
     """
-    payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"{path}: keyword file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ValueError(f"{path}: keyword file must hold a JSON object")
+        raise ConfigError(f"{path}: keyword file must hold a JSON object")
     unknown = sorted(set(payload) - set(actor_ids))
     if unknown:
-        raise ValueError(f"{path}: ids that name no actor in this run: {', '.join(unknown)}")
+        raise ConfigError(f"{path}: ids that name no actor in this run: {', '.join(unknown)}")
     overrides: dict = {}
     for actor_id, value in payload.items():
         if isinstance(value, list):
             terms = value
         elif isinstance(value, dict) and isinstance(value.get("keywords"), list):
             if not all(isinstance(entry, dict) and "term" in entry for entry in value["keywords"]):
-                raise ValueError(f'{path}: keywords of {actor_id!r} must be objects with a "term"')
+                raise ConfigError(f'{path}: keywords of {actor_id!r} must be objects with a "term"')
             terms = [entry["term"] for entry in value["keywords"]]
         else:
-            raise ValueError(f"{path}: entry for {actor_id!r} is neither a term list nor a keyword set")
+            raise ConfigError(f"{path}: entry for {actor_id!r} is neither a term list nor a keyword set")
         if not all(isinstance(term, str) for term in terms):
-            raise ValueError(f"{path}: keyword terms for {actor_id!r} must be strings, got {terms!r}")
+            raise ConfigError(f"{path}: keyword terms for {actor_id!r} must be strings, got {terms!r}")
         if terms:
             try:
                 overrides[actor_id] = build_query(terms).terms[0]
             except ValueError as exc:
-                raise ValueError(f"{path}: keyword terms for {actor_id!r}: {exc}") from exc
+                raise ConfigError(f"{path}: keyword terms for {actor_id!r}: {exc}") from exc
     return overrides

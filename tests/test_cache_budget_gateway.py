@@ -12,7 +12,7 @@ from snippetnet import budget as budget_module
 from snippetnet.budget import RECORD_WIDTH, BudgetLedger, read_ledger_state
 from snippetnet import cache as cache_module
 from snippetnet.cache import QueryCache
-from snippetnet.errors import BudgetExhausted
+from snippetnet.errors import BudgetExhausted, ConfigError
 from snippetnet import ioutil
 from snippetnet.ioutil import atomic_write_bytes, json_bytes
 from snippetnet.queries import build_query
@@ -77,7 +77,7 @@ class TestQueryCache:
     def test_open_corrupt_file_raises(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             QueryCache.open(path)
 
     def test_clear_truncates(self, tmp_path):
@@ -162,7 +162,7 @@ class TestQueryCache:
         for bad in (b"{nope", b'{"query": "\\"b\\""}', b"[1]"):
             lines[2] = bad
             path.write_bytes(b"\n".join(lines))
-            with pytest.raises(ValueError, match="line 3: malformed cache record"):
+            with pytest.raises(ConfigError, match="line 3: malformed cache record"):
                 QueryCache.open(path)
 
 

@@ -372,7 +372,16 @@ class TestExitCodes:
             ])
         assert written[1] == written[0]
 
-    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"], ids=["LS", "PS", "NEL"])
+    def test_byte_order_mark_at_the_start_of_any_actors_line_is_skipped(self, tmp_path):
+        # As when two actors files are joined: the mark can start any line, or be all of one.
+        actors = tmp_path / "actors.txt"
+        actors.write_text("Alice Nguyen\n\ufeffBob Santos\n\ufeff\n", encoding="utf-8")
+        assert [actor.name for actor in cli.load_actors(actors)] == ["Alice Nguyen", "Bob Santos"]
+        code, out = run_extract(tmp_path, actors, DEMO / "corpus.jsonl")
+        assert code == 0
+        assert [edge["pair"] for edge in read_json(out)["edges"]] == [["alice-nguyen", "bob-santos"]]
+
+    @pytest.mark.parametrize("separator",["\u2028", "\u2029", "\u0085"], ids=["LS", "PS", "NEL"])
     def test_actors_file_lines_end_at_newline_only(self, tmp_path, separator):
         actors = tmp_path / "actors.txt"
         actors.write_text(f"Alice Nguyen{separator}Bob Santos\r\nCarol Reyes\n", encoding="utf-8")
@@ -472,7 +481,7 @@ class TestExitCodes:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert f"cannot read keywords file {keywords}" in err
+        assert err.count(str(keywords)) == 1
         assert message in err
         assert not (tmp_path / "cache.json").exists()
         assert not (tmp_path / "cache.json.ledger").exists()
@@ -512,8 +521,10 @@ class TestExitCodes:
         code, out = run_extract(
             tmp_path, DEMO / "actors.txt", DEMO / "corpus.jsonl", variant="srwk", keywords="",
         )
+        # The empty path is the working directory, and the OS message says so.
         assert code == 2
-        assert "cannot read keywords file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("Is a directory: '.'\n") and err.count("\n") == 1
         code, out = run_extract(tmp_path, DEMO / "actors.txt", DEMO / "corpus.jsonl", keywords="")
         assert code == 2
         assert "argument --keywords: needs --variant srwk" in capsys.readouterr().err

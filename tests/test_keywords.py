@@ -12,6 +12,7 @@ from corpusdata import ACTORS
 from snippetnet import cli
 from snippetnet.backends import FixtureBackend
 from snippetnet.corpus import load_corpus
+from snippetnet.errors import ConfigError
 from snippetnet.gateway import SearchGateway
 from snippetnet.keywords import document_frequencies, extract_keywords, fetch_actor_context, load_keyword_overrides
 from snippetnet.queries import build_query
@@ -192,5 +193,5 @@ class TestKeywordOverrides:
     def test_malformed_entry_rejected(self, tmp_path):
         path = tmp_path / "kw.json"
         path.write_text(json.dumps({"alice-nguyen": 42}), encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             load_keyword_overrides(path, ACTOR_IDS)

@@ -5,9 +5,12 @@ Each case cuts the run at every backend call k in 1..Q, either with
 --daily-limit k (exit 3; exit 0 when k is Q) or with a BackendError raised
 on backend call k (exit 4), and then reruns it with the default limit.
 Backend calls are counted by wrapping FixtureBackend.search, not read from
-the run report or the ledger.
+the run report or the ledger. At --parallelism 4 the journal holds its
+records in the order the queries completed, so its lines are compared as a
+sorted list there; every other byte is compared as it is.
 """
 
+import threading
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,7 @@ class CountedSearch:
     def __init__(self):
         self.calls = 0
         self.fail_at = None
+        self.lock = threading.Lock()  # worker threads count at once
 
 
 @pytest.fixture
@@ -39,8 +43,10 @@ def counted(monkeypatch):
     search = FixtureBackend.search
 
     def counting_search(backend, query):
-        counter.calls += 1
-        if counter.calls == counter.fail_at:
+        with counter.lock:
+            counter.calls += 1
+            failing = counter.calls == counter.fail_at
+        if failing:
             raise BackendError("injected failure")
         return search(backend, query)
 
@@ -48,40 +54,44 @@ def counted(monkeypatch):
     return counter
 
 
-def extract(workdir, variant, *flags):
+def extract(workdir, variant, parallelism, *flags):
     return main([
         "extract", "--actors", str(DEMO / "actors.txt"), "--corpus", str(DEMO / "corpus.jsonl"),
-        "--cache", str(workdir / "cache.json"), "--threshold", "0.2", "--variant", variant,
+        "--cache", str(workdir / "cache.json"), "--threshold", "0.2", "--variant", variant, "--parallelism", parallelism,
         "--dump-evidence", "--out", str(workdir / "network.json"), *flags,
     ])
 
 
-def written(workdir):
-    return {name: mask_timestamps((workdir / name).read_text(encoding="utf-8")) for name in WRITTEN}
+def written(workdir, parallelism):
+    files = {name: mask_timestamps((workdir / name).read_text(encoding="utf-8")) for name in WRITTEN}
+    if parallelism != "1":
+        files["cache.json"] = sorted(files["cache.json"].split("\n"))
+    return files
 
 
+@pytest.mark.parametrize("parallelism", ["1", "4"])
 @pytest.mark.parametrize("cut", ["daily-limit", "backend-error"])
 @pytest.mark.parametrize("variant", sorted(QUERIES))
-def test_run_cut_at_any_query_resumes_to_the_same_bytes(tmp_path, counted, capsys, variant, cut):
+def test_run_cut_at_any_query_resumes_to_the_same_bytes(tmp_path, counted, capsys, variant, cut, parallelism):
     clean = tmp_path / "clean"
     clean.mkdir()
-    assert extract(clean, variant) == 0
+    assert extract(clean, variant, parallelism) == 0
     total = counted.calls
     assert total == QUERIES[variant]
-    expected = written(clean)
+    expected = written(clean, parallelism)
 
     for k in range(1, total + 1):
         workdir = tmp_path / f"cut-{k}"
         workdir.mkdir()
         counted.calls = 0
         if cut == "daily-limit":
-            assert extract(workdir, variant, "--daily-limit", str(k)) == (0 if k == total else 3), k
+            assert extract(workdir, variant, parallelism, "--daily-limit", str(k)) == (0 if k == total else 3), k
             paid = total
         else:
             counted.fail_at = k
-            assert extract(workdir, variant) == 4, k
+            assert extract(workdir, variant, parallelism) == 4, k
             counted.fail_at = None
             paid = total + 1  # the failed call is paid for and then asked again
-        assert extract(workdir, variant) == 0, k
+        assert extract(workdir, variant, parallelism) == 0, k
         assert counted.calls == paid, k
-        assert written(workdir) == expected, k
+        assert written(workdir, parallelism) == expected, k
