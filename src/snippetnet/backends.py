@@ -22,6 +22,7 @@ from .corpus import FixtureDocument
 from .errors import BackendError
 from .queries import Query
 from .snippets import Snippet, parse_url
+from .text import contains_phrase
 
 PAGE_SIZE = 10  # one result page per query: the cache is keyed by the query alone
 TIMEOUT_S = 10.0  # LiveBackend's limit on each request's connect and each read
@@ -88,29 +89,23 @@ class FixtureBackend:
     def search(self, query: Query) -> SearchResult:
         """Exact conjunctive search over the fixture corpus.
 
-        A document matches when every phrase of the query occurs, case
-        insensitively, as a contiguous substring of its title, body, or url.
+        A document matches when text.contains_phrase finds every phrase of
+        the query in its title, body, or url.
         hit_count is the exact number of matches; snippets are the first
         PAGE_SIZE matches in corpus order, which is ascending document id.
         """
         documents = self.documents
-        known, unseen = [], []
-        for term in query.terms:
-            phrase = term.lower()
-            positions = self._positions.get(phrase)
-            if positions is None:
-                unseen.append(phrase)
-            else:
-                known.append(positions)
+        memo = [(phrase, self._positions.get(phrase)) for phrase in map(str.lower, query.terms)]
+        known = [positions for _, positions in memo if positions is not None]
+        unseen = [phrase for phrase, positions in memo if positions is None]
         if not known:
             phrase = unseen.pop(0)
-            positions = frozenset(index for index, doc in enumerate(documents) if phrase in doc.text)
-            self._positions[phrase] = positions
-            known.append(positions)
+            known.append(self._positions.setdefault(phrase, frozenset(
+                index for index, doc in enumerate(documents) if contains_phrase(doc.text, phrase))))
         smallest, *rest = sorted(known, key=len)
         hits = smallest.intersection(*rest)
         for phrase in unseen:
-            hits = [index for index in hits if phrase in documents[index].text]
+            hits = [index for index in hits if contains_phrase(documents[index].text, phrase)]
         hits = sorted(hits)
         return SearchResult(hit_count=len(hits), snippets=tuple(map(self._snippet, hits[:PAGE_SIZE])))
 

@@ -86,16 +86,16 @@ def _open_state(args, parallelism):
     return SearchGateway(backend, cache=cache, ledger=ledger, parallelism=parallelism)
 
 
-def _rank_keywords(contexts: dict, actors, k: int) -> dict:
+def _rank_keywords(contexts: dict, names, k: int) -> dict:
     """Each context's top-k (term, score) pairs, tf-idf against the distinct snippets of all contexts.
 
-    No token of any of the actors' names is a candidate: the actor's own name
+    No token of names (every actor's) is a candidate: the actor's own name
     narrows nothing, and a partner's would turn the narrowed singleton into
     the pair query.
     """
     collection = {snippet for snippets, _ in contexts.values() for snippet in snippets}
     doc_freq = document_frequencies(collection)
-    stopwords = STOPWORDS.union(*(tokenize(actor.name) for actor in actors))
+    stopwords = STOPWORDS.union(names)
     return {
         actor_id: extract_keywords(snippets, doc_freq, len(collection), k, stopwords)
         for actor_id, (snippets, _) in contexts.items()
@@ -147,6 +147,7 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
                 build_query([term])
             except ValueError as exc:
                 raise ValueError(f"keyword of {actor_id!r}: {exc}") from exc
+    names = frozenset(token for actor in actors for token in tokenize(actor.name))  # who: no keyword, no label
     paid_before = gateway.backend_calls
     evidence = detect_all(actors, gateway)
     paid_detecting = gateway.backend_calls
@@ -156,7 +157,7 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
     paid_contexts = gateway.backend_calls
 
     if keywords is None and variant == "srwk":
-        ranked = _rank_keywords(contexts, actors, 1)
+        ranked = _rank_keywords(contexts, names, 1)
         keywords = {actor_id: terms[0][0] for actor_id, terms in ranked.items() if terms}
     keywords = keywords or {}
 
@@ -169,7 +170,7 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
               for item in detected]
     edges = [
         Edge(item.pair, score, usr(contexts[item.pair[0]][0], contexts[item.pair[1]][0]),
-             label_edge(item.l_ab, [by_id[actor_id].name for actor_id in item.pair]), len(item.l_ab))
+             label_edge(item.l_ab, names), len(item.l_ab))
         for item, score in zip(detected, sr(counts, measure)) if score.value >= threshold
     ]
     network = build_network(actors, edges, provenance)
@@ -246,7 +247,8 @@ def cmd_keywords(args) -> int:
         raise ConfigError("actors file lists nobody")
     gateway = _open_state(args, 1)
     contexts = fetch_actor_context(actors, gateway)
-    ranked = _rank_keywords(contexts, actors, args.top_k)
+    names = frozenset(token for actor in actors for token in tokenize(actor.name))
+    ranked = _rank_keywords(contexts, names, args.top_k)
     payload = {
         actor.id: {
             "name": actor.name,
@@ -278,6 +280,12 @@ def positive_int(text: str) -> int:
     return value
 
 
+def file_path(text: str) -> str:
+    if not text:  # "" would read "." or write a file with no name
+        raise argparse.ArgumentTypeError("must name a file, got an empty path")
+    return text
+
+
 def fraction(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:  # false for NaN too
@@ -286,11 +294,11 @@ def fraction(text: str) -> float:
 
 
 def _add_gateway_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--actors", required=True, help="text file, one actor name per line")
+    parser.add_argument("--actors", type=file_path, required=True, help="text file, one actor name per line")
     parser.add_argument("--backend", choices=("fixture", "live"), default="fixture")
-    parser.add_argument("--corpus", help="JSON Lines corpus for the fixture backend")
+    parser.add_argument("--corpus", type=file_path, help="JSON Lines corpus for the fixture backend")
     parser.add_argument("--daily-limit", type=positive_int, default=1000, help="query budget per UTC day")
-    parser.add_argument("--cache", default="snippetnet-cache.json", help="persistent query cache path")
+    parser.add_argument("--cache", type=file_path, default="snippetnet-cache.json", help="persistent query cache path")
     parser.set_defaults(error=parser.error)  # main's checks after parsing print this subcommand's usage
 
 
@@ -307,39 +315,41 @@ def build_parser() -> argparse.ArgumentParser:
     extract_parser.add_argument("--variant", choices=VARIANTS, default="sr")
     extract_parser.add_argument("--threshold", type=fraction, required=True,
                                 help="minimum strength for an edge, in [0, 1]")
-    extract_parser.add_argument("--out", required=True, help="network output path")
+    extract_parser.add_argument("--out", type=file_path, required=True, help="network output path")
     extract_parser.add_argument("--format", choices=EXPORT_FORMATS, default="json")
-    extract_parser.add_argument("--keywords", help="per-actor keyword override file (JSON); needs --variant srwk")
+    extract_parser.add_argument("--keywords", type=file_path,
+                                help="per-actor keyword override file (JSON); needs --variant srwk")
     extract_parser.add_argument("--parallelism", type=positive_int, default=1)
     extract_parser.add_argument("--dump-evidence", action="store_true",
                                 help="also write per-pair evidence as JSON Lines")
 
     keywords = sub.add_parser("keywords", help="write per-actor keyword sets")
     _add_gateway_args(keywords)
-    keywords.add_argument("--out", required=True, help="keyword sets output path")
+    keywords.add_argument("--out", type=file_path, required=True, help="keyword sets output path")
     keywords.add_argument("--top-k", type=positive_int, default=10)
 
     cache = sub.add_parser("cache", help="inspect or clear the query cache")
     cache.add_argument("action", choices=("stats", "clear"))
-    cache.add_argument("--cache", required=True, help="persistent query cache path")
+    cache.add_argument("--cache", type=file_path, required=True, help="persistent query cache path")
     return parser
 
 
-def _clobbered(args):
-    """The first (written, kept) paths of args that name one file, or None.
-
-    A written path is --out and the report and evidence files beside it; a
-    kept one is a file the run reads (actors, corpus, keywords) or keeps its
-    state in (the cache and its ledger), which the write would replace.
-    """
+def _check_out(args) -> None:
+    """Refuse, by args.error, a written path (--out, its report or evidence) that is a directory or a kept file."""
     written = [args.out]
     if args.command == "extract":
         written.append(f"{args.out}.report.json")
         if args.dump_evidence:
             written.append(f"{args.out}.evidence.jsonl")
+    # Kept: what the run reads or keeps its state in, which the write would replace.
     kept = [args.actors, args.corpus, getattr(args, "keywords", None), args.cache, _ledger_path(args.cache)]
     kept_at = {Path(path).resolve(): path for path in kept if path is not None}
-    return next(((path, kept_at[Path(path).resolve()]) for path in written if Path(path).resolve() in kept_at), None)
+    for path in written:
+        if Path(path).is_dir():
+            args.error(f"argument --out: {path} is a directory")
+        if Path(path).resolve() in kept_at:
+            args.error(f"argument --out: {path} would replace {kept_at[Path(path).resolve()]}, "
+                       "which this run reads or keeps")
 
 
 def main(argv=None) -> int:
@@ -347,15 +357,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command != "cache":
-            if args.backend == "fixture" and not args.corpus:
+            if args.backend == "fixture" and args.corpus is None:
                 args.error("argument --corpus: required with --backend fixture")
             if args.backend == "live" and args.corpus is not None:
                 args.error("argument --corpus: not allowed with --backend live")
             if args.command == "extract" and args.keywords is not None and args.variant != "srwk":
                 args.error("argument --keywords: needs --variant srwk")
-            clash = _clobbered(args)
-            if clash:
-                args.error(f"argument --out: {clash[0]} would replace {clash[1]}, which this run reads or keeps")
+            _check_out(args)
     except SystemExit as exc:
         return exc.code
     try:

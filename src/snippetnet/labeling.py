@@ -17,7 +17,7 @@ from .text import STOPWORDS, tokenize
 # Multi-part public suffixes under which the registrable name needs a third
 # label: "uni.ac.id" identifies a site, "ac.id" identifies a country's whole
 # academic namespace. A short built-in list covers the common cases.
-DEFAULT_PUBLIC_SUFFIXES = frozenset(
+PUBLIC_SUFFIXES = frozenset(
     {
         "ac.id", "co.id", "go.id", "or.id",
         "ac.uk", "co.uk", "gov.uk", "org.uk",
@@ -62,7 +62,7 @@ def _site_size(domains: tuple[str, ...]) -> int:
     """
     if len(domains) == 4 and all(label.isascii() and label.isdigit() for label in domains):
         return 4
-    if len(domains) >= 3 and f"{domains[1]}.{domains[0]}" in DEFAULT_PUBLIC_SUFFIXES:
+    if len(domains) >= 3 and f"{domains[1]}.{domains[0]}" in PUBLIC_SUFFIXES:
         return 3
     return 2
 
@@ -93,12 +93,11 @@ def label_edge(l_ab, names) -> EdgeLabels:
     Candidates per snippet are the tokens of three streams: the host labels
     left of the registrable domain (none of an IPv4 host), the path segments
     and the title. One rule, text.tokenize, cuts all three, with the generic
-    filter widened by the tokens of names (the pair's own names, which say
-    who, not what about). Ties break lexicographically. The source field
-    records where the top-ranked token was seen most often, the first of
-    _SOURCE_PRIORITY on a tie.
+    filter widened by names, every actor's name tokens, which say who, not
+    what about. Ties break lexicographically. The source field records where
+    the top-ranked token was seen most often, the first of _SOURCE_PRIORITY on a tie.
     """
-    generic = GENERIC_TOKENS.union(*(tokenize(name) for name in names))
+    generic = GENERIC_TOKENS.union(names)
     counts: dict = {}
     by_source: dict = {}  # (token, source) -> count
     for snippet in l_ab:

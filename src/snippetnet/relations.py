@@ -22,8 +22,8 @@ from itertools import combinations
 
 from .gateway import SearchGateway
 from .queries import build_query
-from .snippets import Snippet, contains_term
-from .text import raw_tokens
+from .snippets import Snippet
+from .text import contains_phrase, raw_tokens
 
 
 def slugify(name: str) -> str:
@@ -74,6 +74,9 @@ def detect_all(actors, gateway: SearchGateway) -> list[RelationEvidence]:
     results = gateway.execute_all((build_query([a.name, b.name]) for a, b in pairs))
     evidence = []
     for (a, b), result in zip(pairs, results):
-        kept = tuple(s for s in result.snippets if contains_term(s, a.name) and contains_term(s, b.name))
+        # The URL is not searched: a name in a hostname is no mention. No name holds "\n" (build_query).
+        texts = [f"{s.title}\n{s.abstract}".lower() for s in result.snippets]
+        kept = tuple(s for s, text in zip(result.snippets, texts)
+                     if contains_phrase(text, a.name.lower()) and contains_phrase(text, b.name.lower()))
         evidence.append(RelationEvidence((a.id, b.id), result.hit_count, kept, result.hit_count > 0 and len(kept) > 0))
     return evidence

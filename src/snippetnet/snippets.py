@@ -1,4 +1,4 @@
-"""Snippet model: tokenized URL, trimmed title and abstract, and term matching.
+"""Snippet model: tokenized URL, trimmed title and abstract.
 
 Snippet is the one snippet type, built where an answer enters the program
 (see backends); snippet_record is its one JSON form, for the cache journal
@@ -73,13 +73,3 @@ def parse_url(raw: str) -> UrlTokens:
 def snippet_record(snippet: Snippet) -> dict:
     """The JSON form of a snippet, as the cache journal and the evidence dump write it."""
     return {"url": snippet.url.render(), "title": snippet.title, "abstract": snippet.abstract}
-
-
-def contains_term(snippet: Snippet, term: str) -> bool:
-    """True when term occurs, case-insensitively, in the title or the abstract.
-
-    The URL is deliberately not searched: a name embedded in a hostname is
-    not the kind of mention relation evidence is built on.
-    """
-    needle = term.lower()
-    return needle in snippet.title.lower() or needle in snippet.abstract.lower()

@@ -55,3 +55,8 @@ def raw_tokens(text: str) -> list[str]:
 def tokenize(text: str, stopwords: frozenset = STOPWORDS) -> list[str]:
     """The tokens of text, less those shorter than MIN_TOKEN_LENGTH or in stopwords."""
     return [token for token in raw_tokens(text) if len(token) >= MIN_TOKEN_LENGTH and token not in stopwords]
+
+
+def contains_phrase(text: str, phrase: str) -> bool:
+    """Where a phrase occurs, in search and detection: a substring; case-insensitive, as the caller lowers both."""
+    return phrase in text

@@ -517,20 +517,53 @@ class TestExitCodes:
             assert "argument --corpus: not allowed with --backend live" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_empty_keywords_path_is_a_file_that_cannot_be_read(self, tmp_path, capsys):
-        code, out = run_extract(
-            tmp_path, DEMO / "actors.txt", DEMO / "corpus.jsonl", variant="srwk", keywords="",
-        )
-        # The empty path is the working directory, and the OS message says so.
-        assert code == 2
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("extract", flag) for flag in ("--actors", "--corpus", "--cache", "--out", "--keywords")]
+        + [("keywords", flag) for flag in ("--actors", "--corpus", "--cache", "--out")] + [("cache", "--cache")],
+    )
+    def test_empty_path_flag_is_rejected_by_name_before_any_file_is_read(
+        self, tmp_path, monkeypatch, capsys, command, flag
+    ):
+        # "" would read the working directory or write a file with no name,
+        # after every query was paid for; the parser refuses it first.
+        monkeypatch.chdir(tmp_path)
+        given = {"--actors": str(DEMO / "actors.txt"), "--corpus": str(DEMO / "corpus.jsonl"),
+                 "--cache": "cache.json", "--out": "out.json"}
+        if command == "extract":
+            given.update({"--threshold": "0.2", "--variant": "srwk", "--keywords": "kw.json"})
+        given[flag] = ""
+        argv = [command, *(item for pair in given.items() for item in pair)] if command != "cache" else [
+            "cache", "stats", "--cache", ""]
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.endswith("Is a directory: '.'\n") and err.count("\n") == 1
-        code, out = run_extract(tmp_path, DEMO / "actors.txt", DEMO / "corpus.jsonl", keywords="")
-        assert code == 2
-        assert "argument --keywords: needs --variant srwk" in capsys.readouterr().err
-        assert not (tmp_path / "cache.json").exists()
-        assert not (tmp_path / "cache.json.ledger").exists()
-        assert not out.exists()
+        assert err.startswith(f"usage: snippetnet {command} ")
+        assert err.endswith(f"snippetnet {command}: error: argument {flag}: must name a file, got an empty path\n")
+        assert list(tmp_path.iterdir()) == []  # no cache, ledger or output written
+
+    @pytest.mark.parametrize(
+        "command, out, flags, directory",
+        [
+            ("extract", "net", [], "net"),
+            ("extract", "net", [], "net.report.json"),
+            ("extract", "net", ["--dump-evidence"], "net.evidence.jsonl"),
+            ("keywords", "net", [], "net"),
+        ],
+        ids=["out", "report", "evidence", "keywords-out"],
+    )
+    def test_out_naming_a_directory_is_rejected_before_paying(
+        self, tmp_path, monkeypatch, capsys, command, out, flags, directory
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / directory).mkdir()
+        threshold = ["--threshold", "0.2"] if command == "extract" else []
+        argv = [command, "--actors", str(DEMO / "actors.txt"), "--corpus", str(DEMO / "corpus.jsonl"),
+                "--cache", "cache.json", *threshold, *flags, "--out", out]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: snippetnet {command} ")
+        assert err.endswith(f"snippetnet {command}: error: argument --out: {directory} is a directory\n")
+        assert [path.name for path in tmp_path.iterdir()] == [directory]  # no query paid, no cache written
 
     @pytest.mark.parametrize(
         "command, out, cache, flags, kept",

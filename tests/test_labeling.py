@@ -161,16 +161,16 @@ class TestLabelEdge:
         result = label_edge([_snip(f"http://{label}.keep.example.com/x")] * 3, ())
         assert result.labels == (("keep", 3),)
 
-    def test_the_pair_names_are_never_labels(self):
+    def test_name_tokens_are_never_labels(self):
         # A name token is dropped from all three streams: host, path and title.
         url, title = "http://okafor.lab.example.org/people/ada-okafor/transit", "Ada Okafor and Li Wei: transit"
         snips = [_snip(url, title=title)]
-        assert label_edge(snips, ["Ada Okafor", "Li Wei"]).labels == (("transit", 2), ("lab", 1), ("people", 1))
+        assert label_edge(snips, {"ada", "okafor", "wei"}).labels == (("transit", 2), ("lab", 1), ("people", 1))
         assert ("okafor", 3) in label_edge(snips, ()).labels
 
     def test_a_hyphenated_host_label_of_a_name_is_never_a_label(self):
         snips = [_snip("http://alice-nguyen.lab.example.org/x")]
-        labels = dict(label_edge(snips, ["Alice Nguyen", "Bob Santos"]).labels)
+        labels = dict(label_edge(snips, {"alice", "nguyen", "bob", "santos"}).labels)
         assert labels == {"lab": 1}  # no alice, nguyen or alice-nguyen
 
     def test_the_site_under_a_public_suffix_is_never_a_label(self):
@@ -203,3 +203,18 @@ def test_extract_labels_no_edge_with_its_own_names(names):
     assert labels == ["lab", "people", "ridership", "survey", "transit"]
     names_lowered = f"{first} {second}".lower()
     assert not [token for token in labels if token in names_lowered]  # no name token, and no fragment of one
+
+
+def test_extract_labels_no_edge_with_a_third_actors_name():
+    # The pair's evidence names a third actor by surname only; a name token
+    # says who, not what about, whichever actor of the run it belongs to.
+    rows = [
+        {"id": i, "url": f"http://lab.example.org/{slug}", "title": f"Ada Okafor and Li Wei: Reyes {topic}",
+         "body": f"Ada Okafor met Li Wei to discuss {topic}."}
+        for i, (slug, topic) in enumerate([("one", "transit"), ("two", "transit survey")], start=1)
+    ]
+    actors = [Actor("Ada Okafor"), Actor("Li Wei"), Actor("Carol Reyes")]
+    network, _, _ = extract(actors, make_gateway(corpus_from_rows(rows)), threshold=0.0)
+    (edge,) = network.edges
+    assert edge.pair == ("ada-okafor", "li-wei")
+    assert edge.labels.labels == (("lab", 2), ("transit", 2), ("one", 1), ("survey", 1), ("two", 1))  # no reyes

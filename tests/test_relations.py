@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import FANOUT_ACTORS, FANOUT_KEYWORDS, StagedBackend, make_gateway, scan_count
+from conftest import FANOUT_ACTORS, FANOUT_KEYWORDS, StagedBackend, corpus_from_rows, make_gateway, scan_count
 from corpusdata import ACTORS
 from snippetnet.budget import BudgetLedger
 from snippetnet.cli import extract
@@ -60,6 +60,36 @@ class TestDetectRelation:
         backward = detect_all([b, a], gateway20)[0]
         assert forward == backward
         assert gateway20.backend_calls == 1  # same rendered query
+
+
+class TestWhereANameOccurs:
+    """A snippet mentions a name when it occurs, case-insensitively, in the title or the abstract."""
+
+    def _detect(self, names, url="http://a.com/x", title="", body=""):
+        gateway = make_gateway(corpus_from_rows([{"id": 1, "url": url, "title": title, "body": body}]))
+        (evidence,) = detect_all([Actor(name) for name in names], gateway)
+        return evidence
+
+    def test_title_matches_case_insensitively(self):
+        assert self._detect(["Alice Nguyen", "Homepage"], title="Alice NGUYEN homepage").detected
+
+    def test_abstract_matches(self):
+        assert self._detect(["Alice Nguyen", "Bob Santos"], title="Alice Nguyen", body="with Bob Santos et al").detected
+
+    def test_no_match(self):
+        evidence = self._detect(["Alice Nguyen", "Bob Santos"], title="Alice Nguyen", body="y")
+        assert (evidence.doubleton_count, evidence.detected) == (0, False)
+
+    def test_a_name_split_between_title_and_abstract_is_no_mention(self):
+        # The body names her past the abstract's 200 characters, so search counts the pair.
+        body = "Nguyen" + " x" * 100 + " Alice Nguyen"
+        evidence = self._detect(["Alice Nguyen", "Bob Santos"], title="Bob Santos with Alice", body=body)
+        assert (evidence.doubleton_count, evidence.detected) == (1, False)
+
+    def test_url_text_is_not_searched(self):
+        # Search matches the url, so the pair has a hit; no snippet shows both names, so it is not detected.
+        evidence = self._detect(["Alice", "Bob"], url="http://alice.com/bob", title="t", body="a")
+        assert (evidence.doubleton_count, evidence.detected) == (1, False)
 
 
 class TestDetectAll:

@@ -6,7 +6,7 @@ from conftest import reference_parse_url
 from snippetnet.backends import FixtureBackend, parse_result
 from snippetnet.corpus import FixtureDocument
 from snippetnet.queries import build_query
-from snippetnet.snippets import Snippet, contains_term, parse_url, snippet_record
+from snippetnet.snippets import Snippet, parse_url, snippet_record
 
 
 class TestParseUrl:
@@ -174,21 +174,3 @@ def test_parse_url_agrees_with_the_reference_on_seeded_strings():
     outcomes = {raw: outcome(parse_url, raw) for raw in candidates}
     assert sum(isinstance(result, tuple) for result in outcomes.values()) > 10_000
     assert [raw for raw, result in outcomes.items() if result != outcome(reference_parse_url, raw)] == []
-
-
-class TestContainsTerm:
-    def _snip(self, title="", abstract=""):
-        return Snippet(url=parse_url("http://a.com"), title=title, abstract=abstract)
-
-    def test_matches_title_case_insensitive(self):
-        assert contains_term(self._snip(title="Alice NGUYEN homepage"), "alice nguyen")
-
-    def test_matches_abstract(self):
-        assert contains_term(self._snip(abstract="with Bob Santos et al"), "Bob Santos")
-
-    def test_no_match(self):
-        assert not contains_term(self._snip(title="x", abstract="y"), "alice")
-
-    def test_url_text_is_not_searched(self):
-        snip = Snippet(url=parse_url("http://alice.com/alice"), title="t", abstract="a")
-        assert not contains_term(snip, "alice")

@@ -6,7 +6,7 @@ import pytest
 from conftest import oracle_raw_tokens, oracle_slugify, oracle_tokenize
 from snippetnet.labeling import GENERIC_TOKENS
 from snippetnet.relations import slugify
-from snippetnet.text import STOPWORDS, raw_tokens, tokenize
+from snippetnet.text import STOPWORDS, contains_phrase, raw_tokens, tokenize
 
 # Letters whose lowercase form is unusual or not ASCII: the Kelvin sign
 # (lowercases to ASCII "k"), dotted capital I (to "i" plus a combining dot),
@@ -95,3 +95,21 @@ class TestSlugify:
     )
     def test_examples(self, name, slug):
         assert slugify(name) == slug
+
+
+class TestContainsPhrase:
+    """The one rule for where a phrase occurs: a substring of text, both sides lowered by the caller."""
+
+    def test_matches_a_lowered_phrase_in_lowered_text(self):
+        assert contains_phrase("Alice NGUYEN homepage".lower(), "alice nguyen")
+
+    def test_no_match(self):
+        assert not contains_phrase("x", "alice")
+
+    def test_the_caller_lowers(self):
+        # FixtureDocument.text is stored lowered, so the rule itself lowers nothing.
+        assert not contains_phrase("Alice NGUYEN homepage", "alice nguyen")
+
+    def test_a_substring_of_a_longer_word_matches(self):
+        # Whole-word matching is not the rule yet: "ann lee" occurs in "joann lee".
+        assert contains_phrase("talk by joann lee", "ann lee")
