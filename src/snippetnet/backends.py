@@ -16,7 +16,9 @@ bodies and cache records alike.
 from __future__ import annotations
 
 import json
+import threading
 from collections import namedtuple
+from collections.abc import Callable
 
 from .corpus import FixtureDocument
 from .errors import BackendError
@@ -61,10 +63,14 @@ class FixtureBackend:
     """Deterministic, exact search over an in-memory corpus.
 
     documents is the corpus load_corpus returns, in ascending id order, never
-    copied. A document's page is unpacked and its url parsed when it first
+    copied, or a function of no arguments that returns it. A function is
+    called at the first search, once, under a lock, on whichever thread
+    searches first: a run whose cache may answer every query never parses
+    the corpus. A document's page is unpacked and its url parsed when it first
     reaches a result page, and the Snippet is kept, so every cached page shows
-    that one (parsing all 6,000 urls up front would cost 3.45 MB, over half
-    the 6.26 MB the loaded corpus holds). The set of document positions
+    that one (built up front for all 6,000 documents of the seed-3 deep-srwk
+    corpus, the snippets would hold 4.8 MB, the parsed urls alone 2.0 MB, next
+    to the 6.3 MB its loaded documents hold). The set of document positions
     matching a phrase is remembered once known. A query intersects the known
     sets of its phrases, smallest first, and checks each phrase not yet known
     only inside the documents that survive. Only when no phrase of a query is
@@ -73,16 +79,19 @@ class FixtureBackend:
     name, is only ever checked inside the documents naming the actor.
 
     Safe to share between threads: the gateway calls search outside its lock.
-    The only shared mutable state is the phrase and snippet memos, which
-    threads only add to. Each phrase is read once per query, so a phrase
-    another thread adds meanwhile is either used or checked, never skipped;
-    two threads that scan one phrase or build one snippet at once store equal
-    values, and a single dict get or set is atomic under the interpreter lock,
-    so no reader sees a partial entry.
+    The only shared mutable state is the corpus, set once under the lock,
+    and the phrase and snippet memos, which threads only add to. Each phrase
+    is read once per query, so a phrase another thread adds meanwhile is
+    either used or checked, never skipped; two threads that scan one phrase
+    or build one snippet at once store equal values, and a single dict get or
+    set is atomic under the interpreter lock, so no reader sees a partial
+    entry.
     """
 
-    def __init__(self, documents: tuple[FixtureDocument, ...]):
-        self.documents = documents
+    def __init__(self, documents: tuple[FixtureDocument, ...] | Callable[[], tuple[FixtureDocument, ...]]):
+        self._load = documents if callable(documents) else None
+        self.documents = None if callable(documents) else documents
+        self._loading = threading.Lock()
         self._positions: dict[str, frozenset[int]] = {}
         self._snippets: dict[int, Snippet] = {}
 
@@ -95,6 +104,8 @@ class FixtureBackend:
         PAGE_SIZE matches in corpus order, which is ascending document id.
         """
         documents = self.documents
+        if documents is None:
+            documents = self._loaded()
         memo = [(phrase, self._positions.get(phrase)) for phrase in map(str.lower, query.terms)]
         known = [positions for _, positions in memo if positions is not None]
         unseen = [phrase for phrase, positions in memo if positions is None]
@@ -108,6 +119,12 @@ class FixtureBackend:
             hits = [index for index in hits if contains_phrase(documents[index].text, phrase)]
         hits = sorted(hits)
         return SearchResult(hit_count=len(hits), snippets=tuple(map(self._snippet, hits[:PAGE_SIZE])))
+
+    def _loaded(self) -> tuple[FixtureDocument, ...]:
+        with self._loading:
+            if self.documents is None:
+                self.documents = self._load()
+            return self.documents
 
     def _snippet(self, index: int) -> Snippet:  # one per document, which every cached page shares
         snippet = self._snippets.get(index)

@@ -17,11 +17,13 @@ import argparse
 import json
 import os
 import sys
+from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 from .backends import FixtureBackend, LiveBackend
 from .budget import BudgetLedger, read_ledger_state
-from .cache import QueryCache, utc_now_iso
+from .cache import QueryCache
 from .corpus import load_corpus
 from .errors import BackendError, BudgetExhausted, ConfigError, SnippetNetError
 from .gateway import SearchGateway
@@ -38,6 +40,10 @@ from .text import STOPWORDS, tokenize
 API_KEY_ENV = "SNIPPETNET_API_KEY"
 API_ENDPOINT_ENV = "SNIPPETNET_API_ENDPOINT"
 VARIANTS = ("sr", "srwk")
+
+
+def utc_now_iso() -> str:
+    return datetime.now(timezone.utc).isoformat()
 
 
 def _ledger_path(cache_path) -> Path:
@@ -73,15 +79,22 @@ def load_actors(path) -> list:
 
 
 def _open_state(args, parallelism):
-    """Build a gateway of that parallelism over the chosen backend, with the cache and ledger of args."""
-    if args.backend == "fixture":
-        backend = FixtureBackend(load_corpus(args.corpus))
-    else:
+    """Build a gateway of that parallelism over the chosen backend, with the cache and ledger of args.
+
+    A cache filled from this very corpus may answer every query, so the
+    fixture backend parses the corpus at its first miss; otherwise it is
+    parsed here, on the calling thread. (Parsed on a worker thread, it costs
+    a second malloc arena, which raised peak memory.)
+    """
+    if args.backend == "live":
         endpoint = os.environ.get(API_ENDPOINT_ENV)
         if not endpoint:
             raise ConfigError(f"live backend needs {API_ENDPOINT_ENV} set")
         backend = LiveBackend(endpoint, api_key=os.environ.get(API_KEY_ENV))
-    cache = QueryCache.open(args.cache)
+    cache = QueryCache.open(args.cache, args.backend, args.corpus)
+    if args.backend == "fixture":
+        parse = partial(load_corpus, args.corpus)
+        backend = FixtureBackend(parse if cache.bound else parse())
     ledger = BudgetLedger.open(args.daily_limit, _ledger_path(args.cache))
     return SearchGateway(backend, cache=cache, ledger=ledger, parallelism=parallelism)
 
@@ -335,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_out(args) -> None:
-    """Refuse, by args.error, a written path (--out, its report or evidence) that is a directory or a kept file."""
+    """Refuse, by args.error, a written path (--out, its report or evidence) that is a directory or a kept file,
+    or that lies under a file: its nearest existing ancestor must be a directory."""
     written = [args.out]
     if args.command == "extract":
         written.append(f"{args.out}.report.json")
@@ -347,6 +361,9 @@ def _check_out(args) -> None:
     for path in written:
         if Path(path).is_dir():
             args.error(f"argument --out: {path} is a directory")
+        ancestor = next(parent for parent in Path(path).parents if parent.exists())
+        if not ancestor.is_dir():
+            args.error(f"argument --out: {path} lies under {ancestor}, which is not a directory")
         if Path(path).resolve() in kept_at:
             args.error(f"argument --out: {path} would replace {kept_at[Path(path).resolve()]}, "
                        "which this run reads or keeps")

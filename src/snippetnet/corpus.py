@@ -8,7 +8,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from .errors import ConfigError
-from .snippets import parse_url
+from .snippets import check_url
 
 ABSTRACT_LENGTH = 200  # a snippet abstract is the body's first slice, as a result page previews it
 
@@ -26,26 +26,28 @@ class FixtureDocument(namedtuple("FixtureDocument", "text page")):
     __slots__ = ()
 
     def __new__(cls, doc_id: int, url: str, title: str, body: str):
-        shown_title = title.strip().encode(errors="surrogatepass")
-        abstract = body[:ABSTRACT_LENGTH].strip().encode(errors="surrogatepass")
-        page = b"\xff".join((shown_title, abstract, url.encode(errors="surrogatepass")))
-        return super().__new__(cls, f"{title}\n{body}\n{url}".lower(), page)
+        page = b"\xff".join((title.strip().encode(errors="surrogatepass"),
+                              body[:ABSTRACT_LENGTH].strip().encode(errors="surrogatepass"),
+                              url.encode(errors="surrogatepass")))
+        return _new_tuple(cls, (f"{title}\n{body}\n{url}".lower(), page))  # one step, not through the namedtuple's __new__
 
     def shown(self) -> list[str]:  # the title, abstract and url a snippet shows, unpacked from page
         return [part.decode(errors="surrogatepass") for part in self.page.split(b"\xff")]
 
 
-_decode_json = json.JSONDecoder().decode
+_new_tuple = tuple.__new__
+_decoder = json.JSONDecoder()
 
 
 def load_corpus(path) -> tuple[FixtureDocument, ...]:
     """Read a JSON Lines corpus of {"id", "url", "title", "body"} rows.
 
     Ids must be JSON integers, unique and strictly ascending; url, title and
-    body must be strings, and every url must pass snippets.parse_url, so no
-    snippet built from the corpus is dropped as unparseable. Raises
-    ConfigError naming the file and line on any malformed row, and on an
-    empty file.
+    body must be strings, and every url must pass snippets.check_url, the
+    rule of parse_url, so no snippet built from the corpus is dropped as
+    unparseable. Raises ConfigError naming the file and line on any
+    malformed row, and on an empty file. A fixture run whose cache was
+    filled from this very corpus calls this only at its first cache miss.
 
     Each line is UTF-8, and one byte order mark at its start is skipped, so a
     line holding only a mark and spaces is blank; a line in another encoding,
@@ -67,7 +69,12 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
                 continue
             try:
                 # surrogatepass, as json.loads reads bytes: an encoded lone surrogate loads.
-                row = _decode_json(line.decode(errors="surrogatepass"))
+                text = line.decode(errors="surrogatepass")
+                # The line is stripped, so raw_decode reads what decode would; only
+                # text after the row is left for decode, which raises its error.
+                row, end = _decoder.raw_decode(text)
+                if end != len(text):
+                    row = _decoder.decode(text)
             except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 raise ConfigError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(row, dict):
@@ -82,7 +89,7 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
             if not (isinstance(url, str) and isinstance(title, str) and isinstance(body, str)):
                 raise ConfigError(f"{source}:{lineno}: url, title and body must be strings")
             try:
-                parse_url(url)
+                check_url(url)
             except ValueError as exc:
                 raise ConfigError(f"{source}:{lineno}: url does not parse: {exc}") from exc
             if last_id is not None and doc_id <= last_id:

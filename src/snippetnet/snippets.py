@@ -10,12 +10,15 @@ hostname goes; path segments keep their original order and case. Queries,
 fragments, userinfo and the port are dropped, scheme and host are
 lowercased, and each label is trimmed; a bracketed IPv6 host is one label.
 Rendering loses nothing that parsing keeps, parse_url(u.render()) == u, so
-the journal's rendered URLs replay exactly.
+the journal's rendered URLs replay exactly. The host rules run once per
+distinct raw scheme and host, and check_url applies parse_url's rules
+without building the tokens.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .queries import unwritable
 
@@ -41,14 +44,36 @@ def parse_url(raw: str) -> UrlTokens:
     dropped; a host that reads [...] (an IPv6 address) stays one label;
     empty path segments (from doubled or trailing slashes) are dropped.
     """
-    if "://" not in raw:
+    (scheme, domains), path = check_url(raw)
+    return UrlTokens(scheme, domains, tuple([segment for segment in path.split("/") if segment]))
+
+
+def check_url(raw: str) -> tuple[tuple[str, tuple[str, ...]], str]:
+    """Raise the ValueError parse_url raises for raw, if any; else return ((scheme, domains), raw path).
+
+    The check without the tokens: the path is not split into segments.
+    """
+    scheme, separator, rest = raw.partition("://")
+    if not separator:
         raise ValueError(f"no scheme separator in {raw!r}")
-    scheme, _, rest = raw.partition("://")
+    host, _, path = rest.split("#", 1)[0].split("?", 1)[0].partition("/")
+    site = _site(scheme, host)
+    if type(site) is str:
+        raise ValueError(f"{site} {raw!r}")
+    return site, path
+
+
+@lru_cache(maxsize=1024)
+def _site(scheme: str, host: str):
+    """(scheme, domains) of a URL's raw scheme and host, or the start of the message saying what is wrong.
+
+    The host rules run once per distinct (scheme, host), since a corpus
+    names a few sites in many URLs; a problem is returned, not raised, so
+    that it is remembered too, and the caller adds the URL to its message.
+    """
     scheme = scheme.strip().lower()
     if not scheme:
-        raise ValueError(f"empty scheme in {raw!r}")
-    rest = rest.split("#", 1)[0].split("?", 1)[0]
-    host, _, path = rest.partition("/")
+        return "empty scheme in"
     host = host.rpartition("@")[2].strip().lower()
     head, sep, maybe_port = host.rpartition(":")
     if sep and maybe_port.isdigit():
@@ -59,15 +84,15 @@ def parse_url(raw: str) -> UrlTokens:
     if joined.startswith("[") and joined.endswith("]"):  # checked as rendered, so it reparses alike
         labels = [joined]
     if not labels:
-        raise ValueError(f"empty host in {raw!r}")
+        return "empty host in"
     problem = unwritable(joined)  # a host label can become an edge label in a GraphML export
     if problem:
-        raise ValueError(f"{problem} in host of {raw!r}")
+        return f"{problem} in host of"
     head, sep, maybe_port = labels[-1].rpartition(":")
     if sep and maybe_port.isdigit():  # rendered, it would read as the port
-        raise ValueError(f"host still ends in a port in {raw!r}")
+        return "host still ends in a port in"
     labels.reverse()
-    return UrlTokens(scheme, tuple(labels), tuple([segment for segment in path.split("/") if segment]))
+    return scheme, tuple(labels)
 
 
 def snippet_record(snippet: Snippet) -> dict:

@@ -1,5 +1,4 @@
 import json
-import re
 import threading
 import unicodedata
 from collections import Counter
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import corpusdata
-from corpusdata import scan_matches
+from corpusdata import mask_timestamps, scan_matches  # mask_timestamps is re-exported for the tests
 from snippetnet.backends import FixtureBackend
 from snippetnet.budget import BudgetLedger
 from snippetnet.cache import QueryCache
@@ -174,13 +173,6 @@ def make_gateway(corpus, daily_limit=1_000_000, cache_path=None, ledger_path=Non
     else:
         ledger = BudgetLedger(daily_limit, **kwargs)
     return SearchGateway(FixtureBackend(corpus), cache=cache, ledger=ledger, parallelism=parallelism)
-
-
-_TIMESTAMP_FIELDS = re.compile(r'"(generated_at|started_at|finished_at|fetched_at)": "[^"]*"')
-
-
-def mask_timestamps(text):
-    return _TIMESTAMP_FIELDS.sub(lambda m: f'"{m.group(1)}": "X"', text)
 
 
 def read_json(path):

@@ -20,6 +20,7 @@ Designed-in facts (ids of matching documents):
 """
 
 import json
+import re
 
 ACTORS = [
     "Alice Nguyen",
@@ -256,3 +257,11 @@ def _check(rows):
 
 def write_jsonl(path, rows):
     path.write_text("\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n", encoding="utf-8")
+
+
+# Timestamps a run writes, masked by the tests and by bytes_check.py alike.
+_TIMESTAMP_FIELDS = re.compile(r'"(generated_at|started_at|finished_at|fetched_at)": "[^"]*"')
+
+
+def mask_timestamps(text):
+    return _TIMESTAMP_FIELDS.sub(lambda m: f'"{m.group(1)}": "X"', text)

@@ -34,8 +34,7 @@ class TestQueryCache:
         assert cache.lookup('"alice"') == result
         assert cache.lookup('"missing"') is None
 
-    def test_persists_and_reloads(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cache_module, "utc_now_iso", lambda: "2026-08-18T00:00:00+00:00")
+    def test_persists_and_reloads(self, tmp_path):
         path = tmp_path / "cache.json"
         cache = QueryCache(path)
         cache.store('"alice"', _result(7))
@@ -43,17 +42,17 @@ class TestQueryCache:
         assert len(reloaded) == 1
         assert reloaded.lookup('"alice"') == _result(7)
 
-    def test_file_schema(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cache_module, "utc_now_iso", lambda: "2026-08-18T00:00:00+00:00")
+    def test_file_schema(self, tmp_path):
         path = tmp_path / "cache.json"
         QueryCache(path).store('"alice" "bob"', _result(2))
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert json.loads(lines[0]) == {"snippetnet_cache": 2}
+        assert json.loads(lines[0]) == {"snippetnet_cache": 3}
         records = {record["query"]: record for record in map(json.loads, lines[1:])}
-        entry = records['"alice" "bob"']
-        assert entry["hit_count"] == 2
-        assert entry["snippets"] == [{"url": "http://a.com/x", "title": "T", "abstract": "A"}]
-        assert entry["fetched_at"] == "2026-08-18T00:00:00+00:00"
+        assert records['"alice" "bob"'] == {
+            "hit_count": 2,
+            "query": '"alice" "bob"',
+            "snippets": [{"url": "http://a.com/x", "title": "T", "abstract": "A"}],
+        }
 
     def test_stores_make_the_directory_once(self, tmp_path, monkeypatch):
         made = []
@@ -101,16 +100,14 @@ class TestQueryCache:
             raise AssertionError("a store must append, not rewrite the journal")
 
         monkeypatch.setattr(cache_module, "atomic_write_bytes", rewrite)
-        monkeypatch.setattr(cache_module, "utc_now_iso", lambda: "2026-08-18T00:00:00+00:00")
         path = tmp_path / "cache.json"
         cache = QueryCache(path)
         for i in range(300):
-            before = path.read_bytes() if path.exists() else b'{"snippetnet_cache": 2}\n'
+            before = path.read_bytes() if path.exists() else b'{"snippetnet_cache": 3}\n'
             cache.store(f'"q{i:03d}"', _result(i))
             after = path.read_bytes()
             record = json.dumps(
                 {
-                    "fetched_at": "2026-08-18T00:00:00+00:00",
                     "hit_count": i,
                     "query": f'"q{i:03d}"',
                     "snippets": [{"abstract": "A", "title": "T", "url": "http://a.com/x"}],
@@ -144,14 +141,27 @@ class TestQueryCache:
         assert replayed.lookup('"d"') == _result(4)
         assert path.read_bytes().endswith(b"\n")
 
-    def test_torn_header_is_an_empty_journal(self, tmp_path):
+    @pytest.mark.parametrize("torn", [b'{"snippetnet_ca', b'{"snippetnet_cache": 3, "backend": "fixture", "corp'])
+    def test_torn_header_is_an_empty_journal(self, tmp_path, torn):
         path = tmp_path / "cache.json"
-        path.write_bytes(b'{"snippetnet_ca')
+        path.write_bytes(torn)
         cache = QueryCache.open(path)
         assert len(cache) == 0
         cache.store('"a"', _result())
-        assert path.read_bytes().startswith(b'{"snippetnet_cache": 2}\n{')
+        assert path.read_bytes().startswith(b'{"snippetnet_cache": 3}\n{')
         assert len(QueryCache.open(path)) == 1
+
+    def test_a_version_2_journal_replays_and_takes_version_3_records(self, tmp_path):
+        path = tmp_path / "cache.json"
+        old = (b'{"snippetnet_cache": 2}\n{"fetched_at": "2026-08-18T00:00:00+00:00", '
+               b'"hit_count": 3, "query": "\\"a\\"", "snippets": []}\n')
+        path.write_bytes(old)
+        cache = QueryCache.open(path)
+        assert cache.lookup('"a"') == SearchResult(3, ())
+        cache.store('"b"', _result(1))
+        assert path.read_bytes().startswith(old)
+        assert sorted(json.loads(path.read_bytes()[len(old):])) == ["hit_count", "query", "snippets"]
+        assert len(QueryCache.open(path)) == 2
 
     def test_malformed_complete_line_raises(self, tmp_path):
         path = tmp_path / "cache.json"

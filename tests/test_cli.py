@@ -565,6 +565,22 @@ class TestExitCodes:
         assert err.endswith(f"snippetnet {command}: error: argument --out: {directory} is a directory\n")
         assert [path.name for path in tmp_path.iterdir()] == [directory]  # no query paid, no cache written
 
+    @pytest.mark.parametrize("command", ["extract", "keywords"])
+    def test_out_under_a_file_is_rejected_before_paying(self, tmp_path, monkeypatch, capsys, command):
+        # Written after every query is paid, it would fail to make its directory only then.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_bytes(b"")
+        threshold = ["--threshold", "0.2"] if command == "extract" else []
+        argv = [command, "--actors", str(DEMO / "actors.txt"), "--corpus", str(DEMO / "corpus.jsonl"),
+                "--cache", "cache.json", *threshold, "--out", "afile/deeper/net.json"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: snippetnet {command} ")
+        assert err.endswith(
+            f"snippetnet {command}: error: argument --out: afile/deeper/net.json lies under afile, "
+            "which is not a directory\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["afile"]  # no query paid, no cache written
+
     @pytest.mark.parametrize(
         "command, out, cache, flags, kept",
         [
@@ -983,7 +999,7 @@ class TestCacheCommand:
             cache_path.write_bytes(content)
         assert main(["cache", "clear", "--cache", str(cache_path)]) == 0
         assert capsys.readouterr().out == f"cleared {cache_path}\n"
-        assert cache_path.read_bytes() == b'{"snippetnet_cache": 2}\n'
+        assert cache_path.read_bytes() == b'{"snippetnet_cache": 3}\n'
 
 
 class TestConsoleEntry:

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -377,9 +378,11 @@ class TestFixtureSearch:
 
 
 class TestFixtureSearchThreads:
-    def test_shared_backend_under_many_threads_matches_the_oracle(self):
+    @pytest.mark.parametrize("deferred", [False, True], ids=["corpus", "corpus-parsed-at-first-search"])
+    def test_shared_backend_under_many_threads_matches_the_oracle(self, deferred):
         # Each round starts eight threads on a fresh backend at once, so they
-        # race to fill the same unseen phrases; every answer must match the scan.
+        # race to fill the same unseen phrases, and, deferred, to parse the
+        # corpus, which happens once; every answer must match the scan.
         rows = index_rows(seed=11, count=400)
         corpus = corpus_from_rows(rows)
         rng = random.Random(99)
@@ -402,7 +405,14 @@ class TestFixtureSearchThreads:
         sys.setswitchinterval(1e-6)
         try:
             for round_ in range(10):
-                backend = FixtureBackend(corpus)
+                parsed = []
+
+                def parse(round_=round_, parsed=parsed):
+                    time.sleep(0.001)  # long enough for every thread to reach the lock
+                    parsed.append(round_)
+                    return corpus
+
+                backend = FixtureBackend(parse if deferred else corpus)
                 start = threading.Barrier(8)
                 threads = [
                     threading.Thread(target=worker, args=(backend, start, round_ * 8 + k))
@@ -413,6 +423,7 @@ class TestFixtureSearchThreads:
                 for thread in threads:
                     thread.join(timeout=60)
                     assert not thread.is_alive()
+                assert parsed == ([round_] if deferred else [])
         finally:
             sys.setswitchinterval(previous)
         assert len(finished) == 80

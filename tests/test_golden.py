@@ -2,8 +2,8 @@
 
 Each case reruns one command over demo/ in a fresh directory and compares
 every file it writes (network, evidence, keywords, cache journal) with
-tests/golden/<case>/. Timestamps (generated_at in the JSON network,
-fetched_at in the cache journal) are masked on both sides. The run report
+tests/golden/<case>/. Timestamps (generated_at in the JSON network) are
+masked on both sides. The run report
 and the budget sidecar are left out: the report's keys may grow and the
 sidecar holds today's date; tests/test_cli.py pins the counts in both.
 

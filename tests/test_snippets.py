@@ -6,7 +6,7 @@ from conftest import reference_parse_url
 from snippetnet.backends import FixtureBackend, parse_result
 from snippetnet.corpus import FixtureDocument
 from snippetnet.queries import build_query
-from snippetnet.snippets import Snippet, parse_url, snippet_record
+from snippetnet.snippets import Snippet, check_url, parse_url, snippet_record
 
 
 class TestParseUrl:
@@ -171,6 +171,15 @@ def test_parse_url_agrees_with_the_reference_on_seeded_strings():
     # No host may hold a control character, a lone surrogate or a noncharacter; a path may.
     candidates += ["http://lab\u0001x.org/p", "http://a\ud800.b\u0001/x", "http://h\uffff.com", "http://ok.com/\u0001\ud800"]
     candidates += [random_url(rng) for _ in range(20_000)]
+    # A URL with a path added has the same scheme and host, so the host
+    # rules' memo answers it, and an error must still name the whole URL.
+    candidates = [url for raw in candidates for url in (raw, raw + "/again")]
     outcomes = {raw: outcome(parse_url, raw) for raw in candidates}
-    assert sum(isinstance(result, tuple) for result in outcomes.values()) > 10_000
+    assert sum(isinstance(result, tuple) for result in outcomes.values()) > 20_000
     assert [raw for raw, result in outcomes.items() if result != outcome(reference_parse_url, raw)] == []
+    # check_url raises what parse_url raises, and nothing where it parses.
+    def error(parse, raw):
+        result = outcome(parse, raw)
+        return result if isinstance(result, str) else None
+
+    assert [raw for raw in candidates if error(check_url, raw) != error(parse_url, raw)] == []
