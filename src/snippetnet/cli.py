@@ -381,14 +381,13 @@ def main(argv=None) -> int:
             if args.command == "extract" and args.keywords is not None and args.variant != "srwk":
                 args.error("argument --keywords: needs --variant srwk")
             _check_out(args)
-    except SystemExit as exc:
-        return exc.code
-    try:
         if args.command == "extract":
             return cmd_extract(args)
         if args.command == "keywords":
             return cmd_keywords(args)
         return cmd_cache(args.action, Path(args.cache))
+    except SystemExit as exc:
+        return exc.code
     except BudgetExhausted as exc:
         print(f"error: {exc} (cache preserved; rerun later to resume)", file=sys.stderr)
         return 3

@@ -20,8 +20,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .queries import unwritable
-
 
 class UrlTokens(namedtuple("UrlTokens", "scheme domains paths")):
     __slots__ = ()
@@ -39,7 +37,7 @@ def parse_url(raw: str) -> UrlTokens:
     """Split a URL into scheme, right-to-left host labels, and path segments.
 
     Raises ValueError on a missing '://' separator, an empty scheme or host,
-    or a host holding a character queries.unwritable names.
+    or a host that, with its port dropped, still ends in one.
     Userinfo (everything up to the host's last '@') and the port are
     dropped; a host that reads [...] (an IPv6 address) stays one label;
     empty path segments (from doubled or trailing slashes) are dropped.
@@ -85,9 +83,6 @@ def _site(scheme: str, host: str):
         labels = [joined]
     if not labels:
         return "empty host in"
-    problem = unwritable(joined)  # a host label can become an edge label in a GraphML export
-    if problem:
-        return f"{problem} in host of"
     head, sep, maybe_port = labels[-1].rpartition(":")
     if sep and maybe_port.isdigit():  # rendered, it would read as the port
         return "host still ends in a port in"

@@ -74,10 +74,6 @@ def reference_parse_url(raw):
         labels = [joined]
     if not labels:
         raise ValueError(f"empty host in {raw!r}")
-    if any(ord(char) < 0x20 for char in joined):
-        raise ValueError(f"control character in host of {raw!r}")
-    if any(0xD800 <= ord(char) <= 0xDFFF or ord(char) in (0xFFFE, 0xFFFF) for char in joined):
-        raise ValueError(f"lone surrogate or noncharacter in host of {raw!r}")
     head, sep, maybe_port = labels[-1].rpartition(":")
     if sep and maybe_port.isdigit():
         raise ValueError(f"host still ends in a port in {raw!r}")

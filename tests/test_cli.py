@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import stat
@@ -580,6 +581,19 @@ class TestExitCodes:
             f"snippetnet {command}: error: argument --out: afile/deeper/net.json lies under afile, "
             "which is not a directory\n")
         assert [path.name for path in tmp_path.iterdir()] == ["afile"]  # no query paid, no cache written
+
+    @pytest.mark.parametrize("command", ["extract", "keywords"])
+    def test_out_that_cannot_be_looked_up_exits_2_with_one_error_line(self, tmp_path, monkeypatch, capsys, command):
+        # A name longer than the file system allows is an OSError, not a missing file.
+        monkeypatch.chdir(tmp_path)
+        out = "a" * 300 + "/net.json"
+        threshold = ["--threshold", "0.2"] if command == "extract" else []
+        argv = [command, "--actors", str(DEMO / "actors.txt"), "--corpus", str(DEMO / "corpus.jsonl"),
+                "--cache", "cache.json", *threshold, "--out", out]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: ")
+        assert err.count("\n") == 1 and "a" * 300 in err
 
     @pytest.mark.parametrize(
         "command, out, cache, flags, kept",

@@ -203,22 +203,37 @@ class TestSnippetsParsedOnceWhereTheyEnter:
         assert len(search_server.authorizations) == 21
 
     @pytest.mark.parametrize("char", ["\u0001", "\ud800"], ids=["control", "surrogate"])
-    def test_host_that_xml_cannot_hold_is_dropped_so_graphml_parses(self, tmp_path, search_server, monkeypatch, char):
-        # A host label other than the rightmost two becomes an edge label;
-        # the names sit in the abstract, which gives no label.
+    def test_host_that_xml_cannot_hold_is_kept_and_every_export_parses(self, tmp_path, search_server, monkeypatch,
+                                                                       char):
+        # A host label other than the rightmost two becomes an edge label,
+        # cut into tokens; the names sit in the abstract, which gives no label.
+        odd = f"http://lab{char}x.dept.example.org/p"
+
         def answer(q):
-            snippets = [{"url": f"http://{label}.dept.example.org/p", "title": "",
-                         "abstract": " and ".join(re.findall(r'"([^"]*)"', q))} for label in (f"lab{char}x", "lab")]
+            snippets = [{"url": url, "title": "", "abstract": " and ".join(re.findall(r'"([^"]*)"', q))}
+                        for url in (odd, "http://lab.dept.example.org/p")]
             return 200, json.dumps({"hit_count": 500, "snippets": snippets}).encode("utf-8")
 
         monkeypatch.setenv("SNIPPETNET_API_ENDPOINT", search_server.endpoint)
         search_server.answer = answer
-        code, out = extract(tmp_path, "live", "network.graphml", "--format", "graphml")
-        assert code == 0
-        edges = ElementTree.parse(out).getroot().iter("{http://graphml.graphdrawing.org/xmlns}edge")
+        outs = {}
+        for form in ("json", "dot", "graphml"):
+            code, outs[form] = extract(tmp_path, "live", f"network.{form}", "--format", form, "--dump-evidence")
+            assert code == 0
+            evidence = [json.loads(line) for line in Path(f"{outs[form]}.evidence.jsonl").read_text().splitlines()]
+            assert [item["snippets"][0]["url"] for item in evidence] == [odd] * 15
+        assert len(search_server.authorizations) == 21  # 15 pairs and 6 singletons, paid once
+        assert len(read_json(outs["json"])["edges"]) == 15
+        assert outs["dot"].read_text(encoding="utf-8").count(" -- ") == 15
+        edges = ElementTree.parse(outs["graphml"]).getroot().iter("{http://graphml.graphdrawing.org/xmlns}edge")
         assert len(list(edges)) == 15
         for record in journal_records(tmp_path / "live-cache.json"):
-            assert [s["url"] for s in record["snippets"]] == ["http://lab.dept.example.org/p"]
+            assert [s["url"] for s in record["snippets"]] == [odd, "http://lab.dept.example.org/p"]
+
+        code, rerun = extract(tmp_path, "live", "rerun.json", "--dump-evidence")
+        assert code == 0
+        assert read_json(f"{rerun}.report.json")["backend_calls"] == 0
+        assert written(rerun) == written(outs["json"])
 
     def test_journal_of_raw_answers_replays_like_a_fresh_run(self, tmp_path):
         # Earlier versions journaled each answer as the backend gave it: URL

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -104,12 +105,12 @@ class TestParseSnippet:
         # The page is cut to its first 10 snippets before a bad URL drops one.
         answers = [{"url": f"http://h{i}.com/p", "title": "t", "abstract": "a"} for i in range(12)]
         answers[2]["url"] = "not-a-url"
-        # A host label can become an edge label, so no host holds what XML cannot.
+        # A host is kept as read, even one XML cannot hold: it reaches DOT and GraphML only as tokens.
         answers[4]["url"] = "http://lab\u0001x.dept.example.org/p"
         answers[5]["url"] = "http://lab\ud800x.dept.example.org/p"
         result = parse_result({"hit_count": 40, "snippets": answers})
         assert result.hit_count == 40
-        assert [snippet_record(s) for s in result.snippets] == answers[:2] + answers[3:4] + answers[6:10]
+        assert [snippet_record(s) for s in result.snippets] == answers[:2] + answers[3:10]
 
     def test_record_renders_the_parsed_url(self):
         snip = Snippet(url=parse_url("HTTP://Ex.COM:8080/a?b=1"), title="T", abstract="A")
@@ -118,8 +119,10 @@ class TestParseSnippet:
 
 # Every character class that moves a URL boundary: port colons, digits, spaces
 # (ASCII and not), userinfo, label dots, path slashes, query and fragment
-# marks, brackets, upper case and non-ASCII letters.
-URL_ALPHABET = "aZ:::0123456789   @..//?#[]\u00c9\u00e9\u0130\u00df\u212a\u00a0\u0663"
+# marks, brackets, upper case and non-ASCII letters; and what XML cannot hold,
+# which a host keeps: U+001C to U+001F are space to str.strip.
+URL_ALPHABET = ("aZ:::0123456789   @..//?#[]\u00c9\u00e9\u0130\u00df\u212a\u00a0\u0663"
+                "\u0001\u001c\u001d\u001e\u001f\ud800\ufffe\uffff")
 
 
 def random_url(rng):
@@ -129,7 +132,7 @@ def random_url(rng):
 
 
 class TestRenderIsLossless:
-    """The cache journal holds rendered URLs, so rendering must lose nothing parse_url keeps."""
+    """The cache journal holds rendered URLs as JSON, so rendering must lose nothing parse_url keeps."""
 
     def test_second_port_is_refused_and_spaces_around_labels_are_trimmed(self):
         with pytest.raises(ValueError, match="port"):
@@ -149,7 +152,7 @@ class TestRenderIsLossless:
                 continue
             parsed += 1
             try:
-                again = parse_url(tokens.render())
+                again = parse_url(json.loads(json.dumps(tokens.render())))
             except ValueError:
                 again = None
             if again != tokens:
@@ -168,7 +171,7 @@ def outcome(parse, raw):
 def test_parse_url_agrees_with_the_reference_on_seeded_strings():
     rng = random.Random(0x0DD5EED)
     candidates = ["", "example.com/a", "http//x", "://h", "http://", "http://[::1]:80/x?q#f"]
-    # No host may hold a control character, a lone surrogate or a noncharacter; a path may.
+    # A host may hold a control character, a lone surrogate or a noncharacter, as a path may.
     candidates += ["http://lab\u0001x.org/p", "http://a\ud800.b\u0001/x", "http://h\uffff.com", "http://ok.com/\u0001\ud800"]
     candidates += [random_url(rng) for _ in range(20_000)]
     # A URL with a path added has the same scheme and host, so the host
