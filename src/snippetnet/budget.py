@@ -35,8 +35,9 @@ def read_ledger_state(path) -> dict | None:
     """Parse the sidecar at path into day_key, used_today and total_issued.
 
     Returns None when the file does not exist. Raises ConfigError, its
-    message beginning with the path, when it is not a UTF-8 JSON object whose
-    fields have the types the ledger writes; an OSError is raised as it is.
+    message beginning with the path, when it is not a UTF-8 JSON object that
+    holds all three fields with the types the ledger writes (so another file
+    named like a sidecar is never overwritten); an OSError is raised as it is.
     """
     target = Path(path)
     try:
@@ -47,16 +48,16 @@ def read_ledger_state(path) -> dict | None:
         raise ConfigError(f"{target}: ledger file is not valid JSON: {exc}") from exc
     if not isinstance(state, dict):
         raise ConfigError(f"{target}: ledger file must hold a JSON object")
-    day_key = state.get("day_key")
-    if day_key is not None and not isinstance(day_key, str):
-        raise ConfigError(f"{target}: ledger day_key must be a string, got {day_key!r}")
-    counts = {}
+    missing = [name for name in ("day_key", "used_today", "total_issued") if name not in state]
+    if missing:
+        raise ConfigError(f"{target}: not a ledger: it lacks {', '.join(missing)}")
+    if not isinstance(state["day_key"], str):
+        raise ConfigError(f"{target}: ledger day_key must be a string, got {state['day_key']!r}")
     for name in ("used_today", "total_issued"):
-        value = state.get(name, 0)
+        value = state[name]
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ConfigError(f"{target}: ledger {name} must be a non-negative integer, got {value!r}")
-        counts[name] = value
-    return {"day_key": day_key, **counts}
+    return {name: state[name] for name in ("day_key", "used_today", "total_issued")}
 
 
 class BudgetLedger:

@@ -59,7 +59,6 @@ class QueryCache:
         # or 0 when it holds no record; the next append cuts the file back to it first.
         self._torn_at: int | None = None
         self._directory_made = False
-        self.bound = False
 
     @classmethod
     def open(cls, path, backend: str | None = None, corpus=None) -> "QueryCache":
@@ -67,11 +66,10 @@ class QueryCache:
 
         backend names the backend this run asks, and corpus the file the
         fixture backend reads. With them, a journal whose header names
-        another source raises ConfigError naming the journal, and bound tells
-        whether the header names this very source, so its answers came from
-        it. The corpus is read once for its fingerprint; a missing one raises
-        the OSError. Raises ConfigError naming the file when it does not match
-        the cache schema; an OSError from reading it is raised as it is.
+        another source raises ConfigError naming the journal. The corpus is
+        read once for its fingerprint; a missing one raises the OSError.
+        Raises ConfigError naming the file when it does not match the cache
+        schema; an OSError from reading it is raised as it is.
         """
         cache = cls(path)
         source = None
@@ -85,10 +83,8 @@ class QueryCache:
         except FileNotFoundError:
             return cache
         start, recorded = _read_header(data, cache.path)
-        if recorded is not None and source is not None:
-            if recorded != source:
-                raise ConfigError(_mismatch(cache.path, recorded, source, corpus))
-            cache.bound = True
+        if recorded is not None and source is not None and recorded != source:
+            raise ConfigError(_mismatch(cache.path, recorded, source, corpus))
         cut = data.rfind(b"\n") + 1
         cache._results = _replay(data[start:cut], str(cache.path))
         if not cache._results and data:

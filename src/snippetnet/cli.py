@@ -28,7 +28,7 @@ from .corpus import load_corpus
 from .errors import BackendError, BudgetExhausted, ConfigError, SnippetNetError
 from .gateway import SearchGateway
 from .keywords import document_frequencies, extract_keywords, fetch_actor_context, load_keyword_overrides
-from .ioutil import atomic_write_bytes, atomic_write_json
+from .ioutil import atomic_write_bytes, json_bytes
 from .labeling import label_edge, usr
 from .network import EXPORT_FORMATS, Edge, build_network, export
 from .queries import build_query
@@ -81,10 +81,10 @@ def load_actors(path) -> list:
 def _open_state(args, parallelism):
     """Build a gateway of that parallelism over the chosen backend, with the cache and ledger of args.
 
-    A cache filled from this very corpus may answer every query, so the
-    fixture backend parses the corpus at its first miss; otherwise it is
-    parsed here, on the calling thread. (Parsed on a worker thread, it costs
-    a second malloc arena, which raised peak memory.)
+    A cache that holds answers may answer every query, so the fixture
+    backend parses the corpus at its first miss; otherwise it is parsed here,
+    on the calling thread. (Parsed on a worker thread, it costs a second
+    malloc arena, which raised peak memory.)
     """
     if args.backend == "live":
         endpoint = os.environ.get(API_ENDPOINT_ENV)
@@ -94,7 +94,7 @@ def _open_state(args, parallelism):
     cache = QueryCache.open(args.cache, args.backend, args.corpus)
     if args.backend == "fixture":
         parse = partial(load_corpus, args.corpus)
-        backend = FixtureBackend(parse if cache.bound else parse())
+        backend = FixtureBackend(parse if len(cache) else parse())
     ledger = BudgetLedger.open(args.daily_limit, _ledger_path(args.cache))
     return SearchGateway(backend, cache=cache, ledger=ledger, parallelism=parallelism)
 
@@ -199,7 +199,7 @@ def cmd_extract(args) -> int:
     started = utc_now_iso()
     actors = load_actors(args.actors)
     if len(actors) < 2:
-        raise ConfigError("need at least two actors")
+        raise ConfigError(f"{args.actors}: need at least two actors")
     keywords = None  # or the first term per actor of the override file, checked before any query
     if args.keywords is not None:
         keywords = load_keyword_overrides(args.keywords, [actor.id for actor in actors])
@@ -246,7 +246,7 @@ def cmd_extract(args) -> int:
         "started_at": started,
         "finished_at": utc_now_iso(),
     }
-    atomic_write_json(f"{args.out}.report.json", report)
+    atomic_write_bytes(f"{args.out}.report.json", json_bytes(report))
     print(
         f"wrote {args.out}: {len(network.edges)} edges over {len(actors)} actors "
         f"({total_calls} backend calls, {gateway.cache_hits} cache hits)"
@@ -257,7 +257,7 @@ def cmd_extract(args) -> int:
 def cmd_keywords(args) -> int:
     actors = sorted(load_actors(args.actors), key=lambda a: a.id)
     if not actors:
-        raise ConfigError("actors file lists nobody")
+        raise ConfigError(f"{args.actors}: actors file lists nobody")
     gateway = _open_state(args, 1)
     contexts = fetch_actor_context(actors, gateway)
     names = frozenset(token for actor in actors for token in tokenize(actor.name))
@@ -270,7 +270,7 @@ def cmd_keywords(args) -> int:
         }
         for actor in actors
     }
-    atomic_write_json(args.out, payload)
+    atomic_write_bytes(args.out, json_bytes(payload))
     print(f"wrote {args.out}: keyword sets for {len(actors)} actors")
     return 0
 
@@ -296,6 +296,8 @@ def positive_int(text: str) -> int:
 def file_path(text: str) -> str:
     if not text:  # "" would read "." or write a file with no name
         raise argparse.ArgumentTypeError("must name a file, got an empty path")
+    if os.path.basename(text) in ("", ".", ".."):  # "x/", "x/." and "x/.." name a directory
+        raise argparse.ArgumentTypeError(f"must name a file, not a directory: {text}")
     return text
 
 

@@ -29,7 +29,3 @@ def atomic_write_bytes(path, data: bytes) -> None:
 def json_bytes(payload) -> bytes:
     """Encode payload as indented, key-sorted JSON with a trailing newline."""
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def atomic_write_json(path, payload) -> None:
-    atomic_write_bytes(path, json_bytes(payload))

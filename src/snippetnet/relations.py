@@ -10,9 +10,10 @@ Actor, RelationEvidence and the package's other records are named tuples:
 immutable, equal and hashed by value, and cheap to define, which keeps the
 start-up of every command short. Like any tuple they iterate, unpack and
 order, and a record equals a plain tuple with the same items. Actor trims
-its name and derives its id in __new__, and RelationEvidence checks its pair
-order and detected flag there; _make and _replace bypass __new__ and its
-checks, so nothing in the package calls them.
+its name and derives its id in __new__; _make and _replace bypass __new__,
+so nothing in the package calls them. RelationEvidence checks nothing:
+detect_all, which builds every one, orders each pair by id and computes its
+detected flag.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from itertools import combinations
 
 from .gateway import SearchGateway
 from .queries import build_query
-from .snippets import Snippet
 from .text import contains_phrase, raw_tokens
 
 
@@ -44,15 +44,7 @@ class Actor(namedtuple("Actor", "name id")):
         return (self.name,)
 
 
-class RelationEvidence(namedtuple("RelationEvidence", "pair doubleton_count l_ab detected")):
-    __slots__ = ()
-
-    def __new__(cls, pair: tuple[str, str], doubleton_count: int, l_ab: tuple[Snippet, ...], detected: bool):
-        if pair[0] >= pair[1]:
-            raise ValueError(f"pair must be ordered (id_min, id_max), got {pair}")
-        if detected != (doubleton_count > 0 and len(l_ab) > 0):
-            raise ValueError("detected must equal (doubleton_count > 0 and l_ab non-empty)")
-        return super().__new__(cls, pair, doubleton_count, l_ab, detected)
+RelationEvidence = namedtuple("RelationEvidence", "pair doubleton_count l_ab detected")
 
 
 def detect_all(actors, gateway: SearchGateway) -> list[RelationEvidence]:

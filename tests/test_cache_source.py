@@ -1,10 +1,11 @@
 """A cache journal is bound to the backend and corpus that filled it.
 
-A run whose journal names this very corpus parses it only at the first
-query the journal cannot answer, so a fully warm rerun parses none; any
-other run parses it when the cache is opened, on the calling thread. A
-journal filled from another corpus or backend exits 2 before any query is
-paid, and a version-2 journal, which names no source, replays as it is.
+A run whose journal holds answers parses the corpus only at the first query
+the journal cannot answer, so a fully warm rerun parses none; a run whose
+journal holds no answer parses it when the cache is opened, on the calling
+thread. A journal filled from another corpus or backend exits 2 before any
+query is paid, and a version-2 journal, which names no source, replays as it
+is.
 """
 
 import json
@@ -20,6 +21,7 @@ from conftest import read_json
 from snippetnet import cli
 from snippetnet.cache import QueryCache
 from snippetnet.cli import main
+from snippetnet.errors import ConfigError
 from test_golden import CASES, GOLDEN, assert_matches_golden, run_case
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -79,14 +81,14 @@ def test_a_journal_that_cache_clear_left_records_the_corpus_with_its_first_answe
     assert main(extract_argv(tmp_path)) == 0
     assert main(["cache", "clear", "--cache", str(tmp_path / "cache.json")]) == 0
     assert (tmp_path / "cache.json").read_bytes() == b'{"snippetnet_cache": 3}\n'
-    assert main(extract_argv(tmp_path)) == 0  # names no corpus: parsed at open, and it pays every query
-    assert main(extract_argv(tmp_path)) == 0  # bound by that run: parses nothing
+    assert main(extract_argv(tmp_path)) == 0  # holds no answer: parsed at open, and it pays every query
+    assert main(extract_argv(tmp_path)) == 0  # holds every answer: parses nothing
     assert len(parses) == 2
     assert (tmp_path / "cache.json").read_bytes() == (GOLDEN / "srwk-json" / "cache.json").read_bytes()
     assert "(0 backend calls, 25 cache hits)" in capsys.readouterr().out
 
 
-def test_a_version_2_journal_replays_unchanged_and_parses_the_corpus_at_open(tmp_path, parses):
+def test_a_version_2_journal_replays_unchanged_and_a_warm_rerun_parses_no_corpus(tmp_path, parses):
     lines = (GOLDEN / "sr-json" / "cache.json").read_text(encoding="utf-8").splitlines(keepends=True)
     records = [json.loads(line) | {"fetched_at": "2026-08-18T00:00:00+00:00"} for line in lines[1:]]
     journal = ('{"snippetnet_cache": 2}\n' + "".join(json.dumps(record, sort_keys=True) + "\n"
@@ -101,8 +103,8 @@ def test_a_version_2_journal_replays_unchanged_and_parses_the_corpus_at_open(tmp
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "FixtureBackend", backend)
         written = run_case("sr-json", tmp_path)
-    assert parses == [threading.main_thread()]
-    assert isinstance(built[0], tuple)  # the corpus itself, not a function to parse it later
+    assert parses == []
+    assert callable(built[0])  # a function to parse the corpus at the first miss, which never comes
     assert (tmp_path / "cache.json").read_bytes() == journal
     assert read_json(tmp_path / "network.json.report.json")["backend_calls"] == 0
     expected = (GOLDEN / "sr-json" / "network.json").read_text(encoding="utf-8")
@@ -156,11 +158,13 @@ def test_opening_for_a_source_never_writes_and_the_first_answer_records_it(tmp_p
     path = tmp_path / "cache.json"
     path.write_bytes(b'{"snippetnet_cache": 2}\n')  # a journal that holds no answer names no source
     cache = QueryCache.open(path, "fixture", DEMO / "corpus.jsonl")
-    assert not cache.bound
+    assert len(cache) == 0 and len(QueryCache.open(path, "live")) == 0  # any source may fill it
     assert path.read_bytes() == b'{"snippetnet_cache": 2}\n'
     golden_header = (GOLDEN / "sr-json" / "cache.json").read_bytes().split(b"\n")[0] + b"\n"
     cached = QueryCache.open(GOLDEN / "sr-json" / "cache.json")
     cache.store('"Alice Nguyen"', cached.lookup('"Alice Nguyen"'))
     assert path.read_bytes().startswith(golden_header)
-    assert QueryCache.open(path, "fixture", DEMO / "corpus.jsonl").bound
+    assert len(QueryCache.open(path, "fixture", DEMO / "corpus.jsonl")) == 1
+    with pytest.raises(ConfigError, match="its answers came from the fixture backend"):
+        QueryCache.open(path, "live")
     assert path.read_bytes().count(b"\n") == 2

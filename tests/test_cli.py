@@ -280,7 +280,7 @@ class TestExitCodes:
             "--cache", str(tmp_path / "cache.json"), "--out", str(tmp_path / "out.json"),
         ])
         assert code == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {actors}: {message}\n"  # the file comes first
         assert not (tmp_path / "cache.json").exists()
         assert not (tmp_path / "cache.json.ledger").exists()
 
@@ -542,6 +542,20 @@ class TestExitCodes:
         assert err.endswith(f"snippetnet {command}: error: argument {flag}: must name a file, got an empty path\n")
         assert list(tmp_path.iterdir()) == []  # no cache, ledger or output written
 
+    @pytest.mark.parametrize("flag, path", [("--out", "x/"), ("--out", "x/."), ("--cache", "x/")])
+    def test_path_ending_in_a_directory_is_rejected_before_paying(self, tmp_path, monkeypatch, capsys, flag, path):
+        # --out x/ would pay every query, write the network to a file x and
+        # fail on x/.report.json; --cache x/ would keep the ledger in x/.ledger
+        # and fail on the journal x, on this run and every later one.
+        monkeypatch.chdir(tmp_path)
+        given = {"--actors": str(DEMO / "actors.txt"), "--corpus": str(DEMO / "corpus.jsonl"),
+                 "--cache": "cache.json", "--threshold": "0.2", "--out": "out.json", flag: path}
+        assert main(["extract", *(item for pair in given.items() for item in pair)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: snippetnet extract ")
+        assert err.endswith(f"snippetnet extract: error: argument {flag}: must name a file, not a directory: {path}\n")
+        assert list(tmp_path.iterdir()) == []  # no cache, ledger or output written
+
     @pytest.mark.parametrize(
         "command, out, flags, directory",
         [
@@ -679,7 +693,8 @@ class TestExitCodes:
         assert "resume" in capsys.readouterr().err
         assert len(QueryCache.open(tmp_path / "cache.json")) == 5
 
-    @pytest.mark.parametrize("sidecar", [b'{"used_today": null}', b"[1]", b'{"day_key": 5}', b'{"day_key"', b"\xff"])
+    @pytest.mark.parametrize("sidecar", [b'{"used_today": null}', b"[1]", b'{"day_key": 5}', b'{"day_key"', b"\xff",
+                                         b"{}", b'{"alice-nguyen": ["graph"]}'])
     def test_malformed_ledger_sidecar_is_exit_2(
         self, tmp_path, actors6_file, corpus20_file, capsys, sidecar
     ):
@@ -689,6 +704,25 @@ class TestExitCodes:
         assert "ledger" in capsys.readouterr().err
         assert main(["cache", "stats", "--cache", str(tmp_path / "cache.json")]) == 2
         assert "ledger" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("named", ["--keywords", "--corpus"])
+    def test_an_input_named_like_the_ledger_sidecar_is_exit_2_and_kept(self, tmp_path, capsys, named):
+        # The sidecar of --cache kw is kw.ledger; read as a ledger, that input
+        # would be overwritten by the first charge.
+        inputs = {"--keywords": b'{"alice-nguyen": ["graph"]}\n',
+                  "--corpus": (DEMO / "corpus.jsonl").read_bytes().split(b"\n")[0] + b"\n"}  # one row
+        paths = {}
+        for flag, data in inputs.items():
+            paths[flag] = tmp_path / ("kw.ledger" if flag == named else f"input{flag}")
+            paths[flag].write_bytes(data)
+        code = main(["extract", "--actors", str(DEMO / "actors.txt"), "--variant", "srwk", "--threshold", "0.2",
+                     *(str(item) for pair in paths.items() for item in pair),
+                     "--cache", str(tmp_path / "kw"), "--out", str(tmp_path / "net.json")])
+        assert code == 2
+        lacks = "day_key, used_today, total_issued"
+        assert capsys.readouterr().err == f"error: {paths[named]}: not a ledger: it lacks {lacks}\n"
+        assert paths[named].read_bytes() == inputs[named]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(path.name for path in paths.values())
 
     @pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])

@@ -1,6 +1,6 @@
 """The record types are named tuples: immutable, equal and hashed by value,
-with the keyword repr they have always had, and with Actor's and
-RelationEvidence's checks still run when one is built."""
+with the keyword repr they have always had, and with Actor's checks still
+run when one is built."""
 
 import copy
 import pickle
@@ -118,25 +118,6 @@ def test_fixture_document_keeps_what_a_snippet_shows_and_one_lowercased_text():
     assert doc == (f"  a title \n{body.lower()}\nhttp://uni.ac.id/a", b"\xff".join(s.encode() for s in shown))
     assert doc.shown() == shown
     assert shown[1].startswith("Body Ä x") and len(shown[1]) == 199
-
-
-def test_relation_evidence_rejects_an_unordered_pair():
-    snippet = _examples()["Snippet"]
-    with pytest.raises(ValueError, match="pair must be ordered"):
-        RelationEvidence(("bo-chen", "ann-lee"), 3, (snippet,), True)
-    with pytest.raises(ValueError, match="pair must be ordered"):
-        RelationEvidence(("ann-lee", "ann-lee"), 3, (snippet,), True)
-
-
-@pytest.mark.parametrize(
-    "count, snippets, detected",
-    [(3, 1, False), (0, 1, True), (3, 0, True), (0, 0, True)],
-    ids=["hits-and-snippets-not-detected", "no-hits", "no-snippets", "nothing"],
-)
-def test_relation_evidence_rejects_an_inconsistent_detected_flag(count, snippets, detected):
-    l_ab = (_examples()["Snippet"],) * snippets
-    with pytest.raises(ValueError, match="detected must equal"):
-        RelationEvidence(("ann-lee", "bo-chen"), count, l_ab, detected)
 
 
 def test_optional_fields_default_to_none():
