@@ -61,16 +61,17 @@ def read_ledger_state(path) -> dict | None:
 
 
 class BudgetLedger:
-    def __init__(self, daily_limit: int, path=None, today_fn=utc_day_key,
-                 day_key: str | None = None, used_today: int = 0, total_issued: int = 0):
+    """A daily query budget that starts at zero for today; only BudgetLedger.open restores saved usage."""
+
+    def __init__(self, daily_limit: int, path=None, today_fn=utc_day_key):
         if daily_limit < 1:
             raise ValueError("daily_limit must be >= 1")
         self.daily_limit = daily_limit
         self.path = Path(path) if path is not None else None
         self.today_fn = today_fn
-        self.day_key = day_key if day_key is not None else today_fn()
-        self.used_today = used_today
-        self.total_issued = total_issued
+        self.day_key = today_fn()
+        self.used_today = 0
+        self.total_issued = 0
         self._saved_length = None  # bytes of the record this ledger last wrote
 
     @classmethod
@@ -79,9 +80,11 @@ class BudgetLedger:
 
         Raises ConfigError naming the sidecar when read_ledger_state refuses it.
         """
-        state = read_ledger_state(path) or {}
-        ledger = cls(daily_limit, path=path, today_fn=today_fn, **state)
-        ledger._roll_day()
+        ledger = cls(daily_limit, path=path, today_fn=today_fn)
+        state = read_ledger_state(path)
+        if state is not None:
+            vars(ledger).update(state)  # day_key, used_today and total_issued
+            ledger._roll_day()
         return ledger
 
     def _roll_day(self) -> None:

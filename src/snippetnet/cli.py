@@ -106,12 +106,12 @@ def _rank_keywords(contexts: dict, names, k: int) -> dict:
     narrows nothing, and a partner's would turn the narrowed singleton into
     the pair query.
     """
-    collection = {snippet for snippets, _ in contexts.values() for snippet in snippets}
+    collection = {snippet for context in contexts.values() for snippet in context.snippets}
     doc_freq = document_frequencies(collection)
     stopwords = STOPWORDS.union(names)
     return {
-        actor_id: extract_keywords(snippets, doc_freq, len(collection), k, stopwords)
-        for actor_id, (snippets, _) in contexts.items()
+        actor_id: extract_keywords(context.snippets, doc_freq, len(collection), k, stopwords)
+        for actor_id, context in contexts.items()
     }
 
 
@@ -179,10 +179,11 @@ def extract(actors, gateway, *, threshold, measure="jaccard", variant="sr", keyw
     narrowed = [(a, b) for a, b in (item.pair for item in detected) if keywords.get(a) and keywords.get(b)]
     paid = dict(zip(narrowed, sr_with_keywords(
         [(by_id[a], keywords[a], by_id[b], keywords[b]) for a, b in narrowed], gateway)))
-    counts = [paid.get(item.pair) or (contexts[item.pair[0]][1], contexts[item.pair[1]][1], item.doubleton_count, None)
+    counts = [paid.get(item.pair) or (contexts[item.pair[0]].hit_count, contexts[item.pair[1]].hit_count,
+                                      item.doubleton_count, None)
               for item in detected]
     edges = [
-        Edge(item.pair, score, usr(contexts[item.pair[0]][0], contexts[item.pair[1]][0]),
+        Edge(item.pair, score, usr(contexts[item.pair[0]].snippets, contexts[item.pair[1]].snippets),
              label_edge(item.l_ab, names), len(item.l_ab))
         for item, score in zip(detected, sr(counts, measure)) if score.value >= threshold
     ]
@@ -265,7 +266,7 @@ def cmd_keywords(args) -> int:
     payload = {
         actor.id: {
             "name": actor.name,
-            "singleton_count": contexts[actor.id][1],
+            "singleton_count": contexts[actor.id].hit_count,
             "keywords": [{"term": term, "score": score} for term, score in ranked[actor.id]],
         }
         for actor in actors

@@ -8,9 +8,10 @@ cache journal and a charge overwrites the fixed-width ledger record in place,
 both O(1) bytes and no new file per query. The backend call itself runs outside
 the lock, so independent queries may execute concurrently, and a backend shared
 by several worker threads must be safe to call from all of them at once
-(FixtureBackend is: its phrase memo only ever gains equal entries). execute_all
-is the one fan-out, on at most parallelism threads: only distinct queries go to
-them, so no two threads ever pay for one query. The backend is any object with
+(FixtureBackend is: its corpus is loaded once under its lock, and its phrase
+and snippet memos only ever gain equal entries). execute_all is the one
+fan-out, on at most parallelism threads: only distinct queries go to them, so
+no two threads ever pay for one query. The backend is any object with
 search(query) (see backends). The gateway counts what it served in two ints,
 backend_calls and cache_hits, each bumped under the lock.
 """
@@ -62,11 +63,12 @@ class SearchGateway:
         """Serve every query through execute; results in the order asked.
 
         Distinct queries start in first-asked order on at most parallelism
-        threads, the calling one among them, so at 1 no thread starts; each
-        repeat then hits the cache on the calling thread. Once a query fails
-        or the calling thread is interrupted, no further query starts; those
-        in flight, at most parallelism, still pay. Raises the error of the
-        earliest failed query in the order asked.
+        threads, the calling one among them, so at 1 no thread starts; when
+        the system refuses a thread, none further starts, and those running
+        share its queries. Each repeat then hits the cache on the calling
+        thread. Once a query fails or the calling thread is interrupted, no
+        further query starts; those in flight, at most parallelism, still
+        pay. Raises the error of the earliest failed query in the order asked.
         """
         queries = list(queries)
         distinct = list(dict.fromkeys(queries))
@@ -87,7 +89,10 @@ class SearchGateway:
         try:
             for _ in range(min(self.parallelism, len(distinct)) - 1):
                 thread = threading.Thread(target=work)
-                thread.start()
+                try:
+                    thread.start()
+                except RuntimeError:  # can't start new thread
+                    break
                 threads.append(thread)
             work()
         except BaseException:  # the calling thread was interrupted: start no further query

@@ -19,10 +19,10 @@ from .text import STOPWORDS, tokenize
 
 
 def fetch_actor_context(actors, gateway: SearchGateway) -> dict:
-    """One singleton query per actor, fanned out by gateway.execute_all: {actor id: (snippets, hit count)}."""
+    """One singleton query per actor, fanned out by gateway.execute_all: {actor id: the SearchResult it was served}."""
     actors = list(actors)
-    results = gateway.execute_all((build_query([actor.name]) for actor in actors))
-    return {actor.id: (result.snippets, result.hit_count) for actor, result in zip(actors, results)}
+    results = gateway.execute_all(build_query([actor.name]) for actor in actors)
+    return {actor.id: result for actor, result in zip(actors, results)}
 
 
 def extract_keywords(l_a, doc_freq: dict, collection_size: int, k: int, stopwords: frozenset = STOPWORDS) -> tuple:

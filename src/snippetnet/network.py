@@ -110,26 +110,13 @@ def _to_graphml(network: SocialNetwork) -> bytes:
 
 def _to_json(network: SocialNetwork) -> bytes:
     payload = {
-        "nodes": [{"id": actor.id, "name": actor.name} for actor in network.nodes],
+        "nodes": [actor._asdict() for actor in network.nodes],
         "edges": [
             {
-                "pair": list(edge.pair),
-                "weight": {
-                    "value": edge.weight.value,
-                    "measure": edge.weight.measure,
-                    "variant": edge.weight.variant,
-                    "keywords_used": list(edge.weight.keywords_used)
-                    if edge.weight.keywords_used is not None
-                    else None,
-                },
-                "usr": {
-                    "value": edge.usr.value,
-                    "shared_domains": sorted(edge.usr.shared_domains),
-                },
-                "labels": {
-                    "ranked": [[token, weight] for token, weight in edge.labels.labels],
-                    "source": edge.labels.source,
-                },
+                "pair": edge.pair,
+                "weight": edge.weight._asdict(),
+                "usr": {"value": edge.usr.value, "shared_domains": sorted(edge.usr.shared_domains)},
+                "labels": {"ranked": edge.labels.labels, "source": edge.labels.source},
                 "evidence_size": edge.evidence_size,
             }
             for edge in network.edges

@@ -58,14 +58,14 @@ def sr_with_keywords(pairs, gateway: SearchGateway) -> list[tuple]:
     """srwk's narrowed counts of each (a, kw_a, b, kw_b): (|a n kw_a|, |b n kw_b|, joint, (kw_a, kw_b)).
 
     |a n kw_a| and |b n kw_b| replace the singletons, and one four-phrase
-    query supplies the joint count. Each pair is put in id order first so its
-    joint query renders to one canonical cache key, and its trimmed keywords
-    come back in that order. Every pair's three queries are built before any
-    is paid for, and one gateway.execute_all pays for all, at the gateway's width.
+    query supplies the joint count. Each pair comes with a's id before b's,
+    as detect_all gives them, so its joint query renders to one canonical
+    cache key; its trimmed keywords come back in that order. Every
+    pair's three queries are built before any is paid for, and one
+    gateway.execute_all pays for all, at the gateway's width.
     """
-    ordered = [(a, kw_a, b, kw_b) if a.id < b.id else (b, kw_b, a, kw_a) for a, kw_a, b, kw_b in pairs]
     queries = [(build_query([a.name, kw_a]), build_query([b.name, kw_b]), build_query([a.name, kw_a, b.name, kw_b]))
-               for a, kw_a, b, kw_b in ordered]
+               for a, kw_a, b, kw_b in pairs]
     flat = (query for three in queries for query in three)
     counts = iter([result.hit_count for result in gateway.execute_all(flat)])
     return [(next(counts), next(counts), next(counts), (narrowed_a.terms[1], narrowed_b.terms[1]))

@@ -694,7 +694,10 @@ class TestExitCodes:
         assert len(QueryCache.open(tmp_path / "cache.json")) == 5
 
     @pytest.mark.parametrize("sidecar", [b'{"used_today": null}', b"[1]", b'{"day_key": 5}', b'{"day_key"', b"\xff",
-                                         b"{}", b'{"alice-nguyen": ["graph"]}'])
+                                         b"{}", b'{"alice-nguyen": ["graph"]}',
+                                         b'{"day_key": 5, "used_today": 0, "total_issued": 0}',
+                                         *(b'{"day_key": "2026-08-18", "used_today": %s, "total_issued": 3}' % used
+                                           for used in (b"-1", b"true", b"1.5", b'"3"'))])
     def test_malformed_ledger_sidecar_is_exit_2(
         self, tmp_path, actors6_file, corpus20_file, capsys, sidecar
     ):
@@ -892,12 +895,15 @@ class TestCacheJournal:
         assert not (tmp_path / "cache.json.ledger").exists()
 
     @pytest.mark.parametrize("command", ["extract", "cache stats"], ids=["extract", "cache-stats"])
-    def test_headerless_cache_is_exit_2_and_kept(self, tmp_path, command):
+    @pytest.mark.parametrize("old", [
         # A well-formed cache in the single-JSON-object format written before
         # the journal: only a journal is read, and opening never writes.
+        b'{"\\"Alice Nguyen\\"": {"fetched_at": "2026-08-18T00:00:00+00:00", "hit_count": 3, "snippets": []}}\n',
+        b'{"snippetnet_cache": 3, "backend": fixture}\n',  # begins like a header, but is no JSON
+        b'{"snippetnet_cache": 9}\n',  # a format version this reader does not know
+    ], ids=["pre-journal", "header-not-json", "unknown-version"])
+    def test_headerless_cache_is_exit_2_and_kept(self, tmp_path, command, old):
         cache_path = tmp_path / "cache.json"
-        old = ('{"\\"Alice Nguyen\\"": {"fetched_at": "2026-08-18T00:00:00+00:00", '
-               '"hit_count": 3, "snippets": []}}\n').encode("utf-8")
         cache_path.write_bytes(old)
         argv = command.split() + ["--cache", str(cache_path)]
         if command == "extract":

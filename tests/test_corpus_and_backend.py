@@ -98,10 +98,15 @@ class TestCorpusLoader:
         with pytest.raises(ConfigError):
             load_corpus(path)
 
-    def test_bad_json_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line, error", [
+        ("not json", "invalid JSON: Expecting value"),
+        # The row parses, so load_corpus's raw_decode returns; decode then reports the rest.
+        ('{"id": 1, "url": "http://a.com/x", "title": "t", "body": "b"} {"id": 2}', "invalid JSON: Extra data"),
+    ], ids=["no-json", "text-after-the-row"])
+    def test_bad_json_rejected(self, tmp_path, line, error):
         path = tmp_path / "bad.jsonl"
-        path.write_text("not json\n", encoding="utf-8")
-        with pytest.raises(ConfigError):
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:1: {error}"):
             load_corpus(path)
 
     def test_empty_corpus_rejected(self, tmp_path):

@@ -2,7 +2,8 @@
 
 Detection, contexts and srwk scoring each keep as many queries in flight as
 the gateway's parallelism allows, no query is paid for twice, and an
-interrupt of the calling thread stops every query not yet started. The
+interrupt of the calling thread stops every query not yet started, and a
+thread the system refuses to start leaves its queries to the others. The
 checks wait on barriers and counts, never on sleeps.
 """
 
@@ -10,16 +11,19 @@ import _thread
 import signal
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from conftest import FANOUT_ACTORS, FANOUT_KEYWORDS, StagedBackend, make_gateway
+from conftest import FANOUT_ACTORS, FANOUT_KEYWORDS, StagedBackend, make_gateway, mask_timestamps
 from snippetnet.budget import BudgetLedger
-from snippetnet.cli import extract
+from snippetnet.cli import extract, main
 from snippetnet.errors import BackendError
 from snippetnet.gateway import SearchGateway
 from snippetnet.queries import build_query
 from snippetnet.relations import detect_all
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def extract_srwk(backend, parallelism):
@@ -84,6 +88,36 @@ class TestExecuteAll:
         backend = StagedBackend(hook=lambda stage, n: threads.add(threading.current_thread()))
         extract_srwk(backend, parallelism=1)
         assert threads == {threading.current_thread()}
+
+
+@pytest.mark.parametrize("refused_from", [1, 2], ids=["every-start", "second-start"])
+def test_a_thread_the_system_refuses_leaves_its_queries_to_the_others(tmp_path, monkeypatch, refused_from):
+    # As when the process may start no more threads: every Thread.start from
+    # the refused_from-th on raises, as CPython's does then. The run must
+    # still exit 0 and write what a serial run writes, counts included.
+    def run(name, parallelism):
+        out = tmp_path / f"{name}.json"
+        assert main([
+            "extract", "--actors", str(DEMO / "actors.txt"), "--corpus", str(DEMO / "corpus.jsonl"),
+            "--cache", str(tmp_path / f"{name}-cache.json"), "--threshold", "0.2", "--variant", "srwk",
+            "--parallelism", str(parallelism), "--dump-evidence", "--out", str(out),
+        ]) == 0
+        return [mask_timestamps(Path(f"{out}{suffix}").read_text(encoding="utf-8"))
+                for suffix in ("", ".report.json", ".evidence.jsonl")]
+
+    serial = run("serial", 1)
+    start, asked = threading.Thread.start, []
+
+    def refusing_start(thread):
+        asked.append(thread)
+        if len(asked) >= refused_from:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", refusing_start)
+    assert run("refused", 4) == serial
+    assert sum(thread.ident is not None for thread in asked) == refused_from - 1
+    assert len(asked) > refused_from  # a later fan-out asked again, and was refused too
 
 
 @pytest.mark.parametrize("stage", ["detection", "contexts", "scoring"])

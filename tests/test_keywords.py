@@ -10,7 +10,7 @@ import pytest
 from conftest import corpus_from_rows, oracle_tokenize, read_json
 from corpusdata import ACTORS
 from snippetnet import cli
-from snippetnet.backends import FixtureBackend
+from snippetnet.backends import FixtureBackend, SearchResult
 from snippetnet.corpus import load_corpus
 from snippetnet.errors import ConfigError
 from snippetnet.gateway import SearchGateway
@@ -34,10 +34,11 @@ def _snip(title, abstract):
 class TestFetchActorContext:
     def test_returns_snippets_and_hit_count(self, gateway20):
         alice = Actor(name=ACTORS[0])
-        snippets, count = fetch_actor_context([alice], gateway20)[alice.id]
-        assert count == 4
-        assert len(snippets) == 4
-        assert all("alice nguyen" in f"{s.title} {s.abstract}".lower() for s in snippets)
+        context = fetch_actor_context([alice], gateway20)[alice.id]
+        assert context is gateway20.execute(build_query([alice.name]))  # the SearchResult as served
+        assert context.hit_count == 4
+        assert len(context.snippets) == 4
+        assert all("alice nguyen" in f"{s.title} {s.abstract}".lower() for s in context.snippets)
 
 
 class TestExtractKeywords:
@@ -80,7 +81,7 @@ class TestExtractKeywords:
 class TestDocumentFrequencies:
     def test_matches_per_document_token_scan(self, gateway20):
         contexts = fetch_actor_context([Actor(name) for name in ACTORS], gateway20)
-        collection = {snippet for snippets, _ in contexts.values() for snippet in snippets}
+        collection = {snippet for context in contexts.values() for snippet in context.snippets}
         oracle = Counter(token for s in collection for token in set(oracle_tokenize(f"{s.title} {s.abstract}")))
         assert len(collection) > 10
         assert document_frequencies(collection) == oracle
@@ -103,7 +104,8 @@ class TestDocumentFrequencies:
     def test_a_snippet_on_two_pages_counts_once(self):
         # The collection is the distinct snippets of all pages: here 3, not 4.
         shared = _snip("Graph", "mining")
-        contexts = {"a": ((shared, _snip("Graph", "census")), 2), "b": ((shared, _snip("Transit", "talks")), 2)}
+        contexts = {"a": SearchResult(hit_count=2, snippets=(shared, _snip("Graph", "census"))),
+                    "b": SearchResult(hit_count=2, snippets=(shared, _snip("Transit", "talks")))}
         ranked = {actor_id: dict(terms) for actor_id, terms in cli._rank_keywords(contexts, [], 10).items()}
         assert ranked["a"] == {"census": math.log(3 / 2), "mining": math.log(3 / 2), "graph": 0.0}
         assert ranked["b"]["talks"] == ranked["b"]["transit"] == math.log(3 / 2)

@@ -78,8 +78,8 @@ class TestUsr:
 
     def test_fixture_contexts(self, gateway20):
         contexts = fetch_actor_context([Actor(name=ACTORS[0]), Actor(name=ACTORS[1])], gateway20)
-        (alice, _), (bob, _) = contexts.values()
-        score = usr(alice, bob)
+        alice, bob = contexts.values()
+        score = usr(alice.snippets, bob.snippets)
         assert score.value == pytest.approx(1 / 3)
         assert score.shared_domains == frozenset({"netsci.org"})
 

@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -84,7 +85,7 @@ class TestSr:
         a, b = _actor("David Kim"), _actor("Erin Walsh")
         ev = detect_all([a, b], gateway20)[0]
         contexts = fetch_actor_context([a, b], gateway20)
-        counts = [(contexts[a.id][1], contexts[b.id][1], ev.doubleton_count, None)]
+        counts = [(contexts[a.id].hit_count, contexts[b.id].hit_count, ev.doubleton_count, None)]
         assert sr(counts, "jaccard")[0].value == pytest.approx(2 / 3)
         assert sr(counts, "dice")[0].value == pytest.approx(4 / 5)
         assert sr(counts, "overlap")[0].value == pytest.approx(1.0)
@@ -134,19 +135,27 @@ class TestSrWithKeywords:
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
         ev = detect_all([a, b], gateway20)[0]
         contexts = fetch_actor_context([a, b], gateway20)
-        plain = (contexts[a.id][1], contexts[b.id][1], ev.doubleton_count)
+        plain = (contexts[a.id].hit_count, contexts[b.id].hit_count, ev.doubleton_count)
         narrowed = sr_with_keywords([(a, "research", b, "research")], gateway20)[0]
         assert narrowed[:3] == plain
         assert sr([narrowed])[0].value == sr([(*plain, None)])[0].value
 
-    def test_argument_order_does_not_matter(self, corpus20):
-        g1, g2 = make_gateway(corpus20), make_gateway(corpus20)
-        a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
-        forward = sr_with_keywords([(a, "graph", b, "network")], g1)[0]
-        backward = sr_with_keywords([(b, "network", a, "graph")], g2)[0]
-        assert forward == backward
-        assert forward[3] == ("graph", "network")
-        assert g1.backend_calls == g2.backend_calls == 3
+    def test_actors_listed_out_of_id_order_query_and_report_in_pair_order(self, tmp_path, corpus20_file):
+        # sr_with_keywords takes each pair in id order, as detect_all gives
+        # them, so an actors file listing Bob first changes no query or output
+        (tmp_path / "actors.txt").write_text("Bob Santos\nAlice Nguyen\n", encoding="utf-8")
+        (tmp_path / "kw.json").write_text('{"alice-nguyen": ["graph"], "bob-santos": ["network"]}', encoding="utf-8")
+        assert main([
+            "extract", "--actors", str(tmp_path / "actors.txt"), "--corpus", str(corpus20_file),
+            "--cache", str(tmp_path / "cache.json"), "--variant", "srwk", "--keywords", str(tmp_path / "kw.json"),
+            "--threshold", "0.0", "--out", str(tmp_path / "network.json"),
+        ]) == 0
+        queries = {json.loads(line)["query"] for line in (tmp_path / "cache.json").read_text().splitlines()[1:]}
+        assert '"Alice Nguyen" "graph" "Bob Santos" "network"' in queries
+        assert not any(query.startswith('"Bob Santos" "network" "Alice') for query in queries)
+        (edge,) = read_json(tmp_path / "network.json")["edges"]
+        assert edge["pair"] == ["alice-nguyen", "bob-santos"]
+        assert edge["weight"]["keywords_used"] == ["graph", "network"]
 
     def test_blank_keyword_rejected(self, gateway20):
         a, b = _actor("Alice Nguyen"), _actor("Bob Santos")
