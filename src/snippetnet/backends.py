@@ -8,7 +8,7 @@ JSON-over-HTTP search service; engine counts are estimates, so it is
 explicitly outside those exactness guarantees. It imports the web client
 (urllib, and with it http, email and ssl) on its first search, so a run on
 the fixture backend never loads it. An answer is read into parsed snippets
-once, where it enters: the fixture backend builds them from its documents,
+once, where it enters: the fixture backend builds them from its corpus,
 and ``parse_result``, the one reader of a search answer, from live response
 bodies and cache records alike.
 """
@@ -20,11 +20,10 @@ import threading
 from collections import namedtuple
 from collections.abc import Callable
 
-from .corpus import FixtureDocument
+from .corpus import Corpus
 from .errors import BackendError
 from .queries import Query
 from .snippets import Snippet, parse_url
-from .text import contains_phrase
 
 PAGE_SIZE = 10  # one result page per query: the cache is keyed by the query alone
 TIMEOUT_S = 10.0  # LiveBackend's limit on each request's connect and each read
@@ -62,74 +61,59 @@ def parse_result(payload) -> SearchResult:
 class FixtureBackend:
     """Deterministic, exact search over an in-memory corpus.
 
-    documents is the corpus load_corpus returns, in ascending id order, never
-    copied, or a function of no arguments that returns it. A function is
-    called at the first search, once, under a lock, on whichever thread
-    searches first: a run whose cache may answer every query never parses
-    the corpus. A document's page is unpacked and its url parsed when it first
-    reaches a result page, and the Snippet is kept, so every cached page shows
-    that one (built up front for all 6,000 documents of the seed-3 deep-srwk
-    corpus, the snippets would hold 4.8 MB, the parsed urls alone 2.0 MB, next
-    to the 6.3 MB its loaded documents hold). The set of document positions
-    matching a phrase is remembered once known. A query intersects the known
-    sets of its phrases, smallest first, and checks each phrase not yet known
-    only inside the documents that survive. Only when no phrase of a query is
-    known is its first phrase scanned for over the whole corpus and
-    remembered. So a keyword phrase, always asked for next to its actor's
-    name, is only ever checked inside the documents naming the actor.
+    corpus is the Corpus load_corpus returns, never copied, or a function of
+    no arguments that returns it, called once, under the lock, at the first
+    search: a run whose cache may answer every query never parses it. A
+    document's page is unpacked and its url parsed when it first reaches a
+    result page, and the Snippet kept (for all 6,000 documents of the seed-3
+    deep-srwk corpus, snippets would hold 4.8 MB; the corpus holds 5.5 MB).
+    The documents matching a phrase are remembered once known. A query
+    intersects the known sets of its phrases, smallest first, and checks each
+    other phrase only inside the documents that survive; only when none is
+    known is its first phrase scanned for over the whole corpus. So a keyword,
+    asked next to its actor's name, is checked only where the actor is named.
 
     Safe to share between threads: the gateway calls search outside its lock.
-    The only shared mutable state is the corpus, set once under the lock,
-    and the phrase and snippet memos, which threads only add to. Each phrase
-    is read once per query, so a phrase another thread adds meanwhile is
-    either used or checked, never skipped; two threads that scan one phrase
-    or build one snippet at once store equal values, and a single dict get or
-    set is atomic under the interpreter lock, so no reader sees a partial
-    entry.
+    The corpus is set, and each full scan made, under the lock, which reads
+    the phrase memo again inside it, so a phrase is scanned for once. Threads
+    otherwise only add to the memos, and read each phrase once per query: one
+    another thread adds meanwhile is used or checked, never skipped. A dict
+    get or set is atomic under the interpreter lock.
     """
 
-    def __init__(self, documents: tuple[FixtureDocument, ...] | Callable[[], tuple[FixtureDocument, ...]]):
-        self._load = documents if callable(documents) else None
-        self.documents = None if callable(documents) else documents
-        self._loading = threading.Lock()
+    def __init__(self, corpus: Corpus | Callable[[], Corpus]):
+        self._load = corpus if callable(corpus) else None
+        self.corpus = None if callable(corpus) else corpus
+        self._lock = threading.Lock()
         self._positions: dict[str, frozenset[int]] = {}
         self._snippets: dict[int, Snippet] = {}
 
     def search(self, query: Query) -> SearchResult:
-        """Exact conjunctive search over the fixture corpus.
-
-        A document matches when text.contains_phrase finds every phrase of
-        the query in its title, body, or url.
-        hit_count is the exact number of matches; snippets are the first
-        PAGE_SIZE matches in corpus order, which is ascending document id.
-        """
-        documents = self.documents
-        if documents is None:
-            documents = self._loaded()
+        """Exact conjunctive search: a document matches when text.find_phrase finds every phrase of
+        the query in its title, body, or url. Snippets are the first PAGE_SIZE matches, by ascending id."""
         memo = [(phrase, self._positions.get(phrase)) for phrase in map(str.lower, query.terms)]
         known = [positions for _, positions in memo if positions is not None]
         unseen = [phrase for phrase, positions in memo if positions is None]
         if not known:
-            phrase = unseen.pop(0)
-            known.append(self._positions.setdefault(phrase, frozenset(
-                index for index, doc in enumerate(documents) if contains_phrase(doc.text, phrase))))
+            known.append(self._scanned(unseen.pop(0)))
         smallest, *rest = sorted(known, key=len)
-        hits = smallest.intersection(*rest)
-        for phrase in unseen:
-            hits = [index for index in hits if contains_phrase(documents[index].text, phrase)]
-        hits = sorted(hits)
+        hits = sorted(smallest.intersection(*rest))
+        for phrase in unseen:  # the corpus is set by now: a phrase is known only after it
+            hits = self.corpus.holding(phrase, hits)
         return SearchResult(hit_count=len(hits), snippets=tuple(map(self._snippet, hits[:PAGE_SIZE])))
 
-    def _loaded(self) -> tuple[FixtureDocument, ...]:
-        with self._loading:
-            if self.documents is None:
-                self.documents = self._load()
-            return self.documents
+    def _scanned(self, phrase: str) -> frozenset[int]:  # the phrase's positions, scanned for at most once
+        with self._lock:
+            if self.corpus is None:
+                self.corpus = self._load()
+            if phrase not in self._positions:
+                self._positions[phrase] = frozenset(self.corpus.scan(phrase))
+            return self._positions[phrase]
 
     def _snippet(self, index: int) -> Snippet:  # one per document, which every cached page shares
         snippet = self._snippets.get(index)
         if snippet is None:
-            title, abstract, url = self.documents[index].shown()
+            title, abstract, url = self.corpus.shown(index)
             snippet = self._snippets[index] = Snippet(parse_url(url), title, abstract)
         return snippet
 

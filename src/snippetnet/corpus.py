@@ -4,58 +4,112 @@ from __future__ import annotations
 
 import codecs
 import json
-from collections import namedtuple
+from bisect import bisect_right
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import ConfigError
 from .snippets import check_url
+from .text import find_phrase
 
 ABSTRACT_LENGTH = 200  # a snippet abstract is the body's first slice, as a result page previews it
+BLOCK_SIZE = 64  # documents per block: few objects, and a small transient while a block is joined
 
 
-class FixtureDocument(namedtuple("FixtureDocument", "text page")):
-    """A document held once, built from its row's (doc_id, url, title, body).
+class Corpus:
+    """Documents packed into a few strings, from (url, title, body) rows.
 
-    text, the title, body and url joined by newlines and lowercased, is what
-    search matches; page is what a snippet shows, the stripped title, the
-    stripped body[:ABSTRACT_LENGTH] and the url, UTF-8 (surrogatepass) joined
-    by b"\xff", a byte UTF-8 never writes. No doc_id or body is kept, so copy
-    and pickle do not apply.
+    A block holds at most BLOCK_SIZE consecutive documents, all ASCII or
+    none, so no ASCII document is widened by a non-ASCII one. Per block,
+    texts holds each f"{title}\\n{body}\\n{url}", lowered alone, joined by
+    "\\n"; pages each stripped title, stripped body[:ABSTRACT_LENGTH] and
+    url, UTF-8 (surrogatepass) joined by b"\\xff", which UTF-8 never writes;
+    starts and page_starts where each document starts in both, then their
+    end. firsts holds each block's first index, then len(corpus).
     """
 
-    __slots__ = ()
+    def __init__(self, rows):
+        self.firsts, self.texts, self.starts, self.pages, self.page_starts = [0], [], [], [], []
+        texts, pages = [], []
+        for url, title, body in rows:
+            text = f"{title}\n{body}\n{url}".lower()
+            if texts and (len(texts) == BLOCK_SIZE or text.isascii() != texts[0].isascii()):
+                self._close(texts, pages)
+            texts.append(text)
+            pages.append(b"\xff".join((title.strip().encode(errors="surrogatepass"),
+                                        body[:ABSTRACT_LENGTH].strip().encode(errors="surrogatepass"),
+                                        url.encode(errors="surrogatepass"))))
+        if texts:
+            self._close(texts, pages)
 
-    def __new__(cls, doc_id: int, url: str, title: str, body: str):
-        page = b"\xff".join((title.strip().encode(errors="surrogatepass"),
-                              body[:ABSTRACT_LENGTH].strip().encode(errors="surrogatepass"),
-                              url.encode(errors="surrogatepass")))
-        return _new_tuple(cls, (f"{title}\n{body}\n{url}".lower(), page))  # one step, not through the namedtuple's __new__
+    def _close(self, texts: list, pages: list) -> None:  # packs the open block and empties it
+        from array import array  # loaded only by a run that parses a corpus
+        self.firsts.append(self.firsts[-1] + len(texts))
+        self.texts.append("\n".join(texts))
+        self.starts.append(array("I", accumulate((len(text) + 1 for text in texts), initial=0)))
+        self.pages.append(b"".join(pages))
+        self.page_starts.append(array("I", accumulate(map(len, pages), initial=0)))
+        del texts[:], pages[:]
 
-    def shown(self) -> list[str]:  # the title, abstract and url a snippet shows, unpacked from page
-        return [part.decode(errors="surrogatepass") for part in self.page.split(b"\xff")]
+    def __len__(self) -> int:
+        return self.firsts[-1]
+
+    def scan(self, phrase: str) -> list[int]:
+        """The ascending indexes of the documents holding phrase; a hit past its document's end is none."""
+        hits = []
+        for first, text, starts in zip(self.firsts, self.texts, self.starts):
+            at = find_phrase(text, phrase)
+            while at >= 0:
+                local = bisect_right(starts, at) - 1
+                following = starts[local + 1]
+                if at + len(phrase) < following:
+                    hits.append(first + local)
+                at = find_phrase(text, phrase, following)
+        return hits
+
+    def holding(self, phrase: str, indexes: list[int]) -> list[int]:
+        """Those of the ascending indexes whose documents hold phrase, each found in its bounds alone."""
+        kept, following = [], 0
+        for index in indexes:
+            if index >= following:  # the first index in its block
+                block = bisect_right(self.firsts, index) - 1
+                first, following = self.firsts[block], self.firsts[block + 1]
+                text, starts = self.texts[block], self.starts[block]
+            local = index - first
+            if find_phrase(text, phrase, starts[local], starts[local + 1] - 1) >= 0:
+                kept.append(index)
+        return kept
+
+    def shown(self, index: int) -> list[str]:  # the title, abstract and url a snippet shows
+        block = bisect_right(self.firsts, index) - 1
+        starts, local = self.page_starts[block], index - self.firsts[block]
+        page = self.pages[block][starts[local]:starts[local + 1]]
+        return [part.decode(errors="surrogatepass") for part in page.split(b"\xff")]
 
 
-_new_tuple = tuple.__new__
 _decoder = json.JSONDecoder()
 
 
-def load_corpus(path) -> tuple[FixtureDocument, ...]:
+def load_corpus(path) -> Corpus:
     """Read a JSON Lines corpus of {"id", "url", "title", "body"} rows.
 
     Ids must be JSON integers, unique and strictly ascending; url, title and
     body must be strings, and every url must pass snippets.check_url, the
     rule of parse_url, so no snippet built from the corpus is dropped as
     unparseable. Raises ConfigError naming the file and line on any
-    malformed row, and on an empty file. A fixture run whose cache was
-    filled from this very corpus calls this only at its first cache miss.
+    malformed row, and on an empty file.
 
     Each line is UTF-8, and one byte order mark at its start is skipped, so a
     line holding only a mark and spaces is blank; a line in another encoding,
-    UTF-16 or UTF-32 too, is malformed. A row becomes its FixtureDocument
-    once it passes; its id and full body are not kept.
+    UTF-16 or UTF-32 too, is malformed. Each row is packed as it passes.
     """
-    source = Path(path)
-    docs = []
+    corpus = Corpus(_rows(Path(path)))
+    if not len(corpus):
+        raise ConfigError(f"{path}: corpus is empty")
+    return corpus
+
+
+def _rows(source: Path):  # the checked (url, title, body) of each row, one line read at a time
     last_id = None
     # Split the raw bytes at b"\n" only: str.splitlines() also breaks at
     # U+2028, U+2029 and U+0085, which json.dumps(ensure_ascii=False) leaves
@@ -97,7 +151,4 @@ def load_corpus(path) -> tuple[FixtureDocument, ...]:
                     f"{source}:{lineno}: ids must be unique and ascending (got {doc_id} after {last_id})"
                 )
             last_id = doc_id
-            docs.append(FixtureDocument(doc_id, url, title, body))
-    if not docs:
-        raise ConfigError(f"{source}: corpus is empty")
-    return tuple(docs)
+            yield url, title, body

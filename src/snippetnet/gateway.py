@@ -8,8 +8,8 @@ cache journal and a charge overwrites the fixed-width ledger record in place,
 both O(1) bytes and no new file per query. The backend call itself runs outside
 the lock, so independent queries may execute concurrently, and a backend shared
 by several worker threads must be safe to call from all of them at once
-(FixtureBackend is: its corpus is loaded once under its lock, and its phrase
-and snippet memos only ever gain equal entries). execute_all is the one
+(FixtureBackend is: it loads its corpus and scans for each phrase once, under
+its lock, and its snippet memo only ever gains equal entries). execute_all is the one
 fan-out, on at most parallelism threads: only distinct queries go to them, so
 no two threads ever pay for one query. The backend is any object with
 search(query) (see backends). The gateway counts what it served in two ints,

@@ -57,6 +57,11 @@ def tokenize(text: str, stopwords: frozenset = STOPWORDS) -> list[str]:
     return [token for token in raw_tokens(text) if len(token) >= MIN_TOKEN_LENGTH and token not in stopwords]
 
 
+def find_phrase(text: str, phrase: str, start: int = 0, end: int | None = None) -> int:
+    """Where a phrase occurs, in search and detection: its first index lying wholly in text[start:end], or -1."""
+    return text.find(phrase, start, end)
+
+
 def contains_phrase(text: str, phrase: str) -> bool:
-    """Where a phrase occurs, in search and detection: a substring; case-insensitive, as the caller lowers both."""
-    return phrase in text
+    """Whether phrase is a substring of text; case-insensitive, as the caller lowers both."""
+    return find_phrase(text, phrase) >= 0

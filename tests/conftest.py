@@ -13,7 +13,7 @@ from corpusdata import mask_timestamps, scan_matches  # mask_timestamps is re-ex
 from snippetnet.backends import FixtureBackend
 from snippetnet.budget import BudgetLedger
 from snippetnet.cache import QueryCache
-from snippetnet.corpus import FixtureDocument
+from snippetnet.corpus import Corpus
 from snippetnet.errors import BackendError
 from snippetnet.gateway import SearchGateway
 from snippetnet.relations import Actor
@@ -115,10 +115,7 @@ FANOUT_KEYWORDS = {actor.id: "topic" for actor in FANOUT_ACTORS}
 
 def fanout_corpus():
     names = " and ".join(actor.name for actor in FANOUT_ACTORS)
-    return tuple(
-        FixtureDocument(doc_id=i, url=f"https://example.org/{i}", title=names, body=f"{names} on topic {i}")
-        for i in range(1, 4)
-    )
+    return Corpus((f"https://example.org/{i}", names, f"{names} on topic {i}") for i in range(1, 4))
 
 
 class StagedBackend:
@@ -154,10 +151,7 @@ class StagedBackend:
 # --------------------------------------------------------------- helpers ----
 
 def corpus_from_rows(rows):
-    return tuple(
-        FixtureDocument(doc_id=row["id"], url=row["url"], title=row["title"], body=row["body"])
-        for row in rows
-    )
+    return Corpus((row["url"], row["title"], row["body"]) for row in rows)
 
 
 def make_gateway(corpus, daily_limit=1_000_000, cache_path=None, ledger_path=None,

@@ -12,13 +12,15 @@ import pytest
 
 import corpusdata
 from conftest import corpus_from_rows, make_gateway, scan_count, scan_matches
+from snippetnet import corpus as corpus_module
 from snippetnet.backends import PAGE_SIZE, FixtureBackend, LiveBackend
 from snippetnet.cli import extract, load_actors, main
-from snippetnet.corpus import ABSTRACT_LENGTH, FixtureDocument, load_corpus
+from snippetnet.corpus import ABSTRACT_LENGTH, BLOCK_SIZE, Corpus, load_corpus
 from snippetnet.errors import BackendError, ConfigError
 from snippetnet.gateway import SearchGateway
-from snippetnet.queries import build_query
+from snippetnet.queries import Query, build_query
 from snippetnet.relations import Actor, detect_all
+from snippetnet.snippets import Snippet, parse_url
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -68,9 +70,9 @@ class TestCorpusLoader:
         path = tmp_path / "corpus.jsonl"
         corpusdata.write_jsonl(path, corpus20_rows)
         corpus = load_corpus(path)
-        assert corpus == corpus_from_rows(corpus20_rows)
+        assert vars(corpus) == vars(corpus_from_rows(corpus20_rows))
         assert len(corpus) == 20
-        assert corpus[0].shown()[0] == "Community Detection Workshop"
+        assert corpus.shown(0)[0] == "Community Detection Workshop"
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
@@ -130,8 +132,8 @@ class TestCorpusLoader:
         assert separator in path.read_text(encoding="utf-8")
         corpus = load_corpus(path)
         assert len(corpus) == 2
-        assert corpus[0] == FixtureDocument(1, rows[0]["url"], rows[0]["title"], rows[0]["body"])
-        assert corpus[0].shown()[1] == rows[0]["body"]
+        assert vars(corpus) == vars(corpus_from_rows(rows))
+        assert corpus.shown(0)[1] == rows[0]["body"]
         result = FixtureBackend(corpus).search(build_query(["Alice Nguyen after"]))
         assert result.hit_count == 1
         assert result.snippets[0].url.render() == "http://a.com/x"
@@ -152,7 +154,7 @@ class TestCorpusLoader:
         lines[0] = b"\xef\xbb\xbf" + lines[0]
         lines[2] = b"\xef\xbb\xbf" + lines[2]
         marked.write_bytes(b"\n".join(lines))
-        assert load_corpus(marked) == load_corpus(plain)
+        assert vars(load_corpus(marked)) == vars(load_corpus(plain))
 
     @pytest.mark.parametrize("line", [b"\xef\xbb\xbf", b"\xef\xbb\xbf \t\r"], ids=["mark", "mark-and-spaces"])
     def test_a_line_of_only_a_byte_order_mark_is_blank(self, tmp_path, corpus20_rows, line):
@@ -160,7 +162,7 @@ class TestCorpusLoader:
         plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
         corpusdata.write_jsonl(plain, corpus20_rows)
         marked.write_bytes(line + b"\n\xef\xbb\xbf" + plain.read_bytes())
-        assert load_corpus(marked) == load_corpus(plain)
+        assert vars(load_corpus(marked)) == vars(load_corpus(plain))
 
     @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32"])
     def test_line_in_another_unicode_encoding_is_exit_2_naming_it(self, tmp_path, capsys, encoding):
@@ -209,7 +211,7 @@ class TestCorpusLoader:
             assert snippet.url.render() == url
 
     def test_the_loaded_backend_holds_about_one_copy_of_the_text(self, tmp_path):
-        # Each record keeps one lowercased copy of its text and a short
+        # The corpus keeps one lowercased copy of each text and a short
         # abstract, and the backend adds no copy of its own.
         rng = random.Random(17)
         words = INDEX_WORDS + ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
@@ -227,13 +229,14 @@ class TestCorpusLoader:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(backend.documents) == 500
+        assert len(backend.corpus) == 500
         assert retained / text_length < 1.5
         assert peak / text_length < 1.5
 
     def test_a_loaded_document_costs_little_beyond_its_characters(self, tmp_path):
-        # Each record is a text and a packed page, so what a short document
-        # costs beyond its characters is those two objects and the record.
+        # Documents share their block's text and pages, so what a short
+        # document costs beyond its characters is its two offsets and its
+        # share of its block's few objects: no object of its own.
         rows = [{"id": doc_id, "url": f"http://site{doc_id % 7}.example/d/{doc_id}",
                  "title": f"Note {doc_id}", "body": f"Ann Lee and Bo Chen on item {doc_id}."}
                 for doc_id in range(1, 2001)]
@@ -250,7 +253,7 @@ class TestCorpusLoader:
         characters = sum(len(f"{row['title']}\n{row['body']}\n{row['url']}")
                          + len(f"{row['title']}\xff{row['body']}\xff{row['url']}") for row in rows)
         assert len(corpus) == 2000
-        assert (retained - characters) / len(corpus) < 200
+        assert (retained - characters) / len(corpus) < 16
 
 
 class TestFixtureSearch:
@@ -331,27 +334,21 @@ class TestFixtureSearch:
             assert result.hit_count == hit_count, phrases
             assert [s.url.render() for s in result.snippets] == urls, phrases
 
-    def test_documents_are_read_once_not_once_per_query(self, corpus20_rows):
-        # A document is lowercased once, when its record is built from the row.
-        # The backend keeps the records themselves, and a query reads only the
-        # lowercased text; a document's packed page is read the first time the
-        # document reaches a result page, and never again.
+    def test_pages_are_read_once_not_once_per_query(self, corpus20_rows):
+        # A document is lowercased once, when the corpus is packed, and a
+        # query reads only the lowercased texts; a document's page is
+        # unpacked the first time the document reaches a result page, and
+        # never again.
         reads = Counter()
 
-        class CountingDocument:
-            shown = FixtureDocument.shown
+        class CountingCorpus(Corpus):
+            def shown(self, index):
+                reads[index] += 1
+                return super().shown(index)
 
-            def __init__(self, row):
-                self.record = FixtureDocument(row["id"], row["url"], row["title"], row["body"])
-                self.text = self.record.text
-
-            def __getattr__(self, name):  # every field but text
-                reads[name] += 1
-                return getattr(self.record, name)
-
-        corpus = tuple(CountingDocument(row) for row in corpus20_rows)
+        corpus = CountingCorpus((row["url"], row["title"], row["body"]) for row in corpus20_rows)
         backend = FixtureBackend(corpus)
-        assert backend.documents is corpus and not reads
+        assert backend.corpus is corpus and not reads
         rng = random.Random(5)
         returned, shown = 0, set()
         for _ in range(200):
@@ -359,7 +356,7 @@ class TestFixtureSearch:
             returned += len(result.snippets)
             shown.update(snippet.url for snippet in result.snippets)  # corpus20's urls are unique
         assert returned > len(shown) > 0
-        assert reads == {"page": len(shown)}
+        assert len(reads) == len(shown) and set(reads.values()) == {1}
 
     def test_a_cold_srwk_run_scans_the_corpus_at_most_once_per_actor_name_and_never_for_a_keyword(self):
         # A phrase is scanned for over the whole corpus only on a miss of the
@@ -386,6 +383,109 @@ class TestFixtureSearch:
         assert counts["keyword_queries"] > 0 and keywords
         assert len(scanned) == len(set(scanned))
         assert set(scanned) <= names
+
+
+# Text a packed block must keep apart: "İ" lowers to two characters, a final
+# "Σ" lowers by its context, U+0301 is a combining mark, a lone surrogate
+# widens a string to two bytes a character, and KELVIN SIGN lowers to ASCII.
+WIDE_WORDS = ["İstanbul", "ODOΣ", "Σ", "cafe\u0301", "lone\ud800", "日本", "\u212a"]
+PLAIN_WORDS = ["graph", "ann lee", "transit", "istanbul", "odoσ", "k"]
+
+
+def mixed_rows(seed, count=90):
+    """Rows that switch between ASCII and wider text in runs of 1 to 6; each title
+    starts and each url ends with a marker only its document holds. A body is
+    padded, which a page strips, and a url keeps its capital, which a page shows."""
+    rng = random.Random(seed)
+    rows, wide = [], False
+    while len(rows) < count:
+        wide = not wide
+        for _ in range(rng.randint(1, 6)):
+            doc_id = len(rows) + 1
+            pool = PLAIN_WORDS + WIDE_WORDS if wide else PLAIN_WORDS
+            words = rng.choices(pool, k=rng.randint(1, 8))
+            if wide and not any(word in WIDE_WORDS for word in words):
+                words.append(rng.choice(WIDE_WORDS))
+            rows.append({"id": doc_id, "url": f"http://h{doc_id % 3}.example/{rng.choice(PLAIN_WORDS)}/U{doc_id:03d}",
+                         "title": f"T{doc_id:03d} {' '.join(words[:2])}", "body": f" {' '.join(words[2:])} "})
+    return rows
+
+
+def row_text(row):  # the per-document rule a packed corpus must reproduce
+    return f"{row['title']}\n{row['body']}\n{row['url']}".lower()
+
+
+def mixed_phrases(rows, rng):
+    texts = [row_text(row) for row in rows]
+    phrases = [word.lower() for word in PLAIN_WORDS + WIDE_WORDS] + ["\n", "\nhttp://h1", "i\u0307", "ς", "σ", "\ud800"]
+    for _ in range(30):
+        text = rng.choice(texts)
+        at = rng.randrange(len(text))
+        phrases.append(text[at:at + rng.randint(1, 12)])  # often across a field's "\n"
+        i = rng.randrange(len(texts) - 1)
+        phrases.append(texts[i][-rng.randint(1, 5):] + "\n" + texts[i + 1][:rng.randint(0, 5)])  # across two documents
+    return phrases
+
+
+def expected_page(rows, ids):
+    by_id = {row["id"]: row for row in rows}
+    return [Snippet(parse_url(by_id[i]["url"]), by_id[i]["title"].strip(), by_id[i]["body"][:ABSTRACT_LENGTH].strip())
+            for i in ids[:PAGE_SIZE]]
+
+
+class TestPackedCorpus:
+    @pytest.fixture(params=[1, 2, BLOCK_SIZE])
+    def block_size(self, request, monkeypatch):  # the corpus reads BLOCK_SIZE as it packs
+        monkeypatch.setattr(corpus_module, "BLOCK_SIZE", request.param)
+        return request.param
+
+    def test_blocks_hold_each_document_lowered_alone_and_never_mix_ascii_with_wider_text(self, block_size):
+        rows = mixed_rows(seed=3)
+        corpus = corpus_from_rows(rows)
+        unpacked = []
+        for text, starts in zip(corpus.texts, corpus.starts):
+            documents = [text[start:end - 1] for start, end in zip(starts, starts[1:])]
+            assert len(documents) <= block_size
+            assert len({document.isascii() for document in documents}) == 1
+            unpacked += documents
+        assert unpacked == [row_text(row) for row in rows]
+        assert [corpus.shown(i) for i in range(len(rows))] == [
+            [row["title"].strip(), row["body"][:ABSTRACT_LENGTH].strip(), row["url"]] for row in rows]
+        if block_size == BLOCK_SIZE:  # the runs of 1 to 6 decide where a block ends
+            assert 1 < len(corpus.texts) < len(rows)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_packed_search_answers_as_the_per_document_rule(self, seed, block_size):
+        rows = mixed_rows(seed)
+        texts = [row_text(row) for row in rows]
+        corpus = corpus_from_rows(rows)
+        backend = FixtureBackend(corpus)
+        rng = random.Random(seed)
+        phrases = mixed_phrases(rows, rng)
+        # Hits in the first and the last document of every block, at the very start and end of its text.
+        for first, end in zip(corpus.firsts, corpus.firsts[1:]):
+            phrases += [f"t{first + 1:03d}", f"u{end:03d}"]
+        for phrase in phrases:
+            matching = [i for i, text in enumerate(texts) if phrase in text]
+            assert corpus.scan(phrase) == matching, phrase
+            assert corpus.holding(phrase, list(range(len(rows)))) == matching, phrase
+        for _ in range(150):  # conjunctions, hand-built: build_query refuses "\n" and a lone surrogate
+            query = Query(tuple(rng.sample(phrases, k=rng.randint(1, 3))))
+            ids = scan_matches(rows, query.terms)
+            result = backend.search(query)
+            assert result.hit_count == len(ids), query
+            assert list(result.snippets) == expected_page(rows, ids), query
+
+    def test_a_phrase_holding_a_newline_matches_across_fields_never_across_documents(self, block_size):
+        rows = [{"id": 1, "url": "http://a.example/x", "title": "Ann Lee", "body": "Bo Chen"},
+                {"id": 2, "url": "http://b.example/y", "title": "Cy Dunn", "body": "Ed Fay"}]
+        backend = FixtureBackend(corpus_from_rows(rows))
+        assert backend.search(Query(("Ann Lee\nBo",))).hit_count == 1
+        assert backend.search(Query(("chen\nhttp://a",))).hit_count == 1
+        for phrase in ("a.example/x\ncy", "x\nc", "x\n", "\ncy dunn"):
+            assert backend.search(Query((phrase,))).hit_count == 0, phrase
+            assert backend.search(Query(("ann", phrase))).hit_count == 0, phrase
+        assert backend.search(Query(("\n",))).hit_count == 2
 
 
 class TestFixtureSearchThreads:
@@ -439,6 +539,59 @@ class TestFixtureSearchThreads:
             sys.setswitchinterval(previous)
         assert len(finished) == 80
         assert mismatches == []
+
+    def test_threads_that_meet_one_unscanned_phrase_at_once_scan_the_corpus_for_it_once(self):
+        # A scan waits until every thread is inside a scan or queued on the
+        # backend's lock, so threads scanning without that lock all enter the
+        # scan, every time, and no outcome hangs on how the threads are timed.
+        count = 8
+        state, tally = threading.Condition(), Counter()
+
+        class QueuedLock:  # the backend's lock, counting the threads that wait for it
+            def __init__(self):
+                self.lock = threading.Lock()
+
+            def __enter__(self):
+                with state:
+                    tally["queued"] += 1
+                    state.notify_all()
+                self.lock.acquire()
+                with state:
+                    tally["queued"] -= 1
+
+            def __exit__(self, *exc):
+                self.lock.release()
+
+        class CountingCorpus(Corpus):
+            def scan(self, phrase):
+                with state:
+                    tally["scans"] += 1
+                    state.notify_all()
+                    if not state.wait_for(lambda: tally["scans"] + tally["queued"] >= count, timeout=60):
+                        raise AssertionError("not every thread reached the scan or the lock")
+                return super().scan(phrase)
+
+        rows = corpusdata.corpus20()
+        backend = FixtureBackend(CountingCorpus((row["url"], row["title"], row["body"]) for row in rows))
+        backend._lock = QueuedLock()
+        results, errors = [], []
+
+        def worker():
+            try:
+                results.append(backend.search(build_query(["Alice Nguyen"])))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert tally["scans"] == 1
+        assert len(results) == count and len(set(results)) == 1
+        assert results[0].hit_count == scan_count(rows, ["Alice Nguyen"])
 
     def test_detect_all_with_eight_threads_matches_serial(self):
         rows = index_rows(seed=13, count=300)

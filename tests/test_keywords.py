@@ -130,7 +130,7 @@ class TestDocumentFrequencies:
         lines = [json.dumps(row, ensure_ascii=False) + "\n" for row in rows]
         path.write_bytes("".join(lines).encode("utf-8", "surrogatepass"))
         corpus = load_corpus(path)
-        assert corpus == corpus_from_rows(rows)
+        assert vars(corpus) == vars(corpus_from_rows(rows))
         backend = FixtureBackend(corpus)
         collection = []
         for row in rows:

@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from snippetnet.backends import SearchResult
-from snippetnet.corpus import FixtureDocument
 from snippetnet.labeling import EdgeLabels, UsrScore
 from snippetnet.network import Edge, SocialNetwork
 from snippetnet.queries import build_query
@@ -30,7 +29,6 @@ def _examples():
         "UrlTokens": url,
         "Snippet": snippet,
         "SearchResult": SearchResult(3, (snippet,)),
-        "FixtureDocument": FixtureDocument(1, "http://uni.ac.id/a", "Title", "Body"),
         "Actor": Actor("Ann Lee"),
         "RelationEvidence": RelationEvidence(("ann-lee", "bo-chen"), 3, (snippet,), True),
         "StrengthScore": score,
@@ -46,7 +44,6 @@ FIELDS = {
     "UrlTokens": ("scheme", "domains", "paths"),
     "Snippet": ("url", "title", "abstract"),
     "SearchResult": ("hit_count", "snippets"),
-    "FixtureDocument": ("text", "page"),
     "Actor": ("name", "id"),
     "RelationEvidence": ("pair", "doubleton_count", "l_ab", "detected"),
     "StrengthScore": ("value", "measure", "variant", "keywords_used"),
@@ -109,15 +106,6 @@ def test_actor_survives_copy_and_pickle():
     actor = Actor("José Álvarez")
     assert copy.copy(actor) == copy.deepcopy(actor) == actor
     assert pickle.loads(pickle.dumps(actor)) == actor
-
-
-def test_fixture_document_keeps_what_a_snippet_shows_and_one_lowercased_text():
-    body = " Body Ä " + "x" * 300
-    doc = FixtureDocument(7, "HTTP://Uni.ac.id/A", "  A Title ", body)
-    shown = ["A Title", body[:200].strip(), "HTTP://Uni.ac.id/A"]
-    assert doc == (f"  a title \n{body.lower()}\nhttp://uni.ac.id/a", b"\xff".join(s.encode() for s in shown))
-    assert doc.shown() == shown
-    assert shown[1].startswith("Body Ä x") and len(shown[1]) == 199
 
 
 def test_optional_fields_default_to_none():

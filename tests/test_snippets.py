@@ -5,7 +5,7 @@ import pytest
 
 from conftest import reference_parse_url
 from snippetnet.backends import FixtureBackend, parse_result
-from snippetnet.corpus import FixtureDocument
+from snippetnet.corpus import Corpus
 from snippetnet.queries import build_query
 from snippetnet.snippets import Snippet, check_url, parse_url, snippet_record
 
@@ -94,7 +94,7 @@ class TestParseSnippet:
 
     def test_builds_snippet_with_parsed_url(self):
         answer = {"hit_count": 1, "snippets": [{"url": "http://a.com/x", "title": "  Title  ", "abstract": " body text "}]}
-        backend = FixtureBackend((FixtureDocument(1, "http://a.com/x", "  Title  ", " body text "),))
+        backend = FixtureBackend(Corpus([("http://a.com/x", "  Title  ", " body text ")]))
         for result in (parse_result(answer), backend.search(build_query(["body"]))):
             (snip,) = result.snippets
             assert snip.url.domains == ("com", "a")

@@ -5,7 +5,9 @@ plain threading.Thread workers, so importing the command line must not load
 the web client, the hashing behind `secrets`, or concurrent.futures and the
 logging it pulls in; a threaded run does not load the last two either. The records are named
 tuples, so it loads neither dataclasses, nor the inspect module that
-dataclasses pulls in, nor typing. The modules are compared
+dataclasses pulls in, nor typing. Nor does it load array, which only a run
+that parses a corpus needs: a warm rerun, answered from the cache, never
+does. The modules are compared
 with those of a bare interpreter, so whatever a machine's `site` preloads
 does not count.
 """
@@ -31,6 +33,7 @@ NOT_AT_STARTUP = (
     "dataclasses",
     "inspect",
     "typing",
+    "array",
 )
 
 
@@ -77,14 +80,13 @@ from corpusdata import ACTORS, corpus20
 from snippetnet.backends import FixtureBackend, LiveBackend
 from snippetnet.budget import BudgetLedger
 from snippetnet.cache import QueryCache
-from snippetnet.corpus import FixtureDocument
+from snippetnet.corpus import Corpus
 from snippetnet.gateway import SearchGateway
 from snippetnet.queries import build_query
 from snippetnet.relations import Actor, detect_all
 
 actors = [Actor(name) for name in ACTORS]
-corpus = tuple(FixtureDocument(doc_id=row["id"], url=row["url"], title=row["title"], body=row["body"])
-               for row in corpus20())
+corpus = Corpus((row["url"], row["title"], row["body"]) for row in corpus20())
 
 def detect(parallelism):
     gateway = SearchGateway(FixtureBackend(corpus), cache=QueryCache(), ledger=BudgetLedger(1000),

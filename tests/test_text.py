@@ -6,7 +6,7 @@ import pytest
 from conftest import oracle_raw_tokens, oracle_slugify, oracle_tokenize
 from snippetnet.labeling import GENERIC_TOKENS
 from snippetnet.relations import slugify
-from snippetnet.text import STOPWORDS, contains_phrase, raw_tokens, tokenize
+from snippetnet.text import STOPWORDS, contains_phrase, find_phrase, raw_tokens, tokenize
 
 # Letters whose lowercase form is unusual or not ASCII: the Kelvin sign
 # (lowercases to ASCII "k"), dotted capital I (to "i" plus a combining dot),
@@ -107,9 +107,19 @@ class TestContainsPhrase:
         assert not contains_phrase("x", "alice")
 
     def test_the_caller_lowers(self):
-        # FixtureDocument.text is stored lowered, so the rule itself lowers nothing.
+        # The corpus stores its texts lowered, so the rule itself lowers nothing.
         assert not contains_phrase("Alice NGUYEN homepage", "alice nguyen")
 
     def test_a_substring_of_a_longer_word_matches(self):
         # Whole-word matching is not the rule yet: "ann lee" occurs in "joann lee".
         assert contains_phrase("talk by joann lee", "ann lee")
+
+    def test_find_phrase_looks_only_between_start_and_end(self):
+        # Search and detection share this rule: a packed corpus finds a phrase
+        # in one document of a block by the document's bounds.
+        text = "ann lee\nbo chen\nann lee"
+        assert find_phrase(text, "ann lee") == 0
+        assert find_phrase(text, "ann lee", 1) == 16
+        assert find_phrase(text, "ann lee", 1, len(text) - 1) == -1
+        assert find_phrase(text, "lee\nbo", 0, 10) == 4
+        assert find_phrase(text, "absent") == -1
