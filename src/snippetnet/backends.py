@@ -59,14 +59,14 @@ def parse_result(payload) -> SearchResult:
 
 
 class FixtureBackend:
-    """Deterministic, exact search over an in-memory corpus.
+    """Deterministic, exact search over a corpus held in memory as lowered text.
 
     corpus is the Corpus load_corpus returns, never copied, or a function of
     no arguments that returns it, called once, under the lock, at the first
     search: a run whose cache may answer every query never parses it. A
-    document's page is unpacked and its url parsed when it first reaches a
-    result page, and the Snippet kept (for all 6,000 documents of the seed-3
-    deep-srwk corpus, snippets would hold 4.8 MB; the corpus holds 5.5 MB).
+    document's page is read back from its line of the corpus file and its
+    url parsed when it first reaches a result page, and the Snippet kept: of
+    the 6,000 documents of the seed-3 deep-srwk corpus, 180 ever do.
     The documents matching a phrase are remembered once known. A query
     intersects the known sets of its phrases, smallest first, and checks each
     other phrase only inside the documents that survive; only when none is

@@ -22,15 +22,17 @@ journal (header ``{"snippetnet_cache": 2}``, each record with a
 ``fetched_at`` time that nothing reads) names no source and is read as it
 is; records appended to it take the version-3 form.
 
-Opening replays the journal; the last record for a query wins. A final
-segment without a trailing newline is a torn append: it is dropped and cut
-off before the next append. A valid record has a string query, and the rest
-of it is a search answer that ``backends.parse_result``, the reader the live
-backend uses too, accepts; it reads the raw snippets that earlier versions
-stored into the same snippets. ``_replay`` is the only record parser. A
-complete line that is not a valid record, and a file that does not begin
-with a header or a cut-off piece of one, raise ConfigError naming the file,
-and ``clear`` refuses the latter too.
+Opening replays the journal one line at a time from the file, never
+holding it whole; the last record for a query wins. In memory every
+zero-hit answer is one SearchResult, and equal snippets are one Snippet. A
+final segment without a trailing newline is a torn append: it is dropped
+and cut off before the next append. A valid record has a string query, and
+the rest of it is a search answer that ``backends.parse_result``, the
+reader the live backend uses too, accepts; it reads the raw snippets that
+earlier versions stored into the same snippets. ``_replay`` is the only
+record parser. A complete line that is not a valid record, and a file that
+does not begin with a header or a cut-off piece of one, raise ConfigError
+naming the file, and ``clear`` refuses the latter too.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from .snippets import snippet_record
 VERSION = 3
 HEADER = b'{"snippetnet_cache": %d}\n' % VERSION  # the header of a journal that names no source
 _MAGIC = b'{"snippetnet_cache": '  # how every header begins
+_NO_HITS = SearchResult(hit_count=0, snippets=())  # every zero-hit answer a journal replays
 
 
 class QueryCache:
@@ -79,18 +82,19 @@ class QueryCache:
                 source["corpus"] = _fingerprint(corpus)
             cache._header = (json.dumps({"snippetnet_cache": VERSION, **source}) + "\n").encode("utf-8")
         try:
-            data = cache.path.read_bytes()
+            handle = cache.path.open("rb")
         except FileNotFoundError:
             return cache
-        start, recorded = _read_header(data, cache.path)
-        if recorded is not None and source is not None and recorded != source:
-            raise ConfigError(_mismatch(cache.path, recorded, source, corpus))
-        cut = data.rfind(b"\n") + 1
-        cache._results = _replay(data[start:cut], str(cache.path))
-        if not cache._results and data:
+        with handle:
+            first = handle.readline()
+            start, recorded = _read_header(first, cache.path)
+            if recorded is not None and source is not None and recorded != source:
+                raise ConfigError(_mismatch(cache.path, recorded, source, corpus))
+            cut, torn = _replay(handle, cache._results, str(cache.path)) if start else (0, first)
+        if not cache._results and (start or torn):
             cache._torn_at = 0
-        elif cut < len(data):
-            cache._torn_at = cut
+        elif torn:
+            cache._torn_at = start + cut
         return cache
 
     def __len__(self) -> int:
@@ -113,7 +117,8 @@ class QueryCache:
         self._results = {}
         if self.path is not None:
             if self.path.exists():
-                _read_header(self.path.read_bytes(), self.path)
+                with self.path.open("rb") as handle:
+                    _read_header(handle.readline(), self.path)
             atomic_write_bytes(self.path, HEADER)
             self._torn_at = None
 
@@ -147,7 +152,7 @@ def _fingerprint(corpus) -> dict:
 
 
 def _read_header(data: bytes, path) -> tuple[int, dict | None]:
-    """(length, source) of a journal's header; (0, None) for an empty file or a cut-off first line.
+    """(length, source) of the header that begins data; (0, None) for no data or a cut-off first line.
 
     source holds the header's backend and corpus, or is None when it names neither.
     """
@@ -174,15 +179,29 @@ def _mismatch(path, recorded: dict, source: dict, corpus) -> str:
     return f"{path}: its answers came from {came}; 'snippetnet cache clear' empties it for reuse"
 
 
-def _replay(body: bytes, source: str) -> dict[str, SearchResult]:
-    results: dict[str, SearchResult] = {}
-    for number, line in enumerate(body.split(b"\n")[:-1], start=2):
+def _replay(lines, results: dict, source: str) -> tuple[int, bytes]:
+    """Read each complete line of lines, the records after the header, into results.
+
+    Returns the length of the complete lines and the torn tail, a final
+    line without its newline (b"" when there is none). Every zero-hit answer
+    is one SearchResult, and equal snippets are one Snippet.
+    """
+    cut, snippets = 0, {}
+    for number, line in enumerate(lines, start=2):
+        if not line.endswith(b"\n"):
+            return cut, line
         try:
-            row = json.loads(line)
+            row = json.loads(line[:-1])  # without its newline, so an error's position reads as before
             rendered = row["query"]  # a version-2 record's fetched_at is not read
             if not isinstance(rendered, str):
                 raise TypeError(f"query must be a string, got {rendered!r}")
-            results[rendered] = parse_result(row)
+            result = parse_result(row)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{source}: line {number}: malformed cache record: {exc!r}") from exc
-    return results
+        if result == _NO_HITS:
+            result = _NO_HITS
+        elif result.snippets:
+            result = SearchResult(result.hit_count, tuple([snippets.setdefault(s, s) for s in result.snippets]))
+        results[rendered] = result
+        cut += len(line)
+    return cut, b""

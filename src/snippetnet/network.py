@@ -5,10 +5,12 @@ the graph as isolates. Edges are the detected pairs whose strength clears the
 threshold, each carrying its score, domain-overlap value, labels, and how many
 snippets back it; snippetnet.cli.extract decides which pairs they are, and
 this module only assembles and exports them. Everything is ordered (nodes by
-id, edges by pair), so equal networks export to byte-identical files. The
-GraphML escapes are local and match xml.sax.saxutils' escape and quoteattr
-exactly; saxutils itself imports urllib.request, and with it a whole web
-client that no export needs.
+id, edges by pair), so equal networks export to byte-identical files.
+GraphML escapes only actor names, with a local escape that matches
+xml.sax.saxutils' (which imports urllib.request, and with it a whole web
+client that no export needs). An id is an actor name's text.raw_tokens
+joined by "-", and a label a text.tokenize token, so neither holds a
+character XML would escape: both are written as they are.
 """
 
 from __future__ import annotations
@@ -71,16 +73,6 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def quoteattr(text: str) -> str:
-    """Escape and quote text as an XML attribute value."""
-    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
-    if '"' not in text:
-        return f'"{text}"'
-    if "'" not in text:
-        return f"'{text}'"
-    return '"' + text.replace('"', "&quot;") + '"'
-
-
 def _to_graphml(network: SocialNetwork) -> bytes:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -93,15 +85,15 @@ def _to_graphml(network: SocialNetwork) -> bytes:
     ]
     for actor in network.nodes:
         lines.append(
-            f'    <node id={quoteattr(actor.id)}><data key="d0">{escape(actor.name)}</data></node>'
+            f'    <node id="{actor.id}"><data key="d0">{escape(actor.name)}</data></node>'
         )
     for edge in network.edges:
         joined = ";".join(token for token, _ in edge.labels.labels)
         lines.append(
-            f"    <edge source={quoteattr(edge.pair[0])} target={quoteattr(edge.pair[1])}>"
+            f'    <edge source="{edge.pair[0]}" target="{edge.pair[1]}">'
             f'<data key="d1">{edge.weight.value!r}</data>'
             f'<data key="d2">{edge.usr.value!r}</data>'
-            f'<data key="d3">{escape(joined)}</data>'
+            f'<data key="d3">{joined}</data>'
             f"</edge>"
         )
     lines.extend(["  </graph>", "</graphml>"])

@@ -1,4 +1,5 @@
 import json
+import tempfile
 import threading
 import unicodedata
 from collections import Counter
@@ -13,7 +14,7 @@ from corpusdata import mask_timestamps, scan_matches  # mask_timestamps is re-ex
 from snippetnet.backends import FixtureBackend
 from snippetnet.budget import BudgetLedger
 from snippetnet.cache import QueryCache
-from snippetnet.corpus import Corpus
+from snippetnet.corpus import load_corpus
 from snippetnet.errors import BackendError
 from snippetnet.gateway import SearchGateway
 from snippetnet.relations import Actor
@@ -115,7 +116,8 @@ FANOUT_KEYWORDS = {actor.id: "topic" for actor in FANOUT_ACTORS}
 
 def fanout_corpus():
     names = " and ".join(actor.name for actor in FANOUT_ACTORS)
-    return Corpus((f"https://example.org/{i}", names, f"{names} on topic {i}") for i in range(1, 4))
+    return corpus_from_rows([{"id": i, "url": f"https://example.org/{i}", "title": names,
+                              "body": f"{names} on topic {i}"} for i in range(1, 4)])
 
 
 class StagedBackend:
@@ -151,7 +153,24 @@ class StagedBackend:
 # --------------------------------------------------------------- helpers ----
 
 def corpus_from_rows(rows):
-    return Corpus((row["url"], row["title"], row["body"]) for row in rows)
+    """load_corpus over rows written as JSON Lines to a file that is removed once loaded.
+
+    Each string is written raw, a lone surrogate through surrogatepass, so
+    it reads back as it was: escaped, two adjacent surrogates would read
+    back as one character. The corpus reads pages back through the
+    descriptor it keeps open, never by the path, so it answers as if the
+    file were still there.
+    """
+    lines = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "corpus.jsonl"
+        path.write_bytes(lines.encode(errors="surrogatepass"))
+        return load_corpus(path)
+
+
+def searched(corpus):
+    """What a search reads of a corpus: each block's first index, lowered text and document starts."""
+    return corpus.firsts, corpus.texts, corpus.starts
 
 
 def make_gateway(corpus, daily_limit=1_000_000, cache_path=None, ledger_path=None,
@@ -177,8 +196,8 @@ def corpus20_rows():
 
 
 @pytest.fixture
-def corpus20(corpus20_rows):
-    return corpus_from_rows(corpus20_rows)
+def corpus20(corpus20_file):
+    return load_corpus(corpus20_file)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,39 @@ class TestQueryCache:
         assert path.read_bytes().startswith(old)
         assert sorted(json.loads(path.read_bytes()[len(old):])) == ["hit_count", "query", "snippets"]
         assert len(QueryCache.open(path)) == 2
+
+    def test_replay_shares_every_zero_hit_answer_and_equal_snippets(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = QueryCache(path)
+        page = tuple(Snippet(parse_url(f"http://a.com/{i}"), f"T{i}", "A") for i in range(3))
+        for name in ("a", "b"):
+            cache.store(f'"{name}"', SearchResult(0, ()))
+            cache.store(f'"{name} pair"', SearchResult(5, page))
+        cache.store('"c"', SearchResult(2, page[1:]))
+        replayed = QueryCache.open(path)
+        assert replayed.lookup('"a"') is replayed.lookup('"b"') == SearchResult(0, ())
+        first, second, third = (replayed.lookup(query) for query in ('"a pair"', '"b pair"', '"c"'))
+        assert first == second == SearchResult(5, page) and third == SearchResult(2, page[1:])
+        assert all(x is y for x, y in zip(first.snippets, second.snippets))
+        assert all(x is y for x, y in zip(first.snippets[1:], third.snippets))
+
+    def test_a_journal_is_replayed_without_being_held_whole(self, tmp_path):
+        # 300 records of one long page: read whole, or with a Snippet per
+        # record, the journal would cost several times what its answers do.
+        path = tmp_path / "cache.json"
+        cache = QueryCache(path)
+        page = tuple(Snippet(parse_url(f"http://a.com/{i}"), f"Title {i}", "x" * 300) for i in range(10))
+        for number in range(300):
+            cache.store(f'"query {number}"', SearchResult(50, page))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            replayed = QueryCache.open(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(replayed) == 300
+        assert peak < size / 4
 
     def test_malformed_complete_line_raises(self, tmp_path):
         path = tmp_path / "cache.json"

@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import random
 import re
 import sys
@@ -11,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import corpusdata
-from conftest import corpus_from_rows, make_gateway, scan_count, scan_matches
+from conftest import corpus_from_rows, make_gateway, scan_count, scan_matches, searched
 from snippetnet import corpus as corpus_module
 from snippetnet.backends import PAGE_SIZE, FixtureBackend, LiveBackend
+from snippetnet import cli
+from snippetnet.budget import read_ledger_state
 from snippetnet.cli import extract, load_actors, main
 from snippetnet.corpus import ABSTRACT_LENGTH, BLOCK_SIZE, Corpus, load_corpus
 from snippetnet.errors import BackendError, ConfigError
@@ -59,6 +63,11 @@ def random_phrases(rng):
     return phrases
 
 
+def assert_same_documents(corpus, other):  # searched alike, and showing the same pages
+    assert searched(corpus) == searched(other)
+    assert [corpus.shown(i) for i in range(len(corpus))] == [other.shown(i) for i in range(len(other))]
+
+
 def oracle_result(rows, phrases):
     ids = scan_matches(rows, phrases)
     url_by_id = {row["id"]: row["url"] for row in rows}
@@ -70,9 +79,35 @@ class TestCorpusLoader:
         path = tmp_path / "corpus.jsonl"
         corpusdata.write_jsonl(path, corpus20_rows)
         corpus = load_corpus(path)
-        assert vars(corpus) == vars(corpus_from_rows(corpus20_rows))
+        assert searched(corpus) == searched(corpus_from_rows(corpus20_rows))
         assert len(corpus) == 20
         assert corpus.shown(0)[0] == "Community Detection Workshop"
+
+    def test_the_file_stays_open_until_the_corpus_is_collected(self, corpus20_file):
+        corpus = load_corpus(corpus20_file)
+        fd = corpus._fd
+        assert os.fstat(fd).st_size == corpus20_file.stat().st_size
+        del corpus
+        gc.collect()
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+    def test_a_refused_file_is_closed_at_once(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, open=os.open):
+            opened.append(open(*args))
+            return opened[-1]
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": 1, "url": "http://a.com/x", "title": "t", "body": "b"}\nnot json\n', encoding="utf-8")
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "open", recording_open)
+            with pytest.raises(ConfigError, match=":2: invalid JSON"):
+                load_corpus(path)
+        (fd,) = opened
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
@@ -132,7 +167,7 @@ class TestCorpusLoader:
         assert separator in path.read_text(encoding="utf-8")
         corpus = load_corpus(path)
         assert len(corpus) == 2
-        assert vars(corpus) == vars(corpus_from_rows(rows))
+        assert searched(corpus) == searched(corpus_from_rows(rows))
         assert corpus.shown(0)[1] == rows[0]["body"]
         result = FixtureBackend(corpus).search(build_query(["Alice Nguyen after"]))
         assert result.hit_count == 1
@@ -154,7 +189,7 @@ class TestCorpusLoader:
         lines[0] = b"\xef\xbb\xbf" + lines[0]
         lines[2] = b"\xef\xbb\xbf" + lines[2]
         marked.write_bytes(b"\n".join(lines))
-        assert vars(load_corpus(marked)) == vars(load_corpus(plain))
+        assert_same_documents(load_corpus(marked), load_corpus(plain))
 
     @pytest.mark.parametrize("line", [b"\xef\xbb\xbf", b"\xef\xbb\xbf \t\r"], ids=["mark", "mark-and-spaces"])
     def test_a_line_of_only_a_byte_order_mark_is_blank(self, tmp_path, corpus20_rows, line):
@@ -162,7 +197,13 @@ class TestCorpusLoader:
         plain, marked = tmp_path / "plain.jsonl", tmp_path / "marked.jsonl"
         corpusdata.write_jsonl(plain, corpus20_rows)
         marked.write_bytes(line + b"\n\xef\xbb\xbf" + plain.read_bytes())
-        assert vars(load_corpus(marked)) == vars(load_corpus(plain))
+        assert_same_documents(load_corpus(marked), load_corpus(plain))
+
+    def test_pages_read_back_past_blank_lines_and_a_last_line_without_its_newline(self, tmp_path, corpus20_rows):
+        plain, spaced = tmp_path / "plain.jsonl", tmp_path / "spaced.jsonl"
+        corpusdata.write_jsonl(plain, corpus20_rows)
+        spaced.write_bytes(b"\n \t\r\n".join(plain.read_bytes().splitlines()) + b"  ")
+        assert_same_documents(load_corpus(spaced), load_corpus(plain))
 
     @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-32"])
     def test_line_in_another_unicode_encoding_is_exit_2_naming_it(self, tmp_path, capsys, encoding):
@@ -211,8 +252,8 @@ class TestCorpusLoader:
             assert snippet.url.render() == url
 
     def test_the_loaded_backend_holds_about_one_copy_of_the_text(self, tmp_path):
-        # The corpus keeps one lowercased copy of each text and a short
-        # abstract, and the backend adds no copy of its own.
+        # The corpus keeps one lowercased copy of each text, and the backend
+        # adds no copy of its own.
         rng = random.Random(17)
         words = INDEX_WORDS + ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"]
         rows = []
@@ -234,9 +275,11 @@ class TestCorpusLoader:
         assert peak / text_length < 1.5
 
     def test_a_loaded_document_costs_little_beyond_its_characters(self, tmp_path):
-        # Documents share their block's text and pages, so what a short
-        # document costs beyond its characters is its two offsets and its
-        # share of its block's few objects: no object of its own.
+        # Documents share their block's text, and a page is read back from
+        # the file, so what a short document costs beyond its characters is
+        # its two 4-byte offsets, one in the text and one in the file, and
+        # its share of its block's few objects (about 14 bytes in all): no
+        # object of its own, and no copy of its page.
         rows = [{"id": doc_id, "url": f"http://site{doc_id % 7}.example/d/{doc_id}",
                  "title": f"Note {doc_id}", "body": f"Ann Lee and Bo Chen on item {doc_id}."}
                 for doc_id in range(1, 2001)]
@@ -248,10 +291,8 @@ class TestCorpusLoader:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The text, and the title, abstract and url a snippet shows, each
-        # with its separators; all ASCII, so a byte a character.
-        characters = sum(len(f"{row['title']}\n{row['body']}\n{row['url']}")
-                         + len(f"{row['title']}\xff{row['body']}\xff{row['url']}") for row in rows)
+        # The lowered text, with its separators; all ASCII, so a byte a character.
+        characters = sum(len(f"{row['title']}\n{row['body']}\n{row['url']}") for row in rows)
         assert len(corpus) == 2000
         assert (retained - characters) / len(corpus) < 16
 
@@ -334,11 +375,11 @@ class TestFixtureSearch:
             assert result.hit_count == hit_count, phrases
             assert [s.url.render() for s in result.snippets] == urls, phrases
 
-    def test_pages_are_read_once_not_once_per_query(self, corpus20_rows):
+    def test_pages_are_read_once_not_once_per_query(self, corpus20_file):
         # A document is lowercased once, when the corpus is packed, and a
-        # query reads only the lowercased texts; a document's page is
-        # unpacked the first time the document reaches a result page, and
-        # never again.
+        # query reads only the lowercased texts; a document's page is read
+        # back from its line the first time the document reaches a result
+        # page, and never again.
         reads = Counter()
 
         class CountingCorpus(Corpus):
@@ -346,7 +387,7 @@ class TestFixtureSearch:
                 reads[index] += 1
                 return super().shown(index)
 
-        corpus = CountingCorpus((row["url"], row["title"], row["body"]) for row in corpus20_rows)
+        corpus = CountingCorpus(corpus20_file)
         backend = FixtureBackend(corpus)
         assert backend.corpus is corpus and not reads
         rng = random.Random(5)
@@ -450,7 +491,9 @@ class TestPackedCorpus:
             unpacked += documents
         assert unpacked == [row_text(row) for row in rows]
         assert [corpus.shown(i) for i in range(len(rows))] == [
-            [row["title"].strip(), row["body"][:ABSTRACT_LENGTH].strip(), row["url"]] for row in rows]
+            (row["title"].strip(), row["body"][:ABSTRACT_LENGTH].strip(), row["url"]) for row in rows]
+        for lines, following in zip(corpus.lines, corpus.lines[1:]):  # a block's offsets end where the next block's begin
+            assert lines[-1] == following[0]
         if block_size == BLOCK_SIZE:  # the runs of 1 to 6 decide where a block ends
             assert 1 < len(corpus.texts) < len(rows)
 
@@ -486,6 +529,77 @@ class TestPackedCorpus:
             assert backend.search(Query((phrase,))).hit_count == 0, phrase
             assert backend.search(Query(("ann", phrase))).hit_count == 0, phrase
         assert backend.search(Query(("\n",))).hit_count == 2
+
+
+def rewrite_in_place(path, old, new):  # the same bytes count, at the same place, in the same file
+    assert len(old) == len(new)
+    at = path.read_bytes().index(old)
+    with open(path, "r+b") as handle:
+        handle.seek(at)
+        handle.write(new)
+
+
+def journal_records(path):
+    return [json.loads(line) for line in path.read_bytes().splitlines()[1:]]
+
+
+class TestThePageStore:
+    """A page is read back from the corpus file the first time its document is shown.
+
+    Document 10 names only Erin Walsh, so it first reaches a result page on
+    her context query, after every pair has been paid for. An edit to the
+    file after the load that reaches it exits 2 with one line naming the
+    corpus; every answer paid before it stays in the journal.
+    """
+
+    EDITS = {
+        # Same length, other letters, still a valid row: only the text check sees it.
+        "edited-in-place": lambda path: rewrite_in_place(path, b'"title": "Talks"', b'"title": "Walks"'),
+        "truncated": lambda path: os.truncate(path, path.read_bytes().index(b"erinwalsh.me")),
+    }
+
+    def extract(self, tmp_path, name, parallelism, edit=None):
+        directory = tmp_path / name
+        directory.mkdir()
+        corpus, actors = directory / "corpus.jsonl", directory / "actors.txt"
+        corpusdata.write_jsonl(corpus, corpusdata.corpus20())
+        actors.write_text("\n".join(corpusdata.ACTORS) + "\n", encoding="utf-8")
+
+        def load_then_edit(path, load=cli.load_corpus):
+            loaded = load(path)
+            if edit is not None:
+                edit(corpus)
+            return loaded
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "load_corpus", load_then_edit)
+            code = main(["extract", "--actors", str(actors), "--corpus", str(corpus), "--threshold", "0",
+                         "--cache", str(directory / "cache.json"), "--out", str(directory / "net.json"),
+                         "--parallelism", str(parallelism)])
+        return code, directory, corpus
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_an_edit_that_reaches_a_result_page_is_exit_2_naming_the_corpus(self, tmp_path, capsys, edit, parallelism):
+        code, clean, _ = self.extract(tmp_path, "clean", parallelism)
+        assert code == 0
+        capsys.readouterr()
+        code, edited, corpus = self.extract(tmp_path, "edited", parallelism, self.EDITS[edit])
+        err = capsys.readouterr().err
+        assert code == 2
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {corpus}: line at byte ")
+        assert "Traceback" not in err
+        assert not (edited / "net.json").exists()
+        paid = read_ledger_state(edited / "cache.json.ledger")["total_issued"]
+        kept, answers = journal_records(edited / "cache.json"), journal_records(clean / "cache.json")
+        assert len(kept) >= len(corpusdata.ACTORS) * (len(corpusdata.ACTORS) - 1) // 2  # every pair
+        assert 1 <= paid - len(kept) <= parallelism  # the failed query is charged; one in flight may fail too
+        if parallelism == 1:
+            assert kept == answers[:len(kept)]
+        else:
+            assert all(record in answers for record in kept)
+        assert not any(record["query"] == '"Erin Walsh"' for record in kept)
 
 
 class TestFixtureSearchThreads:
@@ -540,7 +654,7 @@ class TestFixtureSearchThreads:
         assert len(finished) == 80
         assert mismatches == []
 
-    def test_threads_that_meet_one_unscanned_phrase_at_once_scan_the_corpus_for_it_once(self):
+    def test_threads_that_meet_one_unscanned_phrase_at_once_scan_the_corpus_for_it_once(self, corpus20_file):
         # A scan waits until every thread is inside a scan or queued on the
         # backend's lock, so threads scanning without that lock all enter the
         # scan, every time, and no outcome hangs on how the threads are timed.
@@ -572,7 +686,7 @@ class TestFixtureSearchThreads:
                 return super().scan(phrase)
 
         rows = corpusdata.corpus20()
-        backend = FixtureBackend(CountingCorpus((row["url"], row["title"], row["body"]) for row in rows))
+        backend = FixtureBackend(CountingCorpus(corpus20_file))
         backend._lock = QueuedLock()
         results, errors = [], []
 

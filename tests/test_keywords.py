@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import corpus_from_rows, oracle_tokenize, read_json
+from conftest import corpus_from_rows, oracle_tokenize, read_json, searched
 from corpusdata import ACTORS
 from snippetnet import cli
 from snippetnet.backends import FixtureBackend, SearchResult
@@ -130,7 +130,7 @@ class TestDocumentFrequencies:
         lines = [json.dumps(row, ensure_ascii=False) + "\n" for row in rows]
         path.write_bytes("".join(lines).encode("utf-8", "surrogatepass"))
         corpus = load_corpus(path)
-        assert vars(corpus) == vars(corpus_from_rows(rows))
+        assert searched(corpus) == searched(corpus_from_rows(rows))
         backend = FixtureBackend(corpus)
         collection = []
         for row in rows:

@@ -5,9 +5,11 @@ import pytest
 
 from conftest import to_matrix
 from snippetnet.labeling import EdgeLabels, UsrScore, label_edge, usr
-from snippetnet.network import Edge, build_network, escape, export, quoteattr
-from snippetnet.relations import Actor
+from snippetnet.network import Edge, build_network, escape, export
+from snippetnet.relations import Actor, slugify
+from snippetnet.snippets import Snippet, parse_url
 from snippetnet.strength import StrengthScore
+from snippetnet.text import tokenize
 
 A = Actor(name="Alice Nguyen")
 B = Actor(name="Bob Santos")
@@ -127,7 +129,7 @@ class TestExports:
         text = export(net, "graphml").decode("utf-8")
         assert "Tom &amp; Co &lt;x&gt;" in text
 
-    def test_local_escapes_match_saxutils(self):
+    def test_local_escape_matches_saxutils(self):
         from xml.sax import saxutils
 
         rng = random.Random(8)
@@ -135,7 +137,42 @@ class TestExports:
         for _ in range(5000):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(24)))
             assert escape(text) == saxutils.escape(text), repr(text)
-            assert quoteattr(text) == saxutils.quoteattr(text), repr(text)
+
+    def test_no_name_gives_an_id_or_label_token_that_xml_would_escape(self):
+        # GraphML writes ids and labels unescaped. An id is a name's raw
+        # tokens joined by "-", and a label a tokenize token of a title, host
+        # or path, so neither may hold a character saxutils' escape or
+        # quoteattr would change, a control character, or a lone surrogate,
+        # which UTF-8 cannot write.
+        rng = random.Random(21)
+        alphabet = "&<>\"'\n\r\t\x00\x1f ;#-_.abzAZ09é\u0301\u0307–中😀\ud800\udfff\u2028\ufffeİΣ\u212a"
+        escaped = set("&<>\"'")
+        for _ in range(5000):
+            name = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 24)))
+            for token in [slugify(name), *tokenize(name)]:
+                assert token.isprintable() and not escaped & set(token), (name, token)
+                assert token.encode("utf-8").decode("utf-8") == token
+
+    def test_graphml_of_any_writable_names_parses_back_to_them(self):
+        from xml.etree import ElementTree
+
+        rng = random.Random(34)
+        alphabet = "&<>'; -_.abzAZ09é\u0301–中😀İΣ"
+        ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+        for _ in range(200):
+            names = {"".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 16))).strip() for _ in range(4)}
+            actors = {actor.id: actor for actor in map(Actor, filter(None, names))}
+            if len(actors) < 2:
+                continue
+            ids = sorted(actors)
+            labels = label_edge([Snippet(parse_url("http://lab.example.org/x"), " ".join(names), "")], ())
+            network = build_network(actors.values(), [_edge(actors[ids[0]], actors[ids[1]], 0.5, 1, labels=labels)])
+            graph = ElementTree.fromstring(export(network, "graphml")).find("g:graph", ns)
+            nodes = {node.get("id"): node.find("g:data", ns).text for node in graph.findall("g:node", ns)}
+            assert nodes == {actor_id: actor.name for actor_id, actor in actors.items()}
+            (edge,) = graph.findall("g:edge", ns)
+            assert (edge.get("source"), edge.get("target")) == (ids[0], ids[1])
+            assert (edge.findall("g:data", ns)[2].text or "") == ";".join(token for token, _ in labels.labels)
 
     def test_equal_networks_export_identically(self):
         assert export(self._network(), "json") == export(self._network(), "json")

@@ -73,20 +73,22 @@ def test_importing_the_package_does_not_load_the_cli():
 # dotted path.
 _LAZY_USERS = """
 import json, sys
+from pathlib import Path
 sys.path.insert(0, {tests!r})
 import snippetnet.cli
 loaded_early = "urllib.request" in sys.modules or "concurrent.futures" in sys.modules
-from corpusdata import ACTORS, corpus20
+from corpusdata import ACTORS, corpus20, write_jsonl
 from snippetnet.backends import FixtureBackend, LiveBackend
 from snippetnet.budget import BudgetLedger
 from snippetnet.cache import QueryCache
-from snippetnet.corpus import Corpus
+from snippetnet.corpus import load_corpus
 from snippetnet.gateway import SearchGateway
 from snippetnet.queries import build_query
 from snippetnet.relations import Actor, detect_all
 
 actors = [Actor(name) for name in ACTORS]
-corpus = Corpus((row["url"], row["title"], row["body"]) for row in corpus20())
+write_jsonl(Path({corpus!r}), corpus20())
+corpus = load_corpus({corpus!r})
 
 def detect(parallelism):
     gateway = SearchGateway(FixtureBackend(corpus), cache=QueryCache(), ledger=BudgetLedger(1000),
@@ -124,8 +126,8 @@ print(json.dumps({{
 """
 
 
-def test_lazily_imported_thread_pool_and_web_client_still_work():
-    code = _LAZY_USERS.format(tests=str(Path(__file__).resolve().parent))
+def test_lazily_imported_thread_pool_and_web_client_still_work(tmp_path):
+    code = _LAZY_USERS.format(tests=str(Path(__file__).resolve().parent), corpus=str(tmp_path / "corpus.jsonl"))
     report = json.loads(run_python(code))
     assert report["loaded_early"] is False
     assert report["threaded_matches_serial"] is True
